@@ -39,7 +39,6 @@ METHODS = {
     "theorem2": "theorem-2",
     "gaussian-a": "gaussian-a",
     "gaussian-b": "gaussian-b",
-    "lemma1": "lemma-1",
 }
 _GAUSSIAN_METHODS = ("gaussian-a", "gaussian-b")
 
@@ -71,6 +70,11 @@ class RateFunction:
 INVERSE_SCALE = RateFunction(forward=lambda t: 1.0 / t, inverse=lambda a: 1.0 / a, name="inverse-scale")
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0 < epsilon < math.inf:
+        raise ValidationError(f"epsilon must be finite and > 0, got {epsilon!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class MechanismSpec:
     """A calibrated additive-noise mechanism Y = X + N.
@@ -89,10 +93,9 @@ class MechanismSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown noise family {self.family!r}; expected one of {FAMILIES}")
-        if self.theta < 0:
-            raise ValidationError(f"theta must be >= 0, got {self.theta!r}")
-        if self.epsilon <= 0:
-            raise ValidationError(f"epsilon must be > 0, got {self.epsilon!r}")
+        if not 0 <= self.theta < math.inf:
+            raise ValidationError(f"theta must be finite and >= 0, got {self.theta!r}")
+        _check_epsilon(self.epsilon)
         if self.delta is not None:
             if self.family != "gaussian":
                 raise ValidationError("delta is only meaningful for the gaussian family")
@@ -159,8 +162,7 @@ def calibrate_exponential(
     A zero sensitivity means the two conditionals are already
     indistinguishable on the plan support, so no noise is required.
     """
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be > 0, got {epsilon!r}")
+    _check_epsilon(epsilon)
     if sensitivity < 0:
         raise ValidationError(f"sensitivity must be >= 0, got {sensitivity!r}")
     if sensitivity == 0:
@@ -178,8 +180,7 @@ def calibrate_gaussian(
     c > 0.41 delta^{-1/3} + sqrt((0.41 delta^{-1/3})^2 + eps/2) with a
     1e-9 slack on the strict inequality.
     """
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be > 0, got {epsilon!r}")
+    _check_epsilon(epsilon)
     if not 0 < delta < 1:
         raise ValidationError(f"delta must lie in (0, 1), got {delta!r}")
     if sensitivity < 0:
@@ -203,16 +204,20 @@ def _solve_decreasing_log_theta(g: Callable[[float], float], context: str) -> fl
     """Root of a strictly decreasing g on the log(theta) axis.
 
     The bracket is grown by repeated doubling of theta (steps of log 2)
-    and then bisected to ROOT_LOG_TOL.
+    and then bisected to ROOT_LOG_TOL. A NaN g raises ``NumericError``
+    rather than compare as "not positive" and steer to a wrong root.
     """
 
     def safe_g(log_theta: float) -> float:
         try:
-            return g(log_theta)
+            value = g(log_theta)
         except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
             raise NumericError(
                 f"objective for {context} failed at log(theta)={log_theta!r}: {exc}"
             ) from exc
+        if math.isnan(value):
+            raise NumericError(f"objective for {context} is NaN at log(theta)={log_theta!r}")
+        return value
 
     step = math.log(2.0)
     hi = 0.0
@@ -244,11 +249,6 @@ def _solve_decreasing_log_theta(g: Callable[[float], float], context: str) -> fl
     return math.exp(0.5 * (lo + hi))
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    m = float(values.max())
-    return m + math.log(float(np.exp(values - m).sum()))
-
-
 def relaxed_theta(
     plan: TransportPlan,
     p: DiscreteDistribution,
@@ -264,38 +264,38 @@ def relaxed_theta(
     root because the left side strictly decreases in theta whenever any
     entry has positive distance; the symmetric equation is solved per row
     against p(x). Rows or columns whose entries all sit at distance zero
-    hold their inequality for every theta and contribute zero.
+    hold their inequality for every theta and are left out. The equations
+    are solved together: their log residuals all decrease in theta, so the
+    largest root is the root of their maximum, found by one bisection that
+    evaluates every equation at once as a grouped log-sum-exp.
     """
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be > 0, got {epsilon!r}")
+    _check_epsilon(epsilon)
     if not (
         np.array_equal(plan.row_support, p.support)
         and np.array_equal(plan.col_support, q.support)
     ):
         raise ValidationError("plan supports do not match the supplied distributions")
     distances = np.array([metric(z) for z in plan.displacements()])
-    log_mass = np.log(plan.mass)
+    # One equation per row key 0..len(p)-1 and per column key after them.
+    keys = np.concatenate([plan.rows, plan.cols + p.mass.size])
+    live = np.bincount(keys, weights=np.tile(distances > 0, 2))[keys] > 0
+    if not live.any():
+        return 0.0
+    # The stable sort keeps plan order inside each equation's group.
+    order = np.flatnonzero(live)[np.argsort(keys[live], kind="stable")]
+    keys, entries = keys[order], order % len(plan)
+    d, log_mass = distances[entries], np.log(plan.mass[entries])
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    sizes = np.diff(starts, append=keys.size)
+    targets = epsilon + np.log(np.concatenate([p.mass, q.mass])[keys[starts]])
 
-    best = 0.0
-    for indices, marginals, axis in (
-        (plan.rows, p.mass, "row"),
-        (plan.cols, q.mass, "column"),
-    ):
-        for k in np.unique(indices):
-            sel = indices == k
-            d = distances[sel]
-            if not np.any(d > 0):
-                continue
-            lm = log_mass[sel]
-            target = epsilon + math.log(marginals[k])
+    def g(log_theta: float) -> float:
+        terms = log_mass + float(rate.forward(math.exp(log_theta))) * d
+        peak = np.maximum.reduceat(terms, starts)
+        sums = np.add.reduceat(np.exp(terms - np.repeat(peak, sizes)), starts)
+        return float(np.max(peak + np.log(sums) - targets))
 
-            def g(log_theta: float, d=d, lm=lm, target=target) -> float:
-                eta = float(rate.forward(math.exp(log_theta)))
-                return _logsumexp(lm + eta * d) - target
-
-            root = _solve_decreasing_log_theta(g, f"{axis} {int(k)} moment equation")
-            best = max(best, root)
-    return best
+    return _solve_decreasing_log_theta(g, "the row and column moment equations")
 
 
 def calibrate_pufferfish(
@@ -318,8 +318,7 @@ def calibrate_pufferfish(
     pairs = list(pairs)
     if not pairs:
         raise ValidationError("at least one discriminative pair is required")
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be > 0, got {epsilon!r}")
+    _check_epsilon(epsilon)
     gaussian = method in _GAUSSIAN_METHODS
     if gaussian and delta is None:
         raise ValidationError(f"method {method!r} requires delta")
@@ -345,7 +344,7 @@ def calibrate_pufferfish(
     theta = max(rec.theta for rec in records)
     if gaussian:
         variance = theta**2
-    elif metric.name == "l1" and rate.name == "inverse-scale":
+    elif metric is L1 and rate is INVERSE_SCALE:
         variance = 2.0 * theta**2
     else:
         variance = None

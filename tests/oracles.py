@@ -3,12 +3,14 @@
 Everything here deliberately avoids the code paths under test: transport
 cost comes from a linear program, probability laws from exhaustive
 enumeration, W1 from the CDF-difference identity, tail masses from
-scipy's normal distribution.
+scipy's normal distribution, and the Theorem-2 scale from one bracket and
+bisection per moment equation.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import defaultdict
 
 import numpy as np
@@ -77,3 +79,51 @@ def laplace_mixture_density(dist, theta: float, y: float) -> float:
 def normal_two_sided_tail(t: float) -> float:
     """P(|Z| > t) for standard normal Z."""
     return float(2.0 * norm.sf(t))
+
+
+def _bisect_decreasing_log_theta(g) -> float:
+    """Root of a decreasing g of log(theta): log-2 bracket steps from 0, then bisection."""
+    step, tol = math.log(2.0), 1e-10
+    hi = 0.0
+    while g(hi) > 0.0:
+        hi += step
+    lo = 0.0
+    while g(lo) <= 0.0:
+        lo -= step
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if g(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= tol:
+            break
+    return math.exp(0.5 * (lo + hi))
+
+
+def per_equation_relaxed_theta(plan, p, q, epsilon, metric, rate) -> float:
+    """Theorem-2 scale solving each row and column moment equation on its own.
+
+    Every equation with an entry at positive distance gets its own
+    bracket and bisection; the largest root wins, and 0 when no equation
+    has one.
+    """
+    distances = np.array([metric(z) for z in plan.displacements()])
+    log_mass = np.log(plan.mass)
+    best = 0.0
+    for indices, marginals in ((plan.rows, p.mass), (plan.cols, q.mass)):
+        for k in np.unique(indices):
+            sel = indices == k
+            d = distances[sel]
+            if not np.any(d > 0):
+                continue
+            lm = log_mass[sel]
+            target = epsilon + math.log(marginals[k])
+
+            def g(log_theta, d=d, lm=lm, target=target):
+                values = lm + float(rate.forward(math.exp(log_theta))) * d
+                m = float(values.max())
+                return m + math.log(float(np.exp(values - m).sum())) - target
+
+            best = max(best, _bisect_decreasing_log_theta(g))
+    return best

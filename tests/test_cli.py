@@ -97,6 +97,20 @@ class TestCalibrate:
         record = json.loads(capsys.readouterr().err)
         assert record["error"]["type"] == "ValidationError"
 
+    @pytest.mark.parametrize("method", ["theorem1", "theorem2"])
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "-inf"])
+    def test_non_finite_epsilon_is_a_validation_error(
+        self, pairs_file, tmp_path, capsys, epsilon, method
+    ):
+        code = cli.main([
+            "calibrate", "--pairs", pairs_file, f"--epsilon={epsilon}",
+            "--method", method, "--out", str(tmp_path / "r.json"),
+        ])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["type"] == "ValidationError"
+        assert not (tmp_path / "r.json").exists()
+
     def test_table_ingestion_path(self, tmp_path):
         table = tmp_path / "survey.csv"
         table.write_text(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pufferot import (
     INVERSE_SCALE,
@@ -9,7 +11,10 @@ from pufferot import (
     DiscriminativePair,
     L1,
     MechanismSpec,
+    Metric,
+    NumericError,
     RateFunction,
+    TransportPlan,
     ValidationError,
     calibrate_exponential,
     calibrate_gaussian,
@@ -21,7 +26,11 @@ from pufferot import (
     sample_noise,
 )
 
+from oracles import per_equation_relaxed_theta
+
 EPS_GRID = [0.5, 0.8, 1.0, 1.8, 3.0, 5.8]
+FIGURE4_EPS_GRID = [0.8 + 0.5 * k for k in range(11)]
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 def shifted_diagonal_pair():
@@ -29,6 +38,26 @@ def shifted_diagonal_pair():
     p = DiscreteDistribution.from_weights([0, 1], [1, 1])
     q = DiscreteDistribution.from_weights([1, 2], [1, 1])
     return DiscriminativePair(labels=("low", "high"), p=p, q=q, prior="synthetic")
+
+
+def random_pair(rng, n, empty):
+    """Dirichlet(1) conditionals on 1..n, each with ``empty`` atoms set to zero."""
+    masses = []
+    for _ in range(2):
+        mass = rng.dirichlet(np.ones(n))
+        mass[rng.choice(n, empty, replace=False)] = 0.0
+        masses.append(mass)
+    support = np.arange(1, n + 1)
+    return DiscriminativePair(
+        labels=("a", "b"),
+        p=DiscreteDistribution.from_weights(support, masses[0]),
+        q=DiscreteDistribution.from_weights(support, masses[1]),
+        prior=f"random-{n}",
+    )
+
+
+def reference_theta(plan, p, q, epsilon):
+    return per_equation_relaxed_theta(plan, p, q, epsilon, L1, INVERSE_SCALE)
 
 
 def constraint_values(plan, p, q, epsilon, theta):
@@ -77,6 +106,16 @@ class TestMechanismSpec:
         with pytest.raises(ValidationError, match="exponential"):
             MechanismSpec(family="exponential", theta=1.0, epsilon=1.0)
 
+    @settings(max_examples=20, deadline=None)
+    @given(bad=NON_FINITE)
+    def test_non_finite_fields_rejected(self, bad):
+        with pytest.raises(ValidationError, match="epsilon"):
+            MechanismSpec(family="laplace", theta=1.0, epsilon=bad)
+        with pytest.raises(ValidationError, match="theta"):
+            MechanismSpec(family="laplace", theta=bad, epsilon=1.0)
+        with pytest.raises(ValidationError, match="delta"):
+            MechanismSpec(family="gaussian", theta=1.0, epsilon=1.0, delta=bad)
+
 
 class TestCalibrateExponential:
     def test_unit_sensitivity(self):
@@ -94,6 +133,12 @@ class TestCalibrateExponential:
     def test_epsilon_positive(self):
         with pytest.raises(ValidationError, match="epsilon"):
             calibrate_exponential(1.0, 0.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(bad=NON_FINITE)
+    def test_non_finite_epsilon_rejected(self, bad):
+        with pytest.raises(ValidationError, match="epsilon"):
+            calibrate_exponential(1.0, bad)
 
 
 class TestCalibrateGaussian:
@@ -116,6 +161,14 @@ class TestCalibrateGaussian:
     def test_delta_bounds(self):
         with pytest.raises(ValidationError, match="delta"):
             calibrate_gaussian(1.0, 1.0, 0.0, variant="a")
+
+    @settings(max_examples=20, deadline=None)
+    @given(bad=NON_FINITE, variant=st.sampled_from(["a", "b"]))
+    def test_non_finite_inputs_rejected(self, bad, variant):
+        with pytest.raises(ValidationError, match="epsilon"):
+            calibrate_gaussian(1.0, bad, 1e-5, variant=variant)
+        with pytest.raises(ValidationError, match="delta"):
+            calibrate_gaussian(1.0, 0.5, bad, variant=variant)
 
     def test_variant_b_exceeds_strict_bound(self):
         delta = 0.01
@@ -172,6 +225,74 @@ class TestRelaxedTheta:
         with pytest.raises(ValidationError, match="supports"):
             relaxed_theta(plan, example2_pair.p, example2_pair.q, 1.0)
 
+    def test_matches_per_equation_reference_on_canonical_pairs(self, canonical_pairs):
+        for pair in canonical_pairs:
+            plan = optimal_plan(pair.p, pair.q)
+            for epsilon in EPS_GRID + FIGURE4_EPS_GRID:
+                expected = reference_theta(plan, pair.p, pair.q, epsilon)
+                assert relaxed_theta(plan, pair.p, pair.q, epsilon) == expected
+
+    @pytest.mark.parametrize(
+        "n,empty,count,seed", [(5, 1, 4, 11), (14, 2, 4, 12), (100, 10, 2, 13), (300, 30, 1, 14)]
+    )
+    def test_matches_per_equation_reference_on_random_pairs(self, n, empty, count, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            pair = random_pair(rng, n, empty)
+            plan = optimal_plan(pair.p, pair.q)
+            for epsilon in FIGURE4_EPS_GRID:
+                expected = reference_theta(plan, pair.p, pair.q, epsilon)
+                assert relaxed_theta(plan, pair.p, pair.q, epsilon) == expected
+
+    def test_transposed_plan_gives_the_same_theta(self, canonical_pairs):
+        rng = np.random.default_rng(15)
+        for pair in canonical_pairs + [random_pair(rng, 100, 10)]:
+            plan = optimal_plan(pair.p, pair.q)
+            flipped = plan.transpose()
+            for epsilon in FIGURE4_EPS_GRID:
+                theta = relaxed_theta(flipped, pair.q, pair.p, epsilon)
+                assert theta == reference_theta(flipped, pair.q, pair.p, epsilon)
+                assert theta == relaxed_theta(plan, pair.p, pair.q, epsilon)
+
+    def test_permuted_plan_entries(self, canonical_pairs):
+        # the equations' entries are no longer contiguous in the plan
+        rng = np.random.default_rng(16)
+        for pair in canonical_pairs + [random_pair(rng, 100, 10)]:
+            plan = optimal_plan(pair.p, pair.q)
+            perm = rng.permutation(len(plan))
+            shuffled = TransportPlan(
+                row_support=plan.row_support,
+                col_support=plan.col_support,
+                rows=plan.rows[perm],
+                cols=plan.cols[perm],
+                mass=plan.mass[perm],
+                source=pair.p,
+                target=pair.q,
+            )
+            for epsilon in FIGURE4_EPS_GRID:
+                expected = reference_theta(shuffled, pair.p, pair.q, epsilon)
+                assert relaxed_theta(shuffled, pair.p, pair.q, epsilon) == expected
+
+    def test_nan_rate_raises_numeric_error(self, adult_pair):
+        # NaN on a band of scales the bisection probes: read as "g <= 0",
+        # it would move the upper end of the bracket and yield a wrong root
+        nan_rate = RateFunction(
+            forward=lambda t: math.nan if 1.1 < t < 1.2 else 1.0 / t,
+            inverse=lambda a: 1.0 / a,
+            name="nan-rate",
+        )
+        plan = optimal_plan(adult_pair.p, adult_pair.q)
+        with pytest.raises(NumericError, match="NaN"):
+            relaxed_theta(plan, adult_pair.p, adult_pair.q, 0.8, rate=nan_rate)
+
+    @settings(max_examples=20, deadline=None)
+    @given(bad=NON_FINITE)
+    def test_non_finite_epsilon_rejected(self, bad):
+        pair = shifted_diagonal_pair()
+        plan = optimal_plan(pair.p, pair.q)
+        with pytest.raises(ValidationError, match="epsilon"):
+            relaxed_theta(plan, pair.p, pair.q, bad)
+
 
 class TestCalibratePufferfish:
     def test_worked_examples_take_the_max(self, example1_pair, example2_pair):
@@ -211,10 +332,19 @@ class TestCalibratePufferfish:
         assert report.theta == pytest.approx(4.844805262605389, abs=1e-9)
         assert report.variance == pytest.approx(report.theta**2)
 
-    def test_lemma_alias_tags_report(self, example1_pair):
-        report = calibrate_pufferfish([example1_pair], epsilon=1.0, method="lemma1")
-        assert report.method == "lemma-1"
-        assert report.theta == pytest.approx(1.0)
+    @settings(max_examples=30, deadline=None)
+    @given(bad=NON_FINITE, method=st.sampled_from(["theorem1", "theorem2", "gaussian-b"]))
+    def test_non_finite_epsilon_rejected(self, bad, method):
+        pair = shifted_diagonal_pair()
+        delta = 1e-5 if method == "gaussian-b" else None
+        with pytest.raises(ValidationError, match="epsilon"):
+            calibrate_pufferfish([pair], epsilon=bad, method=method, delta=delta)
+
+    def test_variance_rule_trusts_only_the_builtin_l1(self, example1_pair):
+        lookalike = Metric(fn=lambda z: 2 * abs(z), convex=True, name="l1")
+        report = calibrate_pufferfish([example1_pair], epsilon=1.0, metric=lookalike)
+        assert report.variance is None
+        assert calibrate_pufferfish([example1_pair], epsilon=1.0).variance == 2.0
 
     def test_json_fields(self, example1_pair):
         report = calibrate_pufferfish([example1_pair], epsilon=1.0)
