@@ -131,20 +131,37 @@ class DiscreteDistribution:
         return cls(payload["support"], payload["mass"])
 
 
+def integer_convolution(factors) -> tuple[int, np.ndarray]:
+    """Law of a sum of independent integer-valued terms, as ``(offset, pmf)``.
+
+    Each factor is an ``(offset, pmf)`` pair putting mass ``pmf[k]`` on the
+    integer ``offset + k``. Factors are convolved in the given order with
+    ``np.convolve``; mass that underflows to zero at either end of the
+    running pmf is trimmed, so its ends stay positive.
+    """
+    offset, pmf = 0, np.ones(1)
+    for lo, factor in factors:
+        pmf = np.convolve(pmf, factor)
+        offset += lo
+        if not (pmf[0] > 0 and pmf[-1] > 0):
+            nonzero = np.flatnonzero(pmf > 0)
+            offset += int(nonzero[0])
+            pmf = pmf[nonzero[0] : nonzero[-1] + 1]
+    return offset, pmf
+
+
 def poisson_binomial(p_values: Sequence[float]) -> DiscreteDistribution:
     """Distribution of a sum of independent Bernoulli(p_i) variables.
 
-    Computed by iterated convolution on the integer grid {0, ..., V}; the
-    full grid is kept even where the mass is zero.
+    Computed by :func:`integer_convolution` of the Bernoulli laws; the full
+    grid {0, ..., V} is kept even where the mass is zero.
     """
     ps = _as_vector(p_values, "p_values")
     bad = np.flatnonzero((ps < 0) | (ps > 1))
     if bad.size:
         i = int(bad[0])
         raise ValidationError(f"p_values[{i}]={ps[i]!r} is outside [0, 1]")
-    pmf = np.array([1.0])
-    for p in ps:
-        pmf = np.convolve(pmf, [1.0 - p, p])
-    pmf = np.maximum(pmf, 0.0)
-    pmf /= pmf.sum()
-    return DiscreteDistribution(np.arange(ps.size + 1, dtype=float), pmf)
+    offset, pmf = integer_convolution((0, np.array([1.0 - p, p])) for p in ps)
+    full = np.zeros(ps.size + 1)
+    full[offset : offset + pmf.size] = pmf
+    return DiscreteDistribution(np.arange(ps.size + 1, dtype=float), full / full.sum())

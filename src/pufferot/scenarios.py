@@ -9,12 +9,12 @@ conditionals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .distributions import DiscreteDistribution
+from .distributions import DiscreteDistribution, integer_convolution
 from .errors import ValidationError
 from .pairs import DiscriminativePair
 from .transport import L1, Metric
@@ -70,6 +70,9 @@ class UserSystem:
 
     priors: tuple[DiscreteDistribution, ...]
     query: SeparableQuery
+    #: Per user, f_i(S_i) as ``(offset, pmf)`` on the integers, or ``None``
+    #: when some output is not an integer; see :func:`_grid_terms`.
+    _grid_terms: tuple | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         priors = tuple(self.priors)
@@ -79,12 +82,18 @@ class UserSystem:
             raise ValidationError(
                 f"query has {len(self.query.tables)} tables for {len(priors)} users"
             )
-        for i, prior in enumerate(priors):
-            for a in prior.support:
-                out = self.query.output(i, a)
-                if not np.isfinite(out):
-                    raise ValidationError(f"query output for user {i} at {a!r} is not finite")
+        users = np.repeat(np.arange(len(priors)), [prior.support.size for prior in priors])
+        support = np.concatenate([prior.support for prior in priors])
+        outputs = np.array([self.query.output(i, a) for i, a in zip(users.tolist(), support)])
+        bad = np.flatnonzero(~np.isfinite(outputs))
+        if bad.size:
+            k = int(bad[0])
+            raise ValidationError(
+                f"query output for user {users[k]} at {support[k]!r} is not finite"
+            )
+        mass = np.concatenate([prior.mass for prior in priors])
         object.__setattr__(self, "priors", priors)
+        object.__setattr__(self, "_grid_terms", _grid_terms(users, outputs, mass))
 
     @property
     def user_count(self) -> int:
@@ -113,17 +122,43 @@ def bernoulli_counting(p_values: Sequence[float]) -> UserSystem:
     return UserSystem(priors=priors, query=query)
 
 
-def _pushforward(prior: DiscreteDistribution, system: UserSystem, user: int):
-    """Atoms of f_i(S_i): query outputs with prior mass, merged exactly."""
-    agg: dict[float, float] = {}
-    for a, m in zip(prior.support, prior.mass):
-        if m <= 0:
-            continue
-        out = system.query.output(user, a)
-        agg[out] = agg.get(out, 0.0) + m
-    values = np.array(sorted(agg), dtype=float)
-    mass = np.array([agg[v] for v in values], dtype=float)
-    return values, mass
+def _grid_terms(users: np.ndarray, outputs: np.ndarray, mass: np.ndarray):
+    """Each user's output law as ``(offset, pmf)`` on the integer grid.
+
+    The arguments are aligned over every prior support point, users in
+    ascending order. Masses of equal outputs are added in support order.
+    Returns ``None`` unless every positive-mass output is an integer. A
+    user whose outputs span more than MAX_ATOMS integers gets
+    ``(offset, None)``: any convolution that includes that user exceeds
+    the cap.
+    """
+    keep = mass > 0
+    out, mass, users = outputs[keep], mass[keep], users[keep]
+    if not np.all(out == np.round(out)):
+        return None
+    starts = np.flatnonzero(np.diff(users, prepend=-1))
+    lo = np.minimum.reduceat(out, starts)
+    width = np.maximum.reduceat(out, starts) - lo + 1
+    dense = width <= MAX_ATOMS
+    size = np.where(dense, width, 0).astype(np.intp)
+    ends = np.cumsum(size)
+    flat = np.zeros(int(ends[-1]))
+    at = dense[users]
+    np.add.at(flat, (ends - size)[users[at]] + (out - lo[users])[at].astype(np.intp), mass[at])
+    pmfs = np.split(flat, ends[:-1])
+    return tuple(
+        (int(offset), pmf if ok else None)
+        for offset, pmf, ok in zip(lo.tolist(), pmfs, dense.tolist())
+    )
+
+
+def _pushforward(system: UserSystem, user: int):
+    """Atoms of f_i(S_i): query outputs with prior mass, equal outputs merged."""
+    prior = system.priors[user]
+    keep = prior.mass > 0
+    outputs = [system.query.output(user, a) for a in prior.support[keep]]
+    values, inverse = np.unique(outputs, return_inverse=True)
+    return values, np.bincount(inverse, weights=prior.mass[keep])
 
 
 def _merge_close(values: np.ndarray, mass: np.ndarray):
@@ -145,59 +180,48 @@ def _merge_close(values: np.ndarray, mass: np.ndarray):
     return np.array(out_vals), np.array(out_mass)
 
 
-def _convolve(a_vals, a_mass, b_vals, b_mass, integer_grid: bool):
-    if integer_grid:
-        lo = int(round(a_vals[0] + b_vals[0]))
-        hi = int(round(a_vals[-1] + b_vals[-1]))
-        if hi - lo + 1 > MAX_ATOMS:
-            raise ValidationError(
-                f"convolution grid would hold {hi - lo + 1} atoms (cap {MAX_ATOMS})"
-            )
-        a_lo, b_lo = int(round(a_vals[0])), int(round(b_vals[0]))
-        a_pmf = np.zeros(int(round(a_vals[-1])) - a_lo + 1)
-        b_pmf = np.zeros(int(round(b_vals[-1])) - b_lo + 1)
-        a_pmf[np.round(a_vals).astype(int) - a_lo] = a_mass
-        b_pmf[np.round(b_vals).astype(int) - b_lo] = b_mass
-        pmf = np.convolve(a_pmf, b_pmf)
-        vals = np.arange(lo, lo + pmf.size, dtype=float)
-        keep = pmf > 0
-        return vals[keep], pmf[keep]
-    sums = np.add.outer(a_vals, b_vals).ravel()
-    mass = np.multiply.outer(a_mass, b_mass).ravel()
-    vals, mass = _merge_close(sums, mass)
-    if vals.size > MAX_ATOMS:
-        raise ValidationError(f"convolution support grew to {vals.size} atoms (cap {MAX_ATOMS})")
-    return vals, mass
-
-
-def _all_outputs_integer(system: UserSystem) -> bool:
-    return all(
-        float(out).is_integer() for table in system.query.tables for out in table.values()
-    )
-
-
 def conditional_output_dist(system: UserSystem, event: SecretEvent) -> DiscreteDistribution:
     """Law of the query output conditioned on a per-user secret event.
 
     For a value event the other users' terms are convolved and shifted by
     the conditioned user's output; for an absence event all users are
     convolved, which equals the prior mixture over the user's values.
+    When every output is an integer the terms are convolved as pmfs on
+    the integer grid; otherwise atoms are summed pairwise and near-equal
+    sums merged.
     """
     system._check_user(event.user)
-    integer_grid = _all_outputs_integer(system)
     if not event.is_absent:
         alphabet = system.priors[event.user].support
         if not np.any(alphabet == float(event.value)):
             raise ValidationError(
                 f"value {event.value!r} is not in the alphabet of user {event.user}"
             )
-    vals = np.array([0.0])
-    mass = np.array([1.0])
-    for i, prior in enumerate(system.priors):
-        if not event.is_absent and i == event.user:
-            continue
-        pv, pm = _pushforward(prior, system, i)
-        vals, mass = _convolve(vals, mass, pv, pm, integer_grid)
+    users = [
+        i for i in range(system.user_count) if event.is_absent or i != event.user
+    ]
+    if system._grid_terms is not None:
+        terms = [system._grid_terms[i] for i in users]
+        if any(pmf is None for _, pmf in terms) or (
+            1 + sum(pmf.size - 1 for _, pmf in terms) > MAX_ATOMS
+        ):
+            raise ValidationError(f"convolution grid would hold more than {MAX_ATOMS} atoms")
+        offset, mass = integer_convolution(terms)
+        keep = mass > 0
+        vals = np.arange(offset, offset + mass.size, dtype=float)[keep]
+        mass = mass[keep]
+    else:
+        vals = np.array([0.0])
+        mass = np.array([1.0])
+        for i in users:
+            pv, pm = _pushforward(system, i)
+            vals, mass = _merge_close(
+                np.add.outer(vals, pv).ravel(), np.multiply.outer(mass, pm).ravel()
+            )
+            if vals.size > MAX_ATOMS:
+                raise ValidationError(
+                    f"convolution support grew to {vals.size} atoms (cap {MAX_ATOMS})"
+                )
     if not event.is_absent:
         vals = vals + system.query.output(event.user, event.value)
     return DiscreteDistribution.from_weights(vals, mass)

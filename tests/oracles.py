@@ -3,8 +3,10 @@
 Everything here deliberately avoids the code paths under test: transport
 cost comes from a linear program, probability laws from exhaustive
 enumeration, W1 from the CDF-difference identity, tail masses from
-scipy's normal distribution, and the Theorem-2 scale from one bracket and
-bisection per moment equation.
+scipy's normal distribution, the Theorem-2 scale from one bracket and
+bisection per moment equation, the Laplace log-ratio from an O(n m)
+log-sum-exp, and scenario conditionals from one dict-merged pushforward
+and one freshly scattered grid per user.
 """
 
 from __future__ import annotations
@@ -74,6 +76,51 @@ def laplace_mixture_density(dist, theta: float, y: float) -> float:
     for x, m in zip(dist.support, dist.mass):
         dens += m / (2.0 * theta) * np.exp(-abs(y - x) / theta)
     return float(dens)
+
+
+def direct_laplace_log_ratio(p, q, theta: float, ys) -> np.ndarray:
+    """|log P(y|p) - log P(y|q)| at each y, every atom summed by log-sum-exp."""
+    ys = np.asarray(ys, dtype=float)
+
+    def log_density(dist):
+        keep = dist.mass > 0
+        terms = np.log(dist.mass[keep])[None, :] - np.abs(
+            ys[:, None] - dist.support[keep][None, :]
+        ) / theta
+        peak = terms.max(axis=1)
+        return peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
+
+    return np.abs(log_density(p) - log_density(q))
+
+
+def per_step_conditional(system, user, value=None):
+    """Integer-grid scenario conditional as (support, mass), one user at a time.
+
+    Each user's query outputs are merged in a dict, and before every
+    convolution both operands are scattered into fresh zero arrays spanning
+    their positive atoms; ``value=None`` conditions on absence.
+    """
+    vals, mass = np.array([0.0]), np.array([1.0])
+    for i, prior in enumerate(system.priors):
+        if value is not None and i == user:
+            continue
+        agg: dict[float, float] = {}
+        for a, m in zip(prior.support, prior.mass):
+            if m > 0:
+                out = system.query.output(i, a)
+                agg[out] = agg.get(out, 0.0) + m
+        b_vals = np.array(sorted(agg))
+        b_mass = np.array([agg[v] for v in b_vals])
+        a_pmf = np.zeros(int(vals[-1] - vals[0]) + 1)
+        a_pmf[(vals - vals[0]).astype(int)] = mass
+        b_pmf = np.zeros(int(b_vals[-1] - b_vals[0]) + 1)
+        b_pmf[(b_vals - b_vals[0]).astype(int)] = b_mass
+        pmf = np.convolve(a_pmf, b_pmf)
+        grid = np.arange(pmf.size) + vals[0] + b_vals[0]
+        vals, mass = grid[pmf > 0], pmf[pmf > 0]
+    if value is not None:
+        vals = vals + system.query.output(user, value)
+    return vals, mass / mass.sum()
 
 
 def normal_two_sided_tail(t: float) -> float:

@@ -151,6 +151,14 @@ class TestPoissonBinomial:
         )
         assert np.abs(dist.mass - closed).max() <= 1e-12
 
+    def test_same_arithmetic_as_a_plain_convolution_chain(self):
+        ps = np.random.default_rng(5).random(80)
+        ps[[3, 40, 41, 79]] = [0.0, 1.0, 1.0, 0.0]
+        pmf = np.array([1.0])
+        for p in ps:
+            pmf = np.convolve(pmf, [1.0 - p, p])
+        assert np.array_equal(poisson_binomial(ps).mass, pmf / pmf.sum())
+
     def test_probability_out_of_range(self):
         with pytest.raises(ValidationError, match=r"p_values\[1\]"):
             poisson_binomial([0.5, 1.2])

@@ -18,7 +18,7 @@ from pufferot import (
     query_sensitivity,
 )
 
-from oracles import brute_force_counting_conditional
+from oracles import brute_force_counting_conditional, per_step_conditional
 
 HETERO_PS = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.35]
 
@@ -180,6 +180,60 @@ class TestQuerySensitivity:
             assert plan_sensitivity(plan, L1) <= bound
 
 
+def ternary_system(seed, users=12):
+    """Integer outputs with collisions, negative values and zero-mass atoms."""
+    rng = np.random.default_rng(seed)
+    priors, tables = [], []
+    for _ in range(users):
+        support = np.sort(rng.choice(6, size=3, replace=False)).astype(float)
+        weights = rng.random(3) * (rng.random(3) > 0.3)
+        weights[rng.integers(3)] += 0.2
+        priors.append(DiscreteDistribution.from_weights(support, weights))
+        scale = float(rng.integers(-2, 4))
+        tables.append({a: float(scale * a // 2) for a in support.tolist()})
+    return UserSystem(priors=tuple(priors), query=SeparableQuery(tables=tuple(tables)))
+
+
+class TestIntegerGridKernel:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bernoulli_matches_per_step_reference_exactly(self, seed):
+        rng = np.random.default_rng(seed)
+        ps = rng.random(60)
+        ps[rng.integers(60, size=4)] = [0.0, 1.0, 0.0, 1.0]
+        system = bernoulli_counting(ps)
+        for user in (0, 7):
+            for value in (0.0, 1.0, None):
+                event = SecretEvent.absent(user) if value is None else SecretEvent(user, value)
+                dist = conditional_output_dist(system, event)
+                support, mass = per_step_conditional(system, user, value)
+                assert np.array_equal(dist.support, support)
+                assert np.array_equal(dist.mass, mass)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_general_alphabets_match_per_step_reference_exactly(self, seed):
+        system = ternary_system(seed)
+        for user in (0, 5):
+            for value in system.priors[user].support.tolist() + [None]:
+                event = SecretEvent.absent(user) if value is None else SecretEvent(user, value)
+                dist = conditional_output_dist(system, event)
+                support, mass = per_step_conditional(system, user, value)
+                assert np.array_equal(dist.support, support)
+                assert np.array_equal(dist.mass, mass)
+
+    def test_user_wider_than_the_cap(self):
+        # user 0's outputs span 20001 integers: conditioning on its value leaves
+        # it out of the convolution, every other event must hit the cap
+        wide = DiscreteDistribution.from_weights([0.0, 1.0], [1, 1])
+        coin = DiscreteDistribution.from_weights([0.0, 1.0], [1, 3])
+        tables = ({0.0: 0.0, 1.0: 20000.0},) + ({0.0: 0.0, 1.0: 1.0},) * 3
+        system = UserSystem(priors=(wide,) + (coin,) * 3, query=SeparableQuery(tables=tables))
+        dist = conditional_output_dist(system, SecretEvent(0, 1.0))
+        assert dist.support.tolist() == [20000.0, 20001.0, 20002.0, 20003.0]
+        for event in (SecretEvent.absent(0), SecretEvent(1, 0.0)):
+            with pytest.raises(ValidationError, match="atoms"):
+                conditional_output_dist(system, event)
+
+
 class TestSystemConstruction:
     def test_query_tables_must_align(self):
         prior = DiscreteDistribution.from_weights([0, 1], [1, 1])
@@ -190,6 +244,12 @@ class TestSystemConstruction:
         prior = DiscreteDistribution.from_weights([0, 1], [1, 1])
         with pytest.raises(ValidationError, match="alphabet"):
             UserSystem(priors=(prior,), query=SeparableQuery(tables=({0.0: 0.0},)))
+
+    def test_non_finite_output_names_user_and_value(self):
+        prior = DiscreteDistribution.from_weights([0, 1], [1, 1])
+        tables = ({0.0: 0.0, 1.0: 1.0}, {0.0: 0.0, 1.0: math.inf})
+        with pytest.raises(ValidationError, match="user 1 at .*1.0.* not finite"):
+            UserSystem(priors=(prior, prior), query=SeparableQuery(tables=tables))
 
     def test_bernoulli_probability_range(self):
         with pytest.raises(ValidationError, match="p must lie"):

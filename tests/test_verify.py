@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from pufferot import (
@@ -15,7 +17,7 @@ from pufferot import (
     verify_pufferfish,
 )
 
-from oracles import laplace_mixture_density, normal_two_sided_tail
+from oracles import direct_laplace_log_ratio, laplace_mixture_density, normal_two_sided_tail
 
 
 def laplace_spec(theta, epsilon=1.0):
@@ -57,7 +59,10 @@ class TestVerifyPufferfish:
         assert report.passed
         check = report.checks[0]
         assert check.worst_log_ratio <= 1.0 + 1e-6
-        assert check.grid is not None
+        assert check.grid is None
+        assert check.unverified_tail == ()
+        assert check.argmax_y in example1_pair.p.support
+        assert "4 positive-mass support points" in check.note
 
     def test_identical_pair_has_zero_ratio(self):
         p = DiscreteDistribution.from_weights([0, 1], [1, 2])
@@ -116,9 +121,10 @@ class TestVerifyPufferfish:
         assert report.passed
 
     def test_unverified_tail_reported_when_density_underflows(self):
+        # the Gaussian grid spans the gap between the atoms, where both densities underflow
         p = DiscreteDistribution.from_weights([0.0, 1600.0], [1, 1])
         pair = DiscriminativePair(labels=("a", "b"), p=p, q=p)
-        report = verify_pufferfish([pair], laplace_spec(1.0), epsilon=1.0)
+        report = verify_pufferfish([pair], gaussian_spec(1.0), epsilon=1.0)
         assert report.passed
         assert report.checks[0].unverified_tail
 
@@ -126,10 +132,27 @@ class TestVerifyPufferfish:
         # the distributions never share probable ground, so every grid point
         # has one density under the floor; that must not pass vacuously
         pair = DiscriminativePair(labels=("a", "b"), p=dirac(0.0), q=dirac(5000.0))
-        report = verify_pufferfish([pair], laplace_spec(1.0), epsilon=1.0)
+        report = verify_pufferfish([pair], gaussian_spec(1.0), epsilon=1.0)
         assert not report.passed
         assert math.isinf(report.checks[0].worst_log_ratio)
         assert "nothing was verified" in report.checks[0].note
+
+    def test_laplace_wide_gap_has_no_unverified_tail(self):
+        p = DiscreteDistribution.from_weights([0.0, 1600.0], [1, 1])
+        pair = DiscriminativePair(labels=("a", "b"), p=p, q=p)
+        report = verify_pufferfish([pair], laplace_spec(1.0), epsilon=1.0)
+        assert report.passed
+        assert report.checks[0].unverified_tail == ()
+        assert report.checks[0].worst_log_ratio == 0.0
+
+    def test_laplace_far_apart_atoms_fail_at_a_support_point(self):
+        pair = DiscriminativePair(labels=("a", "b"), p=dirac(0.0), q=dirac(5000.0))
+        report = verify_pufferfish([pair], laplace_spec(1.0), epsilon=1.0)
+        assert not report.passed
+        check = report.checks[0]
+        assert check.worst_log_ratio == pytest.approx(5000.0, rel=1e-12)
+        assert check.argmax_y in (0.0, 5000.0)
+        assert check.unverified_tail == ()
 
     def test_json_fields(self, example1_pair):
         report = verify_pufferfish([example1_pair], laplace_spec(1.0), epsilon=1.0)
@@ -142,6 +165,89 @@ class TestVerifyPufferfish:
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValidationError, match="at least one"):
             verify_pufferfish([], laplace_spec(1.0), epsilon=1.0)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epsilon_rejected(self, example1_pair, epsilon):
+        with pytest.raises(ValidationError, match="epsilon"):
+            verify_pufferfish([example1_pair], laplace_spec(1.0), epsilon=epsilon)
+
+
+def random_pair(rng):
+    """Seeded pair on one support, on overlapping supports with zero-mass atoms, or disjoint.
+
+    On one support every ratio stays O(1) however small theta is, so an
+    error that grows with span / theta shows in the maximum.
+    """
+    span = 10.0 ** rng.uniform(-3, 4)
+    n, m = (int(k) for k in rng.integers(1, 25, size=2))
+    grid = np.arange(20 * (n + m)) * span / (20 * (n + m)) + rng.uniform(-5.0, 5.0)
+    mode = rng.integers(4)
+    if mode == 0:  # one support, every atom with mass
+        xs_p = xs_q = rng.choice(grid, n, replace=False)
+    elif mode == 1:  # both drawn from one small pool, so most atoms are shared
+        pool = rng.choice(grid, size=max(n, m) + 2, replace=False)
+        xs_p, xs_q = rng.choice(pool, n, replace=False), rng.choice(pool, m, replace=False)
+    else:  # no shared atom; mode 3 puts every p atom below every q atom
+        points = rng.choice(grid, size=n + m, replace=False)
+        if mode == 3:
+            points = np.sort(points)
+        xs_p, xs_q = points[:n], points[n:]
+
+    def draw(xs):
+        w = rng.random(xs.size) + 0.01
+        if mode:
+            w *= rng.random(xs.size) > 0.25
+            w[rng.integers(xs.size)] += 0.1
+        return DiscreteDistribution.from_weights(xs, w)
+
+    pair = DiscriminativePair(labels=("a", "b"), p=draw(xs_p), q=draw(xs_q))
+    return pair, span
+
+
+class TestLaplaceExactness:
+    def test_support_points_match_direct_log_sum_exp(self):
+        rng = np.random.default_rng(20260)
+        for _ in range(300):
+            pair, span = random_pair(rng)
+            theta = span * 10.0 ** rng.uniform(-10, 2)
+            check = verify_pufferfish([pair], laplace_spec(theta), epsilon=1.0).checks[0]
+            ys = np.union1d(pair.p.support[pair.p.mass > 0], pair.q.support[pair.q.mass > 0])
+            direct = direct_laplace_log_ratio(pair.p, pair.q, theta, ys)
+            # ratios reach span / theta = 1e10, where float spacing alone is 2e-6
+            assert check.worst_log_ratio == pytest.approx(direct.max(), rel=1e-9, abs=1e-9)
+            assert direct[ys == check.argmax_y][0] == pytest.approx(
+                check.worst_log_ratio, rel=1e-9, abs=1e-9
+            )
+
+    def test_dense_grid_never_beats_support_points(self):
+        rng = np.random.default_rng(20261)
+        for _ in range(300):
+            pair, span = random_pair(rng)
+            theta = span * 10.0 ** rng.uniform(-10, 2)
+            worst = verify_pufferfish([pair], laplace_spec(theta), epsilon=1.0).checks[0]
+            points = np.concatenate([pair.p.support, pair.q.support])
+            lo, hi = points.min() - 3.0 * span, points.max() + 3.0 * span
+            ys = np.concatenate([np.linspace(lo, hi, 4001), points + theta, points - theta])
+            dense = direct_laplace_log_ratio(pair.p, pair.q, theta, ys)
+            # off the support the oracle's peak exponent is |y - x| / theta, and
+            # its rounding, not the checked bound, limits what a grid point shows
+            exponent = sum(
+                np.abs(ys[:, None] - d.support[d.mass > 0][None, :]).min(axis=1) / theta
+                - 2.0 * np.log(d.mass[d.mass > 0].min())
+                for d in (pair.p, pair.q)
+            )
+            rounding = 8.0 * np.finfo(float).eps * exponent
+            assert np.all(dense - worst.worst_log_ratio <= 1e-12 + rounding)
+
+    def test_memory_stays_small_at_tiny_theta(self, adult_pair):
+        # a uniform sweep at resolution theta / 50 would hold 6.5 M points here
+        tracemalloc.start()
+        try:
+            verify_pufferfish([adult_pair], laplace_spec(1e-4), epsilon=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
 
 class TestVerifyDeltaApprox:
@@ -178,6 +284,11 @@ class TestVerifyDeltaApprox:
     def test_laplace_rejected(self, example1_pair):
         with pytest.raises(ValidationError, match="Gaussian-only"):
             verify_delta_approx([example1_pair], laplace_spec(1.0), 1.0, 1e-5)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epsilon_rejected(self, example1_pair, epsilon):
+        with pytest.raises(ValidationError, match="epsilon"):
+            verify_delta_approx([example1_pair], gaussian_spec(10.0), epsilon, 1e-5)
 
     def test_tail_mass_tracks_oracle_on_a_scale_sweep(self):
         for theta in (0.5, 1.0, 2.0, 4.0, 6.0):
