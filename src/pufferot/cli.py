@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,37 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     return _EXIT_OK
 
 
+def _release_column(
+    table: str, column: str, col: int, rows: list[list[str]], mapping: AttributeMapping | None
+) -> np.ndarray:
+    """Column ``col`` of the data rows as floats, mapped labels as their indices.
+
+    One pass parses every cell; only when it fails are the rows scanned
+    again for the first failing row, which is reported as too short, as an
+    unmappable label or (without a mapping) as a non-numeric cell.
+    """
+    if mapping is None:
+        parse = float
+    else:
+        parse = {label: k for k, label in enumerate(mapping.labels, start=1)}.__getitem__
+    try:
+        return np.fromiter(map(parse, map(itemgetter(col), rows)), float, count=len(rows))
+    except (IndexError, KeyError, ValueError):
+        for k, row in enumerate(rows):
+            if len(row) <= col:
+                raise ValidationError(f"{table}: row {k + 2} is too short") from None
+            if mapping is not None:
+                mapping.index(row[col])  # raises the mapping's error for an unknown label
+                continue
+            try:
+                float(row[col])
+            except ValueError:
+                raise ValidationError(
+                    f"{table}: row {k + 2} column {column!r} is not numeric: {row[col]!r}"
+                ) from None
+        raise
+
+
 def cmd_release(cfg: RunConfig) -> int:
     table = cfg.inputs["table"]
     column = cfg.options["data_col"]
@@ -164,21 +196,8 @@ def cmd_release(cfg: RunConfig) -> int:
         if column not in header:
             raise ValidationError(f"{table}: column {column!r} not found in header {header}")
         col = header.index(column)
-        rows = [[cell.strip() for cell in row] for row in reader]
-    values = np.empty(len(rows))
-    for k, row in enumerate(rows):
-        if len(row) <= col:
-            raise ValidationError(f"{table}: row {k + 2} is too short")
-        cell = row[col]
-        if mapping is not None:
-            values[k] = mapping.index(cell)
-        else:
-            try:
-                values[k] = float(cell)
-            except ValueError:
-                raise ValidationError(
-                    f"{table}: row {k + 2} column {column!r} is not numeric: {cell!r}"
-                ) from None
+        rows = [list(map(str.strip, row)) for row in reader]
+    values = _release_column(table, column, col, rows, mapping)
     noised = release_values(values, _mechanism_spec(cfg), cfg.seed)
     Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)
     with open(cfg.out, "w", newline="", encoding="utf-8") as fh:

@@ -271,11 +271,11 @@ def relaxed_theta(
     """
     _check_epsilon(epsilon)
     if not (
-        np.array_equal(plan.row_support, p.support)
-        and np.array_equal(plan.col_support, q.support)
+        np.array_equal(plan.source.support, p.support)
+        and np.array_equal(plan.target.support, q.support)
     ):
         raise ValidationError("plan supports do not match the supplied distributions")
-    distances = np.array([metric(z) for z in plan.displacements()])
+    distances = np.array(metric.over(plan.displacements()))
     # One equation per row key 0..len(p)-1 and per column key after them.
     keys = np.concatenate([plan.rows, plan.cols + p.mass.size])
     live = np.bincount(keys, weights=np.tile(distances > 0, 2))[keys] > 0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Sequence
@@ -77,43 +78,61 @@ def load_table(
 ) -> dict[str, np.ndarray]:
     """Count data-column indices per secret label from a headered CSV.
 
-    Cells are stripped of surrounding whitespace. Rows whose data label is
-    not in the mapping are rejected; the error reports how many rows were
-    rejected and names the first offending label with its row number.
+    Header names and cells are stripped of surrounding whitespace; blank
+    lines are skipped, missing trailing cells read as empty, and a header
+    name given twice resolves to its last occurrence (``csv.DictReader``'s
+    rules). Rows whose data label is not in the mapping are rejected; the
+    error reports how many rows were rejected and names the first
+    offending label with its row number. Secrets appear in the result in
+    the order of their first row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        if reader.fieldnames is None:
-            raise ValidationError(f"{path}: empty file (no header row)")
-        fieldnames = [name.strip() for name in reader.fieldnames]
+        reader = csv.reader(fh, delimiter=delimiter)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError(f"{path}: empty file (no header row)") from None
+        # DictReader keys each row by raw name (the last cell of a repeated
+        # name wins), then the stripped names overwrite in key order.
+        last = {name: k for k, name in enumerate(header)}
+        position = {name.strip(): k for name, k in last.items() if name}
+        fieldnames = [name.strip() for name in header]
         for column in (secret_column, data_column):
             if column not in fieldnames:
                 raise ValidationError(f"{path}: column {column!r} not found in header {fieldnames}")
-        counts: dict[str, np.ndarray] = {}
-        rejected: list[tuple[int, str]] = []
+        # DictReader drops a name spelled "", so such a column reads as "".
+        s_col, d_col = (position.get(c, math.inf) for c in (secret_column, data_column))
+        labels = mapping._positions
+        n_labels = len(mapping)
+        secrets: dict[str, int] = {}
+        flat: list[int] = []
+        rejected = 0
+        first_rejected: tuple[int, str] | None = None
         rows = 0
-        for rownum, raw in enumerate(reader, start=2):
-            row = {key.strip(): (value or "").strip() for key, value in raw.items() if key}
-            rows += 1
-            secret = row.get(secret_column, "")
-            label = row.get(data_column, "")
-            try:
-                idx = mapping.index(label)
-            except ValidationError:
-                rejected.append((rownum, label))
+        for row in reader:
+            if not row:
                 continue
-            if secret not in counts:
-                counts[secret] = np.zeros(len(mapping))
-            counts[secret][idx - 1] += 1
-    if rejected:
-        rownum, label = rejected[0]
+            rows += 1
+            width = len(row)
+            label = row[d_col].strip() if d_col < width else ""
+            code = labels.get(label)
+            if code is None:
+                rejected += 1
+                if first_rejected is None:
+                    first_rejected = (rows + 1, label)
+                continue
+            secret = row[s_col].strip() if s_col < width else ""
+            flat.append(secrets.setdefault(secret, len(secrets)) * n_labels + code)
+    if first_rejected is not None:
+        rownum, label = first_rejected
         raise ValidationError(
-            f"{path}: {len(rejected)} row(s) rejected with unmappable data labels; "
+            f"{path}: {rejected} row(s) rejected with unmappable data labels; "
             f"first is label {label!r} at row {rownum}"
         )
     if rows == 0:
         raise ValidationError(f"{path}: no data rows")
-    return counts
+    tally = np.bincount(flat, minlength=len(secrets) * n_labels).astype(float)
+    return dict(zip(secrets, tally.reshape(len(secrets), n_labels)))
 
 
 def empirical_conditionals(

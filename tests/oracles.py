@@ -5,12 +5,15 @@ cost comes from a linear program, probability laws from exhaustive
 enumeration, W1 from the CDF-difference identity, tail masses from
 scipy's normal distribution, the Theorem-2 scale from one bracket and
 bisection per moment equation, the Laplace log-ratio from an O(n m)
-log-sum-exp, and scenario conditionals from one dict-merged pushforward
-and one freshly scattered grid per user.
+log-sum-exp, scenario conditionals from one dict-merged pushforward
+and one freshly scattered grid per user, CSV tallies from
+``csv.DictReader`` rows, and the comonotone plan from a sweep on numpy
+scalars.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
 from collections import defaultdict
@@ -18,6 +21,9 @@ from collections import defaultdict
 import numpy as np
 from scipy.optimize import linprog
 from scipy.stats import norm
+
+from pufferot import ValidationError
+from pufferot.transport import ENTRY_DROP_TOL
 
 
 def lp_transport_cost(p, q) -> float:
@@ -174,3 +180,62 @@ def per_equation_relaxed_theta(plan, p, q, epsilon, metric, rate) -> float:
 
             best = max(best, _bisect_decreasing_log_theta(g))
     return best
+
+
+def dictreader_load_table(path, secret_column, data_column, mapping, delimiter=","):
+    """Per-secret label counts from ``csv.DictReader`` rows, one dict per row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh, delimiter=delimiter)
+        if reader.fieldnames is None:
+            raise ValidationError(f"{path}: empty file (no header row)")
+        fieldnames = [name.strip() for name in reader.fieldnames]
+        for column in (secret_column, data_column):
+            if column not in fieldnames:
+                raise ValidationError(f"{path}: column {column!r} not found in header {fieldnames}")
+        counts: dict[str, np.ndarray] = {}
+        rejected: list[tuple[int, str]] = []
+        rows = 0
+        for rownum, raw in enumerate(reader, start=2):
+            row = {key.strip(): (value or "").strip() for key, value in raw.items() if key}
+            rows += 1
+            secret = row.get(secret_column, "")
+            label = row.get(data_column, "")
+            try:
+                idx = mapping.index(label)
+            except ValidationError:
+                rejected.append((rownum, label))
+                continue
+            if secret not in counts:
+                counts[secret] = np.zeros(len(mapping))
+            counts[secret][idx - 1] += 1
+    if rejected:
+        rownum, label = rejected[0]
+        raise ValidationError(
+            f"{path}: {len(rejected)} row(s) rejected with unmappable data labels; "
+            f"first is label {label!r} at row {rownum}"
+        )
+    if rows == 0:
+        raise ValidationError(f"{path}: no data rows")
+    return counts
+
+
+def numpy_scalar_optimal_plan(p, q):
+    """North-west-corner sweep on numpy scalars, as (rows, cols, mass) arrays."""
+    p_rem = p.mass.copy()
+    q_rem = q.mass.copy()
+    rows, cols, mass = [], [], []
+    i = j = 0
+    while i < p_rem.size and j < q_rem.size:
+        if p_rem[i] <= ENTRY_DROP_TOL:
+            i += 1
+            continue
+        if q_rem[j] <= ENTRY_DROP_TOL:
+            j += 1
+            continue
+        take = min(p_rem[i], q_rem[j])
+        rows.append(i)
+        cols.append(j)
+        mass.append(take)
+        p_rem[i] -= take
+        q_rem[j] -= take
+    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(mass)

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -224,6 +226,76 @@ class TestRelease:
             "--theta", "1.0", "--out", str(tmp_path / "out.csv"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        ("text", "mapped", "message"),
+        [
+            ("id,v\n1,2\n2,abc\n3\n", False, "row 3 column 'v' is not numeric: 'abc'"),
+            ("id,v\n1,2\n2,3\n3,x1\n4,y\n", False, "row 4 column 'v' is not numeric: 'x1'"),
+            ("id,v\n1\n2,abc\n3,4\n", False, "row 2 is too short"),
+            ("id,v\n1,2\n\n3,4\n", False, "row 3 is too short"),
+            ("id,v\n1,red\n2,teal\n3\n", True, "label 'teal' is not in the attribute mapping"),
+            ("id,v\n1\n2,teal\n", True, "row 2 is too short"),
+        ],
+    )
+    def test_first_failing_row_is_reported(self, tmp_path, capsys, text, mapped, message):
+        table = tmp_path / "t.csv"
+        table.write_text(text, encoding="utf-8")
+        extra = ["--mapping", write_json(["red", "blue"], tmp_path / "m.json")] if mapped else []
+        code = cli.main([
+            "release", "--table", str(table), "--data-col", "v", "--theta", "1.0",
+            "--out", str(tmp_path / "out.csv"), *extra,
+        ])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"]["message"].endswith(message)
+
+
+def write_census_table(tmp_path, rows=2000, seed=5):
+    """A seeded census-like CSV with quoted cells, padded labels and a quoted newline.
+
+    Drawn with ``random.Random``, whose ``random()`` stream is fixed across
+    Python versions, so the table's bytes never change.
+    """
+    rng = random.Random(seed)
+    secrets = ["north", '"south, coast"', "  east", "west  ", '"mid\nlands"', "isles"]
+    labels = [f"edu-{k:02d}" for k in range(12)]
+    lines = ["id, group ,education,note"]
+    for i in range(rows):
+        secret = secrets[int(rng.random() ** 1.5 * len(secrets))]
+        # skew each secret's labels differently so that plans move mass
+        shift = secrets.index(secret) * 2
+        label = labels[(int(rng.random() * 7) + shift) % len(labels)]
+        pad = " " * int(rng.random() * 3)
+        note = '"a, b"' if rng.random() < 0.1 else f"n{i % 13}"
+        lines.append(f"{i},{secret},{pad}{label}{pad},{note}")
+    table = tmp_path / "census.csv"
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(table), write_json(labels, tmp_path / "labels.json")
+
+
+class TestCensusArtefacts:
+    # sha256 of the calibration report and the released table: any change
+    # to these bytes changes what a curator publishes. The released digest
+    # also depends on numpy's seeded Laplace stream.
+    REPORT_SHA256 = "317b283f83b376ea16fa3d1765add9b923ea9d1d91bc0025b8fd9d741e69ce39"
+    RELEASED_SHA256 = "1310744b463b6b5697c5d553333d4882e999d67519dab1286a3cf862f8e6ad0b"
+
+    def test_calibrate_and_release_bytes(self, tmp_path):
+        table, mapping = write_census_table(tmp_path)
+        report, released = tmp_path / "report.json", tmp_path / "released.csv"
+        assert cli.main([
+            "calibrate", "--table", table, "--secret-col", "group",
+            "--data-col", "education", "--mapping", mapping,
+            "--epsilon", "1.0", "--method", "theorem1", "--out", str(report),
+        ]) == 0
+        theta = read_json(report)["theta"]
+        assert cli.main([
+            "release", "--table", table, "--data-col", "education",
+            "--mapping", mapping, "--theta", repr(theta), "--seed", "3",
+            "--out", str(released),
+        ]) == 0
+        assert hashlib.sha256(report.read_bytes()).hexdigest() == self.REPORT_SHA256
+        assert hashlib.sha256(released.read_bytes()).hexdigest() == self.RELEASED_SHA256
 
 
 class TestVerifyCommand:

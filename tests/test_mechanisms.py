@@ -261,8 +261,6 @@ class TestRelaxedTheta:
             plan = optimal_plan(pair.p, pair.q)
             perm = rng.permutation(len(plan))
             shuffled = TransportPlan(
-                row_support=plan.row_support,
-                col_support=plan.col_support,
                 rows=plan.rows[perm],
                 cols=plan.cols[perm],
                 mass=plan.mass[perm],

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from pufferot import (
     plan_sensitivity,
     support_sensitivity,
 )
+
+from oracles import dictreader_load_table
 
 TOY_MAPPING = AttributeMapping(labels=("red", "green", "blue"))
 
@@ -102,6 +105,77 @@ class TestLoadTable:
         path = write_csv(tmp_path / "semi.csv", "secret;color\nA;red\n")
         counts = load_table(path, "secret", "color", TOY_MAPPING, delimiter=";")
         assert counts["A"].tolist() == [1.0, 0.0, 0.0]
+
+
+def load_both(path, secret="secret", data="color", mapping=TOY_MAPPING, **kw):
+    """``load_table`` and the DictReader oracle on one file: counts, or the error text."""
+    out = []
+    for load in (load_table, dictreader_load_table):
+        try:
+            counts = load(path, secret, data, mapping, **kw)
+        except ValidationError as exc:
+            out.append(str(exc))
+        else:
+            out.append((list(counts), [counts[k].tolist() for k in counts]))
+    return out
+
+
+class TestLoadTableMatchesDictReader:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("secret,color\n\nA,red\n\n\nB,blue\n\n", id="blank-lines"),
+            pytest.param("secret,color\nA,red\n\nB,mauve\n", id="blank-line-before-rejected"),
+            pytest.param("\nsecret,color\nA,red\n", id="blank-header-line"),
+            pytest.param("color,secret\nred\nblue,B\n", id="short-row-missing-secret"),
+            pytest.param("secret,color\nA\nB,blue\n", id="short-row-missing-label"),
+            pytest.param("secret,color\nA,red,x,y\nB,blue,\n", id="extra-cells"),
+            pytest.param('secret,color\n"A,1",red\n"B\n2"," blue"\n"A,1",red\n', id="quoted"),
+            pytest.param(" secret , color \n  A ,\tred  \nB,  blue\n", id="whitespace"),
+            pytest.param("color,secret,color\nred,A,blue\ngreen,B,red\n", id="duplicate-name"),
+            pytest.param("color,secret,color\nred,A,blue\ngreen,B\n", id="duplicate-name-short"),
+            pytest.param("color,secret, color\nred,A,blue\ngreen,B,red\n", id="duplicate-stripped"),
+            pytest.param(" color,secret,color, color\nred,A,blue,green\n", id="duplicate-mixed"),
+            pytest.param("secret,color\nA,red\nA,mauve\nB,\nC,teal\n", id="several-rejected"),
+            pytest.param("secret,,color\nA,x,red\n", id="empty-name"),
+            pytest.param(",color\nA,red\nB,blue\n", id="empty-name-secret"),
+            pytest.param("secret,color\n\n\n", id="only-blank-rows"),
+            pytest.param("secret\nA\n", id="missing-column"),
+        ],
+    )
+    def test_dictreader_row_semantics(self, tmp_path, text):
+        path = write_csv(tmp_path / "t.csv", text)
+        secret = "" if text.startswith(",") else "secret"
+        new, old = load_both(path, secret=secret)
+        assert new == old
+
+    def test_seeded_random_table(self, tmp_path):
+        rng = random.Random(11)
+        secrets = ["A", " A", "B ", '"C,D"', '"E\nF"', ""]
+        labels = list(TOY_MAPPING.labels) + [" red", "green  "]
+        lines, short = ["id, secret ,color,extra"], []
+        for i in range(5000):
+            roll = rng.random()
+            if roll < 0.02:
+                lines.append("")
+                continue
+            cells = [str(i), rng.choice(secrets), rng.choice(labels), "x"]
+            if roll < 0.05:
+                cells = cells[:2]
+                short.append(len(lines))
+            elif roll < 0.1:
+                cells += ["y", "z"]
+            lines.append(",".join(cells))
+        path = write_csv(tmp_path / "random.csv", "\n".join(lines) + "\n")
+        new, old = load_both(path)
+        assert new == old
+        assert f"{len(short)} row(s) rejected" in new  # a short row has no label
+        skip = set(short)
+        kept = [line for k, line in enumerate(lines) if k not in skip]
+        path = write_csv(tmp_path / "kept.csv", "\n".join(kept) + "\n")
+        new, old = load_both(path)
+        assert new == old
+        assert len(new[0]) == 5
 
 
 class TestEmpiricalConditionals:

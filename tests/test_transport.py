@@ -18,7 +18,8 @@ from pufferot import (
     w1_distance,
 )
 
-from oracles import cdf_area_w1, lp_transport_cost
+from oracles import cdf_area_w1, lp_transport_cost, numpy_scalar_optimal_plan
+from pufferot.scenarios import bernoulli_counting, discriminative_pairs
 
 # Golden couplings for the two worked examples, as exact fractions.
 GOLDEN_PLAN_1 = {
@@ -223,6 +224,65 @@ class TestPlanProperties:
     def test_positive_entries_only(self, example2_pair):
         plan = optimal_plan(example2_pair.p, example2_pair.q)
         assert np.all(plan.mass > 0)
+
+
+def dirichlet_dist(rng, support, empty):
+    """Dirichlet(1) masses on ``support`` with ``empty`` atoms set to zero."""
+    mass = rng.dirichlet(np.ones(len(support)))
+    mass[rng.choice(len(support), empty, replace=False)] = 0.0
+    return DiscreteDistribution.from_weights(support, mass)
+
+
+def assert_same_plan(p, q):
+    plan = optimal_plan(p, q)
+    rows, cols, mass = numpy_scalar_optimal_plan(p, q)
+    assert np.array_equal(plan.rows, rows)
+    assert np.array_equal(plan.cols, cols)
+    assert np.array_equal(plan.mass, mass)
+
+
+class TestSweepMatchesNumpyScalars:
+    # the sweep on Python floats must give the numpy-scalar sweep's bits
+
+    @pytest.mark.parametrize("n", [5, 14, 100, 300])
+    def test_random_pairs_with_empty_atoms(self, n):
+        rng = np.random.default_rng(n)
+        support = np.arange(1.0, n + 1.0)
+        for _ in range(20):
+            assert_same_plan(
+                dirichlet_dist(rng, support, n // 10), dirichlet_dist(rng, support, n // 10)
+            )
+
+    def test_unequal_support_lengths(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            n, m = rng.integers(1, 60, size=2)
+            xs = np.sort(rng.choice(200, n, replace=False)) - 100.0
+            ys = np.sort(rng.choice(200, m, replace=False)) * 0.5
+            assert_same_plan(dirichlet_dist(rng, xs, n // 4), dirichlet_dist(rng, ys, m // 4))
+
+    def test_counting_absence_pairs(self):
+        # ops 47, 83, 96 and 113 hold the plans that keep a rounding-residue
+        # entry at distance 2 (see CHANGES.md); the sweep must keep them too
+        for op in [47, 83, 96, 113, *range(8)]:
+            ps = np.random.default_rng([101, 2, op + 1]).uniform(0.05, 0.95, 100)
+            for pair in discriminative_pairs(bernoulli_counting(ps), 0, "absence"):
+                assert_same_plan(pair.p, pair.q)
+
+    def test_metric_sums_keep_their_bits(self):
+        capped = Metric(fn=lambda z: min(abs(z), 1.5), convex=False, name="capped")
+        rng = np.random.default_rng(22)
+        support = np.arange(1.0, 41.0)
+        for _ in range(20):
+            p, q = dirichlet_dist(rng, support, 4), dirichlet_dist(rng, support, 4)
+            plan = optimal_plan(p, q)
+            disp = plan.displacements()
+            cost = float(sum(L1(z) * m for z, m in zip(disp, plan.mass)))
+            assert w1_distance(p, q, L1) == cost
+            for metric in (L1, capped):
+                assert plan_sensitivity(plan, metric) == max(metric(z) for z in disp)
+                diffs = np.subtract.outer(p.support[p.mass > 0], q.support[q.mass > 0])
+                assert support_sensitivity(p, q, metric) == max(metric(z) for z in diffs.ravel())
 
 
 class TestMetricValidation:
