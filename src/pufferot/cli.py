@@ -11,10 +11,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import stat
 import sys
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -28,6 +31,7 @@ from .tabular import (
     adult_education_pair,
     empirical_conditionals,
     enumerate_pairs,
+    header_column,
     load_conditionals_json,
     load_table,
 )
@@ -47,6 +51,9 @@ _METRICS = {"l1": L1}
 _EXIT_OK = 0
 _EXIT_VALIDATION = 2
 _EXIT_NUMERIC = 3
+
+#: ``release`` turns noised values into text this many at a time.
+_TEXT_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -149,64 +156,123 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     return _EXIT_OK
 
 
-def _release_column(
-    table: str, column: str, col: int, rows: list[list[str]], mapping: AttributeMapping | None
-) -> np.ndarray:
-    """Column ``col`` of the data rows as floats, mapped labels as their indices.
+def _changed(table: str) -> ValidationError:
+    return ValidationError(f"{table}: the table changed between release's two reads")
 
-    One pass parses every cell; only when it fails are the rows scanned
-    again for the first failing row, which is reported as too short, as an
-    unmappable label or (without a mapping) as a non-numeric cell.
+
+def _raise_first_bad_row(
+    table: str, delimiter: str, column: str, col: int, mapping: AttributeMapping | None
+) -> NoReturn:
+    """Read ``table`` again and raise for its first row whose cell ``col`` does not parse.
+
+    The row is reported as too short, as an unmappable label or (without a
+    mapping) as a non-numeric cell; rows are numbered from 2, the header
+    being row 1.
+    """
+    with open(table, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        next(reader, None)
+        for rownum, row in enumerate(reader, start=2):
+            if len(row) <= col:
+                raise ValidationError(f"{table}: row {rownum} is too short")
+            cell = row[col].strip()
+            if mapping is not None:
+                mapping.index(cell)  # raises the mapping's error for an unknown label
+                continue
+            try:
+                float(cell)
+            except ValueError:
+                raise ValidationError(
+                    f"{table}: row {rownum} column {column!r} is not numeric: {cell!r}"
+                ) from None
+    raise _changed(table)
+
+
+def _release_column(
+    table: str, delimiter: str, column: str, mapping: AttributeMapping | None
+) -> tuple[list[str], int, np.ndarray]:
+    """Pass 1: the raw header, the column's position and its cells as floats.
+
+    Mapped labels become their indices. The stripped cells are parsed
+    straight into an array, so no row outlives its parse; only when that
+    fails is the table read again for the first failing row.
     """
     if mapping is None:
         parse = float
     else:
         parse = {label: k for k, label in enumerate(mapping.labels, start=1)}.__getitem__
-    try:
-        return np.fromiter(map(parse, map(itemgetter(col), rows)), float, count=len(rows))
-    except (IndexError, KeyError, ValueError):
-        for k, row in enumerate(rows):
-            if len(row) <= col:
-                raise ValidationError(f"{table}: row {k + 2} is too short") from None
-            if mapping is not None:
-                mapping.index(row[col])  # raises the mapping's error for an unknown label
-                continue
-            try:
-                float(row[col])
-            except ValueError:
-                raise ValidationError(
-                    f"{table}: row {k + 2} column {column!r} is not numeric: {row[col]!r}"
-                ) from None
-        raise
-
-
-def cmd_release(cfg: RunConfig) -> int:
-    table = cfg.inputs["table"]
-    column = cfg.options["data_col"]
-    delimiter = cfg.options.get("delimiter", ",")
-    mapping = None
-    if cfg.inputs.get("mapping"):
-        mapping = AttributeMapping.from_json_file(cfg.inputs["mapping"])
     with open(table, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
-            header = [cell.strip() for cell in next(reader)]
+            header = next(reader)
         except StopIteration:
             raise ValidationError(f"{table}: empty file (no header row)") from None
-        if column not in header:
-            raise ValidationError(f"{table}: column {column!r} not found in header {header}")
-        col = header.index(column)
-        rows = [list(map(str.strip, row)) for row in reader]
-    values = _release_column(table, column, col, rows, mapping)
+        col = header_column(table, header, column)
+        if col is None:
+            raise ValidationError(f"{table}: an unnamed column cannot be released")
+        try:
+            cells = map(str.strip, map(itemgetter(col), reader))
+            return header, col, np.fromiter(map(parse, cells), float)
+        except (IndexError, KeyError, ValueError):
+            pass
+    _raise_first_bad_row(table, delimiter, column, col, mapping)
+
+
+def _noised_rows(table: str, reader, col: int, noised: np.ndarray):
+    """Pass 2: the stripped rows of ``reader`` with cell ``col`` replaced by ``noised``.
+
+    Values become text ``_TEXT_BLOCK`` at a time, so no list of all of them
+    is built. The reader must hold exactly one row per value, as pass 1
+    found; otherwise the table changed between the reads.
+    """
+    rows = 0
+    try:
+        for start in range(0, noised.size, _TEXT_BLOCK):
+            for text, row in zip(map(repr, noised[start:start + _TEXT_BLOCK].tolist()), reader):
+                row = list(map(str.strip, row))
+                row[col] = text
+                rows += 1
+                yield row
+    except IndexError:
+        raise _changed(table) from None
+    if rows != noised.size or next(reader, None) is not None:
+        raise _changed(table)
+
+
+def cmd_release(cfg: RunConfig) -> int:
+    """Noise one column of ``--table`` in two reads of the file.
+
+    Pass 1 parses the column; pass 2 streams the rows into a new file beside
+    ``--out`` that replaces it only once every row is written, so ``--out``
+    may name ``--table``. Neither pass keeps a row, but the file must be a
+    regular one that stays the same between the reads.
+    """
+    table = cfg.inputs["table"]
+    column = cfg.options["data_col"]
+    delimiter = cfg.options.get("delimiter", ",")
+    if not stat.S_ISREG(os.stat(table).st_mode):
+        raise ValidationError(f"{table}: not a regular file; release reads the table twice")
+    mapping = None
+    if cfg.inputs.get("mapping"):
+        mapping = AttributeMapping.from_json_file(cfg.inputs["mapping"])
+    header, col, values = _release_column(table, delimiter, column, mapping)
     noised = release_values(values, _mechanism_spec(cfg), cfg.seed)
-    Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)
-    with open(cfg.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=delimiter)
-        writer.writerow(header)
-        for row, value in zip(rows, noised):
-            out_row = list(row)
-            out_row[col] = repr(float(value))
-            writer.writerow(out_row)
+    out = Path(cfg.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    partial = out.with_name(f".{out.name}.{os.getpid()}.partial")
+    dst = open(partial, "x", newline="", encoding="utf-8")
+    try:
+        with dst, open(table, newline="", encoding="utf-8") as src:
+            reader = csv.reader(src, delimiter=delimiter)
+            if next(reader, None) != header:
+                raise _changed(table)
+            writer = csv.writer(dst, delimiter=delimiter)
+            writer.writerow([name.strip() for name in header])
+            writer.writerows(_noised_rows(table, reader, col, noised))
+        os.replace(partial, out)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
     return _EXIT_OK
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping, Sequence
@@ -69,6 +70,22 @@ class AttributeMapping:
         return cls(labels=tuple(payload))
 
 
+def header_column(path: str, header: Sequence[str], column: str) -> int | None:
+    """Position of the one header cell whose stripped name is ``column``.
+
+    A header that does not name ``column``, or names it more than once, is
+    rejected. A cell spelled exactly ``""`` is a column without a name, as
+    ``csv.DictReader`` keys rows: asking for ``""`` finds it but gives None,
+    and its cells read as empty.
+    """
+    found = [k for k, name in enumerate(header) if name.strip() == column]
+    if len(found) != 1:
+        fieldnames = [name.strip() for name in header]
+        problem = f"named {len(found)} times in" if found else "not found in"
+        raise ValidationError(f"{path}: column {column!r} {problem} header {fieldnames}")
+    return found[0] if header[found[0]] else None
+
+
 def load_table(
     path: str,
     secret_column: str,
@@ -78,13 +95,12 @@ def load_table(
 ) -> dict[str, np.ndarray]:
     """Count data-column indices per secret label from a headered CSV.
 
-    Header names and cells are stripped of surrounding whitespace; blank
-    lines are skipped, missing trailing cells read as empty, and a header
-    name given twice resolves to its last occurrence (``csv.DictReader``'s
-    rules). Rows whose data label is not in the mapping are rejected; the
-    error reports how many rows were rejected and names the first
-    offending label with its row number. Secrets appear in the result in
-    the order of their first row.
+    Columns are resolved by ``header_column``. Cells are stripped of
+    surrounding whitespace; blank lines are skipped and missing trailing
+    cells read as empty (``csv.DictReader``'s rules). Rows whose data label
+    is not in the mapping are rejected; the error reports how many rows
+    were rejected and names the first offending label with its row number.
+    Secrets appear in the result in the order of their first row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -92,20 +108,14 @@ def load_table(
             header = next(reader)
         except StopIteration:
             raise ValidationError(f"{path}: empty file (no header row)") from None
-        # DictReader keys each row by raw name (the last cell of a repeated
-        # name wins), then the stripped names overwrite in key order.
-        last = {name: k for k, name in enumerate(header)}
-        position = {name.strip(): k for name, k in last.items() if name}
-        fieldnames = [name.strip() for name in header]
-        for column in (secret_column, data_column):
-            if column not in fieldnames:
-                raise ValidationError(f"{path}: column {column!r} not found in header {fieldnames}")
-        # DictReader drops a name spelled "", so such a column reads as "".
-        s_col, d_col = (position.get(c, math.inf) for c in (secret_column, data_column))
+        s_col, d_col = (
+            math.inf if k is None else k
+            for k in (header_column(path, header, c) for c in (secret_column, data_column))
+        )
         labels = mapping._positions
         n_labels = len(mapping)
         secrets: dict[str, int] = {}
-        flat: list[int] = []
+        codes = array("q")
         rejected = 0
         first_rejected: tuple[int, str] | None = None
         rows = 0
@@ -122,7 +132,7 @@ def load_table(
                     first_rejected = (rows + 1, label)
                 continue
             secret = row[s_col].strip() if s_col < width else ""
-            flat.append(secrets.setdefault(secret, len(secrets)) * n_labels + code)
+            codes.append(secrets.setdefault(secret, len(secrets)) * n_labels + code)
     if first_rejected is not None:
         rownum, label = first_rejected
         raise ValidationError(
@@ -131,8 +141,8 @@ def load_table(
         )
     if rows == 0:
         raise ValidationError(f"{path}: no data rows")
-    tally = np.bincount(flat, minlength=len(secrets) * n_labels).astype(float)
-    return dict(zip(secrets, tally.reshape(len(secrets), n_labels)))
+    tally = np.bincount(np.frombuffer(codes, dtype=np.int64), minlength=len(secrets) * n_labels)
+    return dict(zip(secrets, tally.astype(float).reshape(len(secrets), n_labels)))
 
 
 def empirical_conditionals(

@@ -2,12 +2,14 @@ import csv
 import hashlib
 import json
 import math
+import os
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from pufferot import NumericError, cli
+from pufferot import AttributeMapping, NumericError, cli, load_table
 
 GOLDEN_TABLES = Path(__file__).parent / "data" / "tables_golden.json"
 
@@ -249,6 +251,110 @@ class TestRelease:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"]["message"].endswith(message)
 
+    @pytest.mark.parametrize("command", ["calibrate", "release"])
+    @pytest.mark.parametrize(
+        ("header", "times"),
+        [
+            pytest.param("color,secret,color", 2, id="duplicate-name"),
+            pytest.param("color,secret, color", 2, id="duplicate-stripped"),
+            pytest.param(" color,secret,color, color", 3, id="duplicate-mixed"),
+        ],
+    )
+    def test_duplicated_column_rejected(self, tmp_path, capsys, command, header, times):
+        table = tmp_path / "t.csv"
+        table.write_text(f"{header}\nred,A,blue,red\ngreen,B,red\n", encoding="utf-8")
+        mapping = write_json(["red", "green", "blue"], tmp_path / "m.json")
+        out = tmp_path / "out"
+        extra = {"calibrate": ["--secret-col", "secret", "--epsilon", "1.0"],
+                 "release": ["--theta", "1.0"]}[command]
+        code = cli.main([
+            command, "--table", str(table), "--data-col", "color", "--mapping", mapping,
+            "--out", str(out), *extra,
+        ])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValidationError"
+        assert f"column 'color' named {times} times in header" in error["message"]
+        assert not out.exists()
+
+    def test_unnamed_column_rejected(self, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        table.write_text(",v\n1,2\n", encoding="utf-8")
+        code = cli.main([
+            "release", "--table", str(table), "--data-col", "", "--theta", "1.0",
+            "--out", str(tmp_path / "out.csv"),
+        ])
+        assert code == 2
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message.endswith("an unnamed column cannot be released")
+
+    @pytest.mark.parametrize("kind", ["fifo", "device"])
+    def test_non_regular_table_rejected_before_any_read(self, tmp_path, capsys, monkeypatch, kind):
+        if kind == "fifo":
+            table = str(tmp_path / "t.csv")
+            os.mkfifo(table)  # opening it to read would block until a writer came
+        else:
+            table = os.devnull
+
+        def no_open(*args, **kwargs):
+            raise AssertionError(f"opened {args[0]}")
+
+        monkeypatch.setattr(cli, "open", no_open, raising=False)
+        code = cli.main([
+            "release", "--table", table, "--data-col", "v", "--theta", "1.0",
+            "--out", str(tmp_path / "out.csv"),
+        ])
+        assert code == 2
+        assert "not a regular file" in json.loads(capsys.readouterr().err)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            pytest.param("id,v\n1,3\n2,7\n3,1\n4,5\n", id="row-appended"),
+            pytest.param("id,v\n1,3\n2,7\n", id="row-dropped"),
+            pytest.param("id,v\n1,3\n2\n3,1\n", id="row-cut-short"),
+            pytest.param("id,w,v\n1,0,3\n2,0,7\n3,0,1\n", id="header-changed"),
+        ],
+    )
+    def test_table_changed_between_reads_leaves_no_output(
+        self, tmp_path, capsys, monkeypatch, changed
+    ):
+        table = tmp_path / "t.csv"
+        table.write_text("id,v\n1,3\n2,7\n3,1\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        out.write_text("earlier release\n", encoding="utf-8")
+        noise = cli.release_values
+
+        def rewrite_then_noise(values, spec, seed):
+            table.write_text(changed, encoding="utf-8")
+            return noise(values, spec, seed)
+
+        monkeypatch.setattr(cli, "release_values", rewrite_then_noise)
+        code = cli.main([
+            "release", "--table", str(table), "--data-col", "v", "--theta", "1.0",
+            "--out", str(out),
+        ])
+        assert code == 2
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message.endswith("the table changed between release's two reads")
+        assert out.read_text(encoding="utf-8") == "earlier release\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "t.csv"]
+
+    def test_out_may_name_the_table(self, tmp_path):
+        table = tmp_path / "t.csv"
+        text = 'id,note,v\n1,"a, b",3\n2, c ,7\n'
+        table.write_text(text, encoding="utf-8")
+        copy = tmp_path / "copy.csv"
+        copy.write_text(text, encoding="utf-8")
+        for src, out in ((copy, tmp_path / "released.csv"), (table, table)):
+            assert cli.main([
+                "release", "--table", str(src), "--data-col", "v", "--theta", "2.5",
+                "--out", str(out),
+            ]) == 0
+        assert table.read_bytes() == (tmp_path / "released.csv").read_bytes()
+        assert table.read_text(encoding="utf-8").splitlines()[1].startswith('1,"a, b",')
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["copy.csv", "released.csv", "t.csv"]
+
 
 def write_census_table(tmp_path, rows=2000, seed=5):
     """A seeded census-like CSV with quoted cells, padded labels and a quoted newline.
@@ -296,6 +402,54 @@ class TestCensusArtefacts:
         ]) == 0
         assert hashlib.sha256(report.read_bytes()).hexdigest() == self.REPORT_SHA256
         assert hashlib.sha256(released.read_bytes()).hexdigest() == self.RELEASED_SHA256
+
+
+class TestBoundedMemory:
+    """Peak traced memory of the census publish path, per row of a 50 000-row table.
+
+    Neither ``release`` nor ``load_table`` keeps a row: their peaks are a few
+    float arrays (``release``) or one integer code (``load_table``) per row.
+    """
+
+    ROWS = 50_000
+
+    @pytest.fixture(scope="class")
+    def wide_table(self, tmp_path_factory):
+        """40 secrets and 100 labels, so most tally codes are beyond the small-int cache."""
+        tmp_path = tmp_path_factory.mktemp("wide")
+        rng = random.Random(17)
+        labels = [f"edu-{k:03d}" for k in range(100)]
+        lines = ["id,group,education,note"]
+        for i in range(self.ROWS):
+            lines.append(f"{i},g{int(rng.random() * 40)},{labels[int(rng.random() * 100)]},n{i % 7}")
+        table = tmp_path / "wide.csv"
+        table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return str(table), write_json(labels, tmp_path / "labels.json")
+
+    def traced_peak_per_row(self, fn) -> float:
+        fn()  # one run first, so one-time imports and caches are not counted
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / self.ROWS
+        finally:
+            tracemalloc.stop()
+
+    def test_release(self, wide_table, tmp_path):
+        table, mapping = wide_table
+        argv = ["release", "--table", table, "--data-col", "education", "--mapping", mapping,
+                "--theta", "2.0", "--out", str(tmp_path / "released.csv")]
+
+        def release():
+            assert cli.main(argv) == 0
+
+        assert self.traced_peak_per_row(release) <= 40
+
+    def test_load_table(self, wide_table):
+        table, mapping = wide_table
+        labels = AttributeMapping.from_json_file(mapping)
+        assert self.traced_peak_per_row(
+            lambda: load_table(table, "group", "education", labels)) <= 20
 
 
 class TestVerifyCommand:

@@ -101,6 +101,11 @@ class TestLoadTable:
         assert counts["A"].tolist() == [1.0, 0.0, 0.0]
         assert counts["B"].tolist() == [0.0, 1.0, 0.0]
 
+    def test_repeated_name_of_another_column(self, tmp_path):
+        path = write_csv(tmp_path / "x.csv", "x,secret,x,color\n1,A,2,red\n")
+        counts = load_table(path, "secret", "color", TOY_MAPPING)
+        assert counts["A"].tolist() == [1.0, 0.0, 0.0]
+
     def test_custom_delimiter(self, tmp_path):
         path = write_csv(tmp_path / "semi.csv", "secret;color\nA;red\n")
         counts = load_table(path, "secret", "color", TOY_MAPPING, delimiter=";")
@@ -144,10 +149,16 @@ class TestLoadTableMatchesDictReader:
         ],
     )
     def test_dictreader_row_semantics(self, tmp_path, text):
+        """Equal to the oracle, except that a header naming "color" twice is rejected."""
         path = write_csv(tmp_path / "t.csv", text)
         secret = "" if text.startswith(",") else "secret"
         new, old = load_both(path, secret=secret)
-        assert new == old
+        fieldnames = [name.strip() for name in text.split("\n", 1)[0].split(",")]
+        times = fieldnames.count("color")
+        if times > 1:
+            assert new.endswith(f"column 'color' named {times} times in header {fieldnames}")
+        else:
+            assert new == old
 
     def test_seeded_random_table(self, tmp_path):
         rng = random.Random(11)
