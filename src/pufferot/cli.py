@@ -524,7 +524,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         _emit_error(exc)
         return _EXIT_NUMERIC
-    except (ValidationError, ValueError, OSError) as exc:
+    except (ValidationError, ValueError, OSError, csv.Error) as exc:
         _emit_error(exc)
         return _EXIT_VALIDATION
 

@@ -105,6 +105,19 @@ class DiscreteDistribution:
             raise ValidationError("weights must have a positive sum")
         return cls(sup, w / total)
 
+    @classmethod
+    def _from_checked(cls, support: np.ndarray, mass: np.ndarray) -> "DiscreteDistribution":
+        """Wrap float arrays that already meet every invariant; no check is re-run.
+
+        The arrays are made read-only, so the caller must own them.
+        """
+        dist = object.__new__(cls)
+        support.setflags(write=False)
+        mass.setflags(write=False)
+        object.__setattr__(dist, "support", support)
+        object.__setattr__(dist, "mass", mass)
+        return dist
+
     def __len__(self) -> int:
         return int(self.support.size)
 

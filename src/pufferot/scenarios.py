@@ -109,16 +109,22 @@ class UserSystem:
 
 
 def bernoulli_counting(p_values: Sequence[float]) -> UserSystem:
-    """Counting query over users with {0, 1} alphabets and P(1) = p_i."""
-    ps = np.asarray(p_values, dtype=float)
+    """Counting query over users with {0, 1} alphabets and P(1) = p_i.
+
+    The p vector is validated once; each prior's support {0, 1} and masses
+    (1 - p_i, p_i) then meet every distribution invariant by construction.
+    """
+    ps = np.array(p_values, dtype=float)
     if ps.ndim != 1 or ps.size == 0:
         raise ValidationError("p_values must be a nonempty vector")
-    if np.any((ps < 0) | (ps > 1)):
-        raise ValidationError("each p must lie in [0, 1]")
-    priors = tuple(
-        DiscreteDistribution(np.array([0.0, 1.0]), np.array([1.0 - p, p])) for p in ps
-    )
-    query = SeparableQuery.counting([prior.support for prior in priors])
+    bad = np.flatnonzero(~((ps >= 0) & (ps <= 1)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError(f"each p must lie in [0, 1], got p_values[{i}]={ps[i]!r}")
+    support = np.array([0.0, 1.0])
+    masses = np.stack([1.0 - ps, ps], axis=1)
+    priors = tuple(DiscreteDistribution._from_checked(support, mass) for mass in masses)
+    query = SeparableQuery.counting([support] * ps.size)
     return UserSystem(priors=priors, query=query)
 
 
@@ -180,26 +186,13 @@ def _merge_close(values: np.ndarray, mass: np.ndarray):
     return np.array(out_vals), np.array(out_mass)
 
 
-def conditional_output_dist(system: UserSystem, event: SecretEvent) -> DiscreteDistribution:
-    """Law of the query output conditioned on a per-user secret event.
+def _sum_law(system: UserSystem, users: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms and weights of the sum of the given users' terms, convolved in order.
 
-    For a value event the other users' terms are convolved and shifted by
-    the conditioned user's output; for an absence event all users are
-    convolved, which equals the prior mixture over the user's values.
-    When every output is an integer the terms are convolved as pmfs on
-    the integer grid; otherwise atoms are summed pairwise and near-equal
-    sums merged.
+    When every output is an integer the terms are convolved as pmfs on the
+    integer grid; otherwise atoms are summed pairwise and near-equal sums
+    merged.
     """
-    system._check_user(event.user)
-    if not event.is_absent:
-        alphabet = system.priors[event.user].support
-        if not np.any(alphabet == float(event.value)):
-            raise ValidationError(
-                f"value {event.value!r} is not in the alphabet of user {event.user}"
-            )
-    users = [
-        i for i in range(system.user_count) if event.is_absent or i != event.user
-    ]
     if system._grid_terms is not None:
         terms = [system._grid_terms[i] for i in users]
         if any(pmf is None for _, pmf in terms) or (
@@ -208,63 +201,81 @@ def conditional_output_dist(system: UserSystem, event: SecretEvent) -> DiscreteD
             raise ValidationError(f"convolution grid would hold more than {MAX_ATOMS} atoms")
         offset, mass = integer_convolution(terms)
         keep = mass > 0
-        vals = np.arange(offset, offset + mass.size, dtype=float)[keep]
-        mass = mass[keep]
-    else:
-        vals = np.array([0.0])
-        mass = np.array([1.0])
-        for i in users:
-            pv, pm = _pushforward(system, i)
-            vals, mass = _merge_close(
-                np.add.outer(vals, pv).ravel(), np.multiply.outer(mass, pm).ravel()
+        return np.arange(offset, offset + mass.size, dtype=float)[keep], mass[keep]
+    vals = np.array([0.0])
+    mass = np.array([1.0])
+    for i in users:
+        pv, pm = _pushforward(system, i)
+        vals, mass = _merge_close(
+            np.add.outer(vals, pv).ravel(), np.multiply.outer(mass, pm).ravel()
+        )
+        if vals.size > MAX_ATOMS:
+            raise ValidationError(
+                f"convolution support grew to {vals.size} atoms (cap {MAX_ATOMS})"
             )
-            if vals.size > MAX_ATOMS:
-                raise ValidationError(
-                    f"convolution support grew to {vals.size} atoms (cap {MAX_ATOMS})"
-                )
-    if not event.is_absent:
-        vals = vals + system.query.output(event.user, event.value)
-    return DiscreteDistribution.from_weights(vals, mass)
+    return vals, mass
+
+
+def _others(system: UserSystem, user: int) -> list[int]:
+    return [i for i in range(system.user_count) if i != user]
+
+
+def conditional_output_dist(system: UserSystem, event: SecretEvent) -> DiscreteDistribution:
+    """Law of the query output conditioned on a per-user secret event.
+
+    For a value event the other users' terms are convolved and shifted by
+    the conditioned user's output; for an absence event all users are
+    convolved, which equals the prior mixture over the user's values.
+    """
+    system._check_user(event.user)
+    if event.is_absent:
+        vals, mass = _sum_law(system, range(system.user_count))
+        return DiscreteDistribution.from_weights(vals, mass)
+    alphabet = system.priors[event.user].support
+    if not np.any(alphabet == float(event.value)):
+        raise ValidationError(
+            f"value {event.value!r} is not in the alphabet of user {event.user}"
+        )
+    vals, mass = _sum_law(system, _others(system, event.user))
+    shift = system.query.output(event.user, event.value)
+    return DiscreteDistribution.from_weights(vals + shift, mass)
 
 
 def discriminative_pairs(
     system: UserSystem, user: int, mode: str = "values"
 ) -> list[DiscriminativePair]:
-    """Secret pairs for one user: all value pairs, or each value vs absence."""
+    """Secret pairs for one user: all value pairs, or each value vs absence.
+
+    The other users' terms are convolved once; each value conditional is
+    that law shifted by the user's output, exactly as
+    :func:`conditional_output_dist` computes it.
+    """
     system._check_user(user)
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    alphabet = system.priors[user].support
-    conditionals = {
-        float(a): conditional_output_dist(system, SecretEvent(user, float(a)))
+    alphabet = system.priors[user].support.tolist()
+    vals, mass = _sum_law(system, _others(system, user))
+    conditionals = [
+        DiscreteDistribution.from_weights(vals + system.query.output(user, a), mass)
         for a in alphabet
-    }
-    pairs = []
+    ]
+    labels = [f"S{user}={a:g}" for a in alphabet]
     if mode == "values":
-        for ai in range(alphabet.size):
-            for bi in range(ai + 1, alphabet.size):
-                a, b = float(alphabet[ai]), float(alphabet[bi])
-                pairs.append(
-                    DiscriminativePair(
-                        labels=(f"S{user}={a:g}", f"S{user}={b:g}"),
-                        p=conditionals[a],
-                        q=conditionals[b],
-                        prior="scenario",
-                    )
-                )
-    else:
-        absent = conditional_output_dist(system, SecretEvent.absent(user))
-        for a in alphabet:
-            a = float(a)
-            pairs.append(
-                DiscriminativePair(
-                    labels=(f"S{user}={a:g}", f"S{user}=absent"),
-                    p=conditionals[a],
-                    q=absent,
-                    prior="scenario",
-                )
+        return [
+            DiscriminativePair(
+                labels=(labels[i], labels[j]),
+                p=conditionals[i],
+                q=conditionals[j],
+                prior="scenario",
             )
-    return pairs
+            for i in range(len(alphabet))
+            for j in range(i + 1, len(alphabet))
+        ]
+    absent = conditional_output_dist(system, SecretEvent.absent(user))
+    return [
+        DiscriminativePair(labels=(label, f"S{user}=absent"), p=p, q=absent, prior="scenario")
+        for label, p in zip(labels, conditionals)
+    ]
 
 
 def query_sensitivity(
@@ -279,9 +290,5 @@ def query_sensitivity(
     system._check_user(user)
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    outputs = [system.query.output(user, a) for a in system.priors[user].support]
-    best = 0.0
-    for i in range(len(outputs)):
-        for j in range(i + 1, len(outputs)):
-            best = max(best, metric(outputs[i] - outputs[j]))
-    return best
+    outputs = np.array([system.query.output(user, a) for a in system.priors[user].support])
+    return max(metric.over(np.subtract.outer(outputs, outputs).ravel()))

@@ -30,6 +30,10 @@ from .transport import L1, optimal_plan, plan_sensitivity
 VERIFY_TOL = 1e-6
 #: Log-densities below this floor are reported as unverified tail, not compared.
 LOG_FLOOR = -700.0
+#: Most Gaussian grid points a pair may need; a larger grid fails the pair closed.
+MAX_GRID_POINTS = 1_000_000
+#: (y, atom) terms per block of log_output_density, about 256 KB of float64.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -99,30 +103,48 @@ class VerificationReport:
 
 
 def _log_noise_density(spec: MechanismSpec, z: np.ndarray) -> np.ndarray:
+    """log of the noise density at each displacement, computed in place in ``z``."""
     if spec.theta <= 0:
         raise ValidationError("noise density requires theta > 0 (theta = 0 is atomic)")
     if spec.family == "laplace":
-        return -math.log(2.0 * spec.theta) - np.abs(z) / spec.theta
+        np.abs(z, out=z)
+        z /= spec.theta
+        return np.subtract(-math.log(2.0 * spec.theta), z, out=z)
     if spec.family == "gaussian":
-        return (
-            -0.5 * math.log(2.0 * math.pi)
-            - math.log(spec.theta)
-            - 0.5 * (z / spec.theta) ** 2
-        )
+        z /= spec.theta
+        np.square(z, out=z)
+        z *= 0.5
+        return np.subtract(-0.5 * math.log(2.0 * math.pi) - math.log(spec.theta), z, out=z)
     raise ValidationError(f"verification supports laplace and gaussian noise, not {spec.family!r}")
 
 
 def log_output_density(
     dist: DiscreteDistribution, spec: MechanismSpec, ys: Sequence[float]
 ) -> np.ndarray:
-    """log of the noised output density at each y, via log-sum-exp."""
+    """log of the noised output density at each y, via log-sum-exp.
+
+    The (y, atom) terms are evaluated in blocks of rows holding about
+    _BLOCK_ELEMENTS terms, so memory is O(len(ys) + block) whatever the
+    atom count. Each row's max and sum do not depend on the rows beside
+    it, so the result is the same as one pass over the whole grid.
+    """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     keep = dist.mass > 0
     xs = dist.support[keep]
     log_mass = np.log(dist.mass[keep])
-    terms = _log_noise_density(spec, ys[:, None] - xs[None, :]) + log_mass[None, :]
-    peak = terms.max(axis=1)
-    return peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
+    rows = max(1, _BLOCK_ELEMENTS // xs.size)
+    buf = np.empty((min(rows, ys.size), xs.size))
+    out = np.empty(ys.size)
+    for start in range(0, ys.size, rows):
+        block = ys[start : start + rows]
+        terms = np.subtract(block[:, None], xs[None, :], out=buf[: block.size])
+        _log_noise_density(spec, terms)
+        terms += log_mass
+        peak = terms.max(axis=1)
+        terms -= peak[:, None]
+        np.exp(terms, out=terms)
+        out[start : start + block.size] = peak + np.log(terms.sum(axis=1))
+    return out
 
 
 def output_density(dist: DiscreteDistribution, spec: MechanismSpec, y: float) -> float:
@@ -131,13 +153,27 @@ def output_density(dist: DiscreteDistribution, spec: MechanismSpec, y: float) ->
 
 
 def _pair_grid(pair: DiscriminativePair, spec: MechanismSpec, cfg: GridConfig):
+    """The Gaussian grid's points and description, plus a note if it is over the cap.
+
+    The point count is computed before anything is allocated; past
+    MAX_GRID_POINTS the points are ``None`` and no grid is built.
+    """
     points = np.concatenate([pair.p.support, pair.q.support])
     lo = float(points.min() - cfg.pad_scales * spec.theta)
     hi = float(points.max() + cfg.pad_scales * spec.theta)
     step = spec.theta / cfg.points_per_scale
+    grid_desc = (lo, hi, step)
+    # np.arange's length; inf when the step underflows or the ratio overflows
+    length = (hi + 0.5 * step - lo) / step if step > 0 else math.inf
+    count = (math.ceil(length) if length < math.inf else length) + points.size
+    if count > MAX_GRID_POINTS:
+        note = (
+            f"the Gaussian grid needs up to {count:,} points, more than the cap of "
+            f"{MAX_GRID_POINTS:,}; the pair was not evaluated"
+        )
+        return None, grid_desc, note
     sweep = np.arange(lo, hi + 0.5 * step, step)
-    ys = np.unique(np.concatenate([sweep, points]))
-    return ys, (lo, hi, step)
+    return np.unique(np.concatenate([sweep, points])), grid_desc, ""
 
 
 def _tail_spans(ys: np.ndarray, masked: np.ndarray) -> tuple[tuple[float, float], ...]:
@@ -218,7 +254,8 @@ def verify_pufferfish(
     Laplace pairs are checked exactly, at the union of the positive-mass
     support points. Gaussian pairs are checked on ``grid``; grid points
     where either density falls below the e^LOG_FLOOR floor are excluded
-    from the maximum and reported as unverified tail spans.
+    from the maximum and reported as unverified tail spans, and a pair
+    whose grid would exceed MAX_GRID_POINTS fails without being evaluated.
     """
     pairs = list(pairs)
     if not pairs:
@@ -270,7 +307,19 @@ def verify_pufferfish(
                 )
             )
             continue
-        ys, grid_desc = _pair_grid(pair, spec, grid)
+        ys, grid_desc, over_cap = _pair_grid(pair, spec, grid)
+        if ys is None:
+            checks.append(
+                PairCheck(
+                    labels=pair.labels,
+                    passed=False,
+                    worst_log_ratio=math.inf,
+                    argmax_y=None,
+                    grid=grid_desc,
+                    note=over_cap,
+                )
+            )
+            continue
         log_p = log_output_density(pair.p, spec, ys)
         log_q = log_output_density(pair.q, spec, ys)
         masked = (log_p < LOG_FLOOR) | (log_q < LOG_FLOOR)
@@ -342,7 +391,8 @@ def verify_delta_approx(
     the noise lands where the log-ratio bound can fail must not exceed
     delta). The literal density reading, sup_y [P(y|s_i) - e^eps P(y|s_j)]
     over both orderings, compares a density to delta and is therefore
-    unit-inconsistent; it is reported alongside as ``density_slack``.
+    unit-inconsistent; it is reported alongside as ``density_slack``. A
+    pair whose grid would exceed MAX_GRID_POINTS fails with no slack.
     """
     pairs = list(pairs)
     if not pairs:
@@ -356,34 +406,38 @@ def verify_delta_approx(
     for pair in pairs:
         sens = plan_sensitivity(optimal_plan(pair.p, pair.q), L1)
         mass = gaussian_violation_mass(spec.theta, epsilon, sens)
-        if spec.theta > 0:
-            ys, grid_desc = _pair_grid(pair, spec, grid)
-            log_p = log_output_density(pair.p, spec, ys)
-            log_q = log_output_density(pair.q, spec, ys)
-            slack = float(
-                max(
-                    (np.exp(log_p) - np.exp(epsilon + log_q)).max(),
-                    (np.exp(log_q) - np.exp(epsilon + log_p)).max(),
-                )
-            )
-            worst = float(np.abs(log_p - log_q).max())
-            k = int(np.argmax(np.abs(log_p - log_q)))
-            argmax_y = float(ys[k])
+        passed = mass <= delta
+        note = "pass criterion is the noise tail mass; density_slack reports the literal density reading"
+        grid_desc = argmax_y = None
+        if spec.theta == 0:
+            slack = worst = 0.0 if _identical(pair.p, pair.q) else math.inf
         else:
-            grid_desc = None
-            slack = 0.0 if _identical(pair.p, pair.q) else math.inf
-            worst = 0.0 if _identical(pair.p, pair.q) else math.inf
-            argmax_y = None
+            ys, grid_desc, over_cap = _pair_grid(pair, spec, grid)
+            if ys is None:
+                passed, worst, slack, note = False, math.inf, None, over_cap
+            else:
+                log_p = log_output_density(pair.p, spec, ys)
+                log_q = log_output_density(pair.q, spec, ys)
+                slack = float(
+                    max(
+                        (np.exp(log_p) - np.exp(epsilon + log_q)).max(),
+                        (np.exp(log_q) - np.exp(epsilon + log_p)).max(),
+                    )
+                )
+                ratios = np.abs(log_p - log_q)
+                k = int(np.argmax(ratios))
+                worst = float(ratios[k])
+                argmax_y = float(ys[k])
         checks.append(
             PairCheck(
                 labels=pair.labels,
-                passed=mass <= delta,
+                passed=passed,
                 worst_log_ratio=worst,
                 argmax_y=argmax_y,
                 grid=grid_desc,
                 violation_mass=mass,
                 density_slack=slack,
-                note="pass criterion is the noise tail mass; density_slack reports the literal density reading",
+                note=note,
             )
         )
     return VerificationReport(

@@ -5,8 +5,9 @@ cost comes from a linear program, probability laws from exhaustive
 enumeration, W1 from the CDF-difference identity, tail masses from
 scipy's normal distribution, the Theorem-2 scale from one bracket and
 bisection per moment equation, the Laplace log-ratio from an O(n m)
-log-sum-exp, scenario conditionals from one dict-merged pushforward
-and one freshly scattered grid per user, CSV tallies from
+log-sum-exp, the noised output density from one unblocked (y, atom)
+matrix, scenario conditionals from one dict-merged pushforward and one
+freshly scattered grid (or one pairwise merge scan) per user, CSV tallies from
 ``csv.DictReader`` rows, and the comonotone plan from a sweep on numpy
 scalars.
 """
@@ -23,6 +24,7 @@ from scipy.optimize import linprog
 from scipy.stats import norm
 
 from pufferot import ValidationError
+from pufferot.scenarios import ATOM_MERGE_TOL
 from pufferot.transport import ENTRY_DROP_TOL
 
 
@@ -100,33 +102,79 @@ def direct_laplace_log_ratio(p, q, theta: float, ys) -> np.ndarray:
 
 
 def per_step_conditional(system, user, value=None):
-    """Integer-grid scenario conditional as (support, mass), one user at a time.
+    """Scenario conditional as (support, mass), convolved one user at a time.
 
-    Each user's query outputs are merged in a dict, and before every
-    convolution both operands are scattered into fresh zero arrays spanning
-    their positive atoms; ``value=None`` conditions on absence.
+    Each user's query outputs are merged in a dict. When every positive-mass
+    output of the system is an integer, both operands are scattered into
+    fresh zero arrays spanning their positive atoms before every
+    convolution; otherwise atoms are summed pairwise and sums within
+    ``ATOM_MERGE_TOL`` merged by a sequential scan. ``value=None``
+    conditions on absence.
     """
-    vals, mass = np.array([0.0]), np.array([1.0])
+    laws = []
     for i, prior in enumerate(system.priors):
-        if value is not None and i == user:
-            continue
         agg: dict[float, float] = {}
         for a, m in zip(prior.support, prior.mass):
             if m > 0:
                 out = system.query.output(i, a)
                 agg[out] = agg.get(out, 0.0) + m
-        b_vals = np.array(sorted(agg))
-        b_mass = np.array([agg[v] for v in b_vals])
-        a_pmf = np.zeros(int(vals[-1] - vals[0]) + 1)
-        a_pmf[(vals - vals[0]).astype(int)] = mass
-        b_pmf = np.zeros(int(b_vals[-1] - b_vals[0]) + 1)
-        b_pmf[(b_vals - b_vals[0]).astype(int)] = b_mass
-        pmf = np.convolve(a_pmf, b_pmf)
-        grid = np.arange(pmf.size) + vals[0] + b_vals[0]
-        vals, mass = grid[pmf > 0], pmf[pmf > 0]
+        laws.append((np.array(sorted(agg)), np.array([agg[v] for v in sorted(agg)])))
+    integer = all(np.all(v == np.round(v)) for v, _ in laws)
+    vals, mass = np.array([0.0]), np.array([1.0])
+    for i, (b_vals, b_mass) in enumerate(laws):
+        if value is not None and i == user:
+            continue
+        if integer:
+            a_pmf = np.zeros(int(vals[-1] - vals[0]) + 1)
+            a_pmf[(vals - vals[0]).astype(int)] = mass
+            b_pmf = np.zeros(int(b_vals[-1] - b_vals[0]) + 1)
+            b_pmf[(b_vals - b_vals[0]).astype(int)] = b_mass
+            pmf = np.convolve(a_pmf, b_pmf)
+            grid = np.arange(pmf.size) + vals[0] + b_vals[0]
+            vals, mass = grid[pmf > 0], pmf[pmf > 0]
+        else:
+            vals, mass = _merge_close_scan(
+                np.add.outer(vals, b_vals).ravel(), np.multiply.outer(mass, b_mass).ravel()
+            )
     if value is not None:
         vals = vals + system.query.output(user, value)
     return vals, mass / mass.sum()
+
+
+def _merge_close_scan(values, mass):
+    """Sort, then merge runs of atoms within ATOM_MERGE_TOL of their neighbour.
+
+    A merged atom sits at the mass-weighted mean of its run.
+    """
+    order = np.argsort(values, kind="stable")
+    values, mass = values[order], mass[order]
+    out_vals, out_mass = [], []
+    k = 0
+    while k < values.size:
+        end = k + 1
+        while end < values.size and values[end] - values[end - 1] <= ATOM_MERGE_TOL:
+            end += 1
+        run_mass = mass[k:end].sum()
+        out_vals.append(float((values[k:end] * mass[k:end]).sum() / run_mass))
+        out_mass.append(float(run_mass))
+        k = end
+    return np.array(out_vals), np.array(out_mass)
+
+
+def unblocked_log_output_density(dist, spec, ys) -> np.ndarray:
+    """log of the noised output density with every (y, atom) term in one matrix."""
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    keep = dist.mass > 0
+    xs = dist.support[keep]
+    log_mass = np.log(dist.mass[keep])
+    z = ys[:, None] - xs[None, :]
+    if spec.family == "laplace":
+        noise = -math.log(2.0 * spec.theta) - np.abs(z) / spec.theta
+    else:
+        noise = -0.5 * math.log(2.0 * math.pi) - math.log(spec.theta) - 0.5 * (z / spec.theta) ** 2
+    terms = noise + log_mass[None, :]
+    peak = terms.max(axis=1)
+    return peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
 
 
 def normal_two_sided_tail(t: float) -> float:

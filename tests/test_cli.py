@@ -525,6 +525,27 @@ class TestExitDiscipline:
         record = json.loads(capsys.readouterr().err)
         assert "error" in record
 
+    @pytest.mark.parametrize("command", ["calibrate", "release"])
+    def test_oversized_csv_field_is_a_validation_error(self, tmp_path, capsys, command):
+        # a cell longer than csv.field_size_limit() makes the csv reader raise csv.Error
+        table = tmp_path / "t.csv"
+        table.write_text(
+            "secret,color\nA,red\nB,blue\nB," + "x" * 200_000 + "\n", encoding="utf-8"
+        )
+        mapping = write_json(["red", "green", "blue"], tmp_path / "m.json")
+        out = tmp_path / "out"
+        extra = {"calibrate": ["--secret-col", "secret", "--epsilon", "1.0"],
+                 "release": ["--theta", "1.0"]}[command]
+        code = cli.main([
+            command, "--table", str(table), "--data-col", "color", "--mapping", mapping,
+            "--out", str(out), *extra,
+        ])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert f"field larger than field limit ({csv.field_size_limit()})" in error["message"]
+        assert not out.exists()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["m.json", "t.csv"]
+
     def test_argparse_usage_error(self):
         assert cli.main(["plan"]) == 2
 

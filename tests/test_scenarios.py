@@ -234,6 +234,90 @@ class TestIntegerGridKernel:
                 conditional_output_dist(system, event)
 
 
+def fractional_system(seed, users=6):
+    """Non-integer outputs whose pairwise sums collide within the merge tolerance."""
+    rng = np.random.default_rng(seed)
+    levels = [0.1, 0.2, 0.3, 0.7, 1.5, 2.25]
+    priors, tables = [], []
+    for _ in range(users):
+        support = np.sort(rng.choice(5, size=3, replace=False)).astype(float)
+        weights = rng.random(3) * (rng.random(3) > 0.3)
+        weights[rng.integers(3)] += 0.2
+        priors.append(DiscreteDistribution.from_weights(support, weights))
+        tables.append({a: float(rng.choice(levels)) for a in support.tolist()})
+    return UserSystem(priors=tuple(priors), query=SeparableQuery(tables=tuple(tables)))
+
+
+def bernoulli_system(seed):
+    rng = np.random.default_rng(seed)
+    ps = rng.random(60)
+    ps[rng.integers(60, size=4)] = [0.0, 1.0, 0.0, 1.0]
+    return bernoulli_counting(ps)
+
+
+class TestPairsConvolveOnce:
+    @pytest.mark.parametrize("make", [bernoulli_system, ternary_system, fractional_system])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pair_conditionals_match_per_step_reference_exactly(self, make, seed):
+        system = make(seed)
+        for user in (0, 3):
+            expected = {
+                f"S{user}={a:g}": per_step_conditional(system, user, a)
+                for a in system.priors[user].support.tolist()
+            }
+            expected[f"S{user}=absent"] = per_step_conditional(system, user, None)
+            for mode in ("values", "absence"):
+                for pair in discriminative_pairs(system, user, mode):
+                    for label, dist in zip(pair.labels, (pair.p, pair.q)):
+                        support, mass = expected[label]
+                        assert np.array_equal(dist.support, support), label
+                        assert np.array_equal(dist.mass, mass), label
+
+    def test_absence_law_goes_through_the_module_function(self, monkeypatch):
+        # per-layer tracing wraps this module attribute; it must see the absence law
+        import pufferot.scenarios as scenarios
+
+        seen = []
+        original = scenarios.conditional_output_dist
+
+        def spy(system, event):
+            seen.append(event.is_absent)
+            return original(system, event)
+
+        monkeypatch.setattr(scenarios, "conditional_output_dist", spy)
+        system = bernoulli_counting(HETERO_PS)
+        scenarios.discriminative_pairs(system, 2, "values")
+        assert seen == []
+        scenarios.discriminative_pairs(system, 2, "absence")
+        assert seen == [True]
+
+
+class TestBernoulliPriors:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_priors_equal_the_checked_constructor(self, seed):
+        rng = np.random.default_rng(seed)
+        ps = rng.random(100)
+        ps[:4] = [0.0, 1.0, 0.5, np.nextafter(1.0, 0.0)]
+        system = bernoulli_counting(ps.tolist())
+        assert system.user_count == ps.size
+        for p, prior in zip(ps.tolist(), system.priors):
+            checked = DiscreteDistribution(np.array([0.0, 1.0]), np.array([1.0 - p, p]))
+            assert np.array_equal(prior.support, checked.support)
+            assert np.array_equal(prior.mass, checked.mass)
+            assert not prior.support.flags.writeable
+            assert not prior.mass.flags.writeable
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-12, 1.0 + 1e-12])
+    def test_out_of_range_or_non_finite_p_rejected(self, bad):
+        with pytest.raises(ValidationError, match=r"p must lie in \[0, 1\], got p_values\[1\]"):
+            bernoulli_counting([0.5, bad, 0.5])
+
+    @pytest.mark.parametrize("ps", [[], [[0.5, 0.5]]])
+    def test_p_vector_shape_rejected(self, ps):
+        with pytest.raises(ValidationError, match="nonempty vector"):
+            bernoulli_counting(ps)
+
+
 class TestSystemConstruction:
     def test_query_tables_must_align(self):
         prior = DiscreteDistribution.from_weights([0, 1], [1, 1])

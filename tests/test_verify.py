@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -16,8 +17,14 @@ from pufferot import (
     verify_delta_approx,
     verify_pufferfish,
 )
+from pufferot import verify
 
-from oracles import direct_laplace_log_ratio, laplace_mixture_density, normal_two_sided_tail
+from oracles import (
+    direct_laplace_log_ratio,
+    laplace_mixture_density,
+    normal_two_sided_tail,
+    unblocked_log_output_density,
+)
 
 
 def laplace_spec(theta, epsilon=1.0):
@@ -297,3 +304,95 @@ class TestVerifyDeltaApprox:
             t = c - 1.0 / (2 * c)
             expected = 1.0 if t <= 0 else normal_two_sided_tail(t)
             assert got == pytest.approx(expected, rel=1e-9)
+
+
+def seeded_dist(rng, atoms):
+    """Atoms on a wide grid, about 30 % of them with zero mass."""
+    support = np.sort(rng.choice(50 * atoms + 10, size=atoms, replace=False)) / 3.0 - 40.0
+    weights = rng.random(atoms) * (rng.random(atoms) > 0.3)
+    weights[rng.integers(atoms)] += 0.1
+    return DiscreteDistribution.from_weights(support, weights)
+
+
+class TestBlockedDensity:
+    @pytest.mark.parametrize("atoms", [1, 2, 7, 100, 333, 2000])
+    @pytest.mark.parametrize("family", ["gaussian", "laplace"])
+    def test_equals_the_unblocked_oracle(self, atoms, family):
+        rng = np.random.default_rng(atoms)
+        for _ in range(3):
+            dist = seeded_dist(rng, atoms)
+            spec = MechanismSpec(family=family, theta=10.0 ** rng.uniform(-1, 2), epsilon=1.0)
+            rows = max(1, verify._BLOCK_ELEMENTS // int(np.count_nonzero(dist.mass > 0)))
+            for size in sorted({1, max(1, rows - 1), rows, rows + 1, 2 * rows + 3}):
+                ys = rng.uniform(-200.0, 200.0 + 20.0 * atoms, size)
+                got = verify.log_output_density(dist, spec, ys)
+                assert np.array_equal(got, unblocked_log_output_density(dist, spec, ys)), size
+
+    @pytest.mark.parametrize("theta", [0.4, 4.85, 60.0])
+    def test_gaussian_reports_equal_the_oracle_path(self, theta, monkeypatch, adult_pair):
+        rng = np.random.default_rng(int(theta * 100))
+        pairs = [adult_pair] + [
+            DiscriminativePair(labels=("a", "b"), p=seeded_dist(rng, n), q=seeded_dist(rng, m))
+            for n, m in rng.integers(1, 60, size=(8, 2)).tolist()
+        ]
+        spec = gaussian_spec(theta, delta=1e-5)
+
+        def reports():
+            return [
+                json.dumps(report.to_json_dict(), sort_keys=True)
+                for report in (
+                    verify_pufferfish(pairs, spec, epsilon=1.0),
+                    verify_delta_approx(pairs, spec, 1.0, 1e-5),
+                )
+            ]
+
+        blocked = reports()
+        monkeypatch.setattr(verify, "log_output_density", unblocked_log_output_density)
+        assert blocked == reports()
+
+    def test_memory_is_a_small_fraction_of_the_full_matrix(self):
+        # one unblocked (y, atom) temporary here is 200 k x 100 x 8 B = 160 MB
+        rng = np.random.default_rng(3)
+        dist = DiscreteDistribution.from_weights(np.arange(100.0), rng.random(100) + 0.01)
+        ys = np.linspace(-50.0, 150.0, 200_000)
+        tracemalloc.start()
+        try:
+            verify.log_output_density(dist, gaussian_spec(2.0), ys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
+
+class TestGaussianGridCap:
+    @pytest.mark.parametrize("check", ["log-ratio", "delta"])
+    def test_oversized_grid_fails_closed_without_allocating(self, adult_pair, check):
+        # the adult pair at theta = 1e-4 needs millions of grid points at theta / 50
+        spec = gaussian_spec(1e-4, delta=1e-5)
+        tracemalloc.start()
+        try:
+            if check == "log-ratio":
+                report = verify_pufferfish([adult_pair], spec, epsilon=1.0)
+            else:
+                report = verify_delta_approx([adult_pair], spec, 1.0, 1e-5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        (pair_check,) = report.checks
+        assert not report.passed
+        assert math.isinf(pair_check.worst_log_ratio)
+        assert pair_check.argmax_y is None
+        assert pair_check.grid is not None
+        assert f"cap of {verify.MAX_GRID_POINTS:,}" in pair_check.note
+        # (13 + 20 theta) / (theta / 50) sweep points plus the 28 support points
+        assert "needs up to 6,501,029 points" in pair_check.note
+        assert pair_check.density_slack is None
+
+    def test_largest_suite_grid_is_under_the_cap(self):
+        # delta_0 vs delta_5000 at theta = 1 needs 251 k points, the largest grid in use
+        pair = DiscriminativePair(labels=("a", "b"), p=dirac(0.0), q=dirac(5000.0))
+        check = verify_pufferfish([pair], gaussian_spec(1.0), epsilon=1.0).checks[0]
+        assert check.unverified_tail
+        assert "cap" not in check.note
+        assert verify.MAX_GRID_POINTS > 251_002
