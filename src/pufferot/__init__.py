@@ -50,7 +50,6 @@ from .transport import (
     w1_distance,
 )
 from .verify import (
-    GridConfig,
     VerificationReport,
     gaussian_violation_mass,
     output_density,
@@ -64,7 +63,6 @@ __all__ = [
     "AttributeMapping",
     "DiscreteDistribution",
     "DiscriminativePair",
-    "GridConfig",
     "INVERSE_SCALE",
     "L1",
     "MechanismSpec",

@@ -2,8 +2,9 @@
 
 Every command reads and writes machine-readable JSON/CSV only; plotting is
 left to external tools. Exit codes: 0 on success, 2 on validation errors,
-3 on numeric failures. All randomness is driven by --seed (default 7), so
-identical invocations produce byte-identical artifacts.
+3 on numeric failures. Only ``release`` draws noise, from --seed (default
+7); every other command is deterministic, so identical invocations produce
+byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import json
 import os
 import stat
 import sys
-from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
 from typing import NoReturn
@@ -29,6 +29,7 @@ from .pairs import DiscriminativePair
 from .tabular import (
     AttributeMapping,
     adult_education_pair,
+    csv_rows,
     empirical_conditionals,
     enumerate_pairs,
     header_column,
@@ -42,12 +43,11 @@ from .scenarios import (
     discriminative_pairs,
     query_sensitivity,
 )
-from .verify import GridConfig, verify_delta_approx, verify_pufferfish
+from .verify import verify_delta_approx, verify_pufferfish
 
 #: Fixed default seed so repeated runs are reproducible by default.
 DEFAULT_SEED = 7
 
-_METRICS = {"l1": L1}
 _EXIT_OK = 0
 _EXIT_VALIDATION = 2
 _EXIT_NUMERIC = 3
@@ -55,24 +55,8 @@ _EXIT_NUMERIC = 3
 #: ``release`` turns noised values into text this many at a time.
 _TEXT_BLOCK = 4096
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed command invocation."""
-
-    command: str
-    inputs: dict = field(default_factory=dict)
-    epsilon: float | None = None
-    delta: float | None = None
-    method: str | None = None
-    metric: str = "l1"
-    seed: int = DEFAULT_SEED
-    out: str | None = None
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.command:
-            raise ValidationError("a command is required")
+#: The Figure-4 epsilon grid: 0.8 to 5.8 in steps of 0.5.
+_FIGURE4_EPSILONS = [0.8 + k * 0.5 for k in range(11)]
 
 
 def _read_json(path: str):
@@ -87,6 +71,10 @@ def _write_json(payload, path: str) -> None:
         fh.write("\n")
 
 
+def _is_list_of_lists(value) -> bool:
+    return isinstance(value, list) and all(isinstance(entry, list) for entry in value)
+
+
 def _read_pairs_file(path: str) -> list[DiscriminativePair]:
     """Pairs file: {"prior": tag, "conditionals": {label: dist}, "pairs": "all" | [[a, b], ...]}."""
     payload = _read_json(path)
@@ -97,62 +85,46 @@ def _read_pairs_file(path: str) -> list[DiscriminativePair]:
     listed = payload.get("pairs", "all")
     if listed == "all":
         return enumerate_pairs(conditionals, prior=prior)
+    if not _is_list_of_lists(listed):
+        raise ValidationError(f'{path}: "pairs" must be "all" or a list of [a, b] lists')
     return enumerate_pairs(conditionals, pairs=listed, prior=prior)
 
 
-def _mechanism_spec(cfg: RunConfig) -> MechanismSpec:
-    return MechanismSpec(
-        family=cfg.options.get("family", "laplace"),
-        theta=float(cfg.options["theta"]),
-        epsilon=cfg.epsilon if cfg.epsilon is not None else 1.0,
-        delta=cfg.delta,
-    )
-
-
-def cmd_plan(cfg: RunConfig) -> int:
-    metric = _METRICS[cfg.metric]
-    p = DiscreteDistribution.from_json_dict(_read_json(cfg.inputs["p"]))
-    q = DiscreteDistribution.from_json_dict(_read_json(cfg.inputs["q"]))
+def cmd_plan(args: argparse.Namespace) -> int:
+    p = DiscreteDistribution.from_json_dict(_read_json(args.p))
+    q = DiscreteDistribution.from_json_dict(_read_json(args.q))
     plan = optimal_plan(p, q)
     payload = plan.to_json_dict()
-    payload["sensitivity"] = plan_sensitivity(plan, metric)
-    payload["w1_cost"] = w1_distance(p, q, metric)
-    _write_json(payload, cfg.out)
+    payload["sensitivity"] = plan_sensitivity(plan, L1)
+    payload["w1_cost"] = w1_distance(p, q, L1)
+    _write_json(payload, args.out)
     return _EXIT_OK
 
 
-def _calibration_pairs(cfg: RunConfig) -> list[DiscriminativePair]:
-    has_pairs = "pairs" in cfg.inputs
-    has_table = "table" in cfg.inputs
-    if has_pairs == has_table:
+def _calibration_pairs(args: argparse.Namespace) -> list[DiscriminativePair]:
+    if (args.pairs is None) == (args.table is None):
         raise ValidationError("calibrate takes exactly one of --pairs or --table")
-    if has_pairs:
-        return _read_pairs_file(cfg.inputs["pairs"])
-    for flag, key in (("--secret-col", "secret_col"), ("--data-col", "data_col"),
-                      ("--mapping", "mapping")):
-        if key not in cfg.options and key not in cfg.inputs:
+    if args.pairs is not None:
+        return _read_pairs_file(args.pairs)
+    for flag, value in (("--secret-col", args.secret_col), ("--data-col", args.data_col),
+                        ("--mapping", args.mapping)):
+        if value is None:
             raise ValidationError(f"--table requires {flag}")
-    mapping = AttributeMapping.from_json_file(cfg.inputs["mapping"])
-    counts = load_table(
-        cfg.inputs["table"],
-        cfg.options["secret_col"],
-        cfg.options["data_col"],
-        mapping,
-        delimiter=cfg.options.get("delimiter", ","),
-    )
+    mapping = AttributeMapping.from_json_file(args.mapping)
+    counts = load_table(args.table, args.secret_col, args.data_col, mapping,
+                        delimiter=args.delimiter)
     conditionals = empirical_conditionals(counts)
-    return enumerate_pairs(conditionals, prior=Path(cfg.inputs["table"]).stem)
+    return enumerate_pairs(conditionals, prior=Path(args.table).stem)
 
 
-def cmd_calibrate(cfg: RunConfig) -> int:
+def cmd_calibrate(args: argparse.Namespace) -> int:
     report = calibrate_pufferfish(
-        _calibration_pairs(cfg),
-        epsilon=cfg.epsilon,
-        method=cfg.method,
-        metric=_METRICS[cfg.metric],
-        delta=cfg.delta,
+        _calibration_pairs(args),
+        epsilon=args.epsilon,
+        method=args.method,
+        delta=args.delta,
     )
-    _write_json(report.to_json_dict(), cfg.out)
+    _write_json(report.to_json_dict(), args.out)
     return _EXIT_OK
 
 
@@ -170,7 +142,7 @@ def _raise_first_bad_row(
     being row 1.
     """
     with open(table, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv_rows(table, fh, delimiter)
         next(reader, None)
         for rownum, row in enumerate(reader, start=2):
             if len(row) <= col:
@@ -202,7 +174,7 @@ def _release_column(
     else:
         parse = {label: k for k, label in enumerate(mapping.labels, start=1)}.__getitem__
     with open(table, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv_rows(table, fh, delimiter)
         try:
             header = next(reader)
         except StopIteration:
@@ -239,7 +211,7 @@ def _noised_rows(table: str, reader, col: int, noised: np.ndarray):
         raise _changed(table)
 
 
-def cmd_release(cfg: RunConfig) -> int:
+def cmd_release(args: argparse.Namespace) -> int:
     """Noise one column of ``--table`` in two reads of the file.
 
     Pass 1 parses the column; pass 2 streams the rows into a new file beside
@@ -247,23 +219,22 @@ def cmd_release(cfg: RunConfig) -> int:
     may name ``--table``. Neither pass keeps a row, but the file must be a
     regular one that stays the same between the reads.
     """
-    table = cfg.inputs["table"]
-    column = cfg.options["data_col"]
-    delimiter = cfg.options.get("delimiter", ",")
+    table, delimiter = args.table, args.delimiter
     if not stat.S_ISREG(os.stat(table).st_mode):
         raise ValidationError(f"{table}: not a regular file; release reads the table twice")
     mapping = None
-    if cfg.inputs.get("mapping"):
-        mapping = AttributeMapping.from_json_file(cfg.inputs["mapping"])
-    header, col, values = _release_column(table, delimiter, column, mapping)
-    noised = release_values(values, _mechanism_spec(cfg), cfg.seed)
-    out = Path(cfg.out)
+    if args.mapping:
+        mapping = AttributeMapping.from_json_file(args.mapping)
+    header, col, values = _release_column(table, delimiter, args.data_col, mapping)
+    spec = MechanismSpec(args.family, args.theta, args.epsilon)
+    noised = release_values(values, spec, args.seed)
+    out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     partial = out.with_name(f".{out.name}.{os.getpid()}.partial")
     dst = open(partial, "x", newline="", encoding="utf-8")
     try:
         with dst, open(table, newline="", encoding="utf-8") as src:
-            reader = csv.reader(src, delimiter=delimiter)
+            reader = csv_rows(table, src, delimiter)
             if next(reader, None) != header:
                 raise _changed(table)
             writer = csv.writer(dst, delimiter=delimiter)
@@ -276,14 +247,14 @@ def cmd_release(cfg: RunConfig) -> int:
     return _EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    pairs = _read_pairs_file(cfg.inputs["pairs"])
-    spec = _mechanism_spec(cfg)
-    if cfg.delta is not None:
-        report = verify_delta_approx(pairs, spec, cfg.epsilon, cfg.delta, GridConfig())
+def cmd_verify(args: argparse.Namespace) -> int:
+    pairs = _read_pairs_file(args.pairs)
+    spec = MechanismSpec(args.family, args.theta, args.epsilon, delta=args.delta)
+    if args.delta is not None:
+        report = verify_delta_approx(pairs, spec, args.epsilon, args.delta)
     else:
-        report = verify_pufferfish(pairs, spec, cfg.epsilon, GridConfig())
-    _write_json(report.to_json_dict(), cfg.out)
+        report = verify_pufferfish(pairs, spec, args.epsilon)
+    _write_json(report.to_json_dict(), args.out)
     return _EXIT_OK
 
 
@@ -293,6 +264,8 @@ def _system_from_json(payload) -> UserSystem:
     priors_raw = payload.get("priors")
     if not priors_raw:
         raise ValidationError("scenario file is missing 'priors'")
+    if not _is_list_of_lists(priors_raw):
+        raise ValidationError("scenario 'priors' must be a list of probability lists")
     if "V" in payload and int(payload["V"]) != len(priors_raw):
         raise ValidationError(
             f"scenario declares V={payload['V']} but lists {len(priors_raw)} priors"
@@ -305,6 +278,8 @@ def _system_from_json(payload) -> UserSystem:
     if query_raw == "counting":
         query = SeparableQuery.counting([prior.support for prior in priors])
     else:
+        if not _is_list_of_lists(query_raw):
+            raise ValidationError("scenario 'query' must be \"counting\" or a list of output lists")
         if len(query_raw) != len(priors):
             raise ValidationError("query tables must align one-to-one with priors")
         tables = []
@@ -319,47 +294,26 @@ def _system_from_json(payload) -> UserSystem:
     return UserSystem(priors=tuple(priors), query=query)
 
 
-def cmd_scenario(cfg: RunConfig) -> int:
-    system = _system_from_json(_read_json(cfg.inputs["scenario"]))
-    user = int(cfg.options.get("user", 0))
-    mode = cfg.options.get("mode", "values")
-    pairs = discriminative_pairs(system, user, mode)
+def cmd_scenario(args: argparse.Namespace) -> int:
+    system = _system_from_json(_read_json(args.scenario))
+    pairs = discriminative_pairs(system, args.user, args.mode)
     payload = {
-        "user": user,
-        "mode": mode,
-        "query_sensitivity": query_sensitivity(system, user, _METRICS[cfg.metric], mode),
+        "user": args.user,
+        "mode": args.mode,
+        "query_sensitivity": query_sensitivity(system, args.user, L1, args.mode),
         "pairs": [pair.to_json_dict() for pair in pairs],
     }
-    _write_json(payload, cfg.out)
+    _write_json(payload, args.out)
     return _EXIT_OK
 
 
-def _epsilon_grid(start: float, stop: float, step: float) -> list[float]:
-    if step <= 0 or stop < start:
-        raise ValidationError("epsilon grid requires step > 0 and stop >= start")
-    grid = []
-    k = 0
-    while True:
-        eps = start + k * step
-        if eps > stop + 1e-9:
-            break
-        grid.append(eps)
-        k += 1
-    return grid
-
-
-def cmd_figure4(cfg: RunConfig) -> int:
+def cmd_figure4(args: argparse.Namespace) -> int:
     pair = adult_education_pair()
-    grid = _epsilon_grid(
-        cfg.options.get("eps_start", 0.8),
-        cfg.options.get("eps_stop", 5.8),
-        cfg.options.get("eps_step", 0.5),
-    )
-    outdir = Path(cfg.out)
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for method, filename in (("theorem1", "theorem1.csv"), ("theorem2", "theorem2.csv")):
         lines = ["epsilon,variance"]
-        for eps in grid:
+        for eps in _FIGURE4_EPSILONS:
             report = calibrate_pufferfish([pair], epsilon=eps, method=method)
             lines.append(f"{eps!r},{report.variance!r}")
         (outdir / filename).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -378,7 +332,7 @@ _WORKED_EXAMPLES = {
 }
 
 
-def cmd_tables(cfg: RunConfig) -> int:
+def cmd_tables(args: argparse.Namespace) -> int:
     payload = {}
     for name, ((p_sup, p_w), (q_sup, q_w)) in _WORKED_EXAMPLES.items():
         p = DiscreteDistribution.from_weights(p_sup, p_w)
@@ -391,7 +345,7 @@ def cmd_tables(cfg: RunConfig) -> int:
             "plan": plan.to_json_dict(),
             "sensitivity": plan_sensitivity(plan, L1),
         }
-    _write_json(payload, cfg.out)
+    _write_json(payload, args.out)
     return _EXIT_OK
 
 
@@ -442,6 +396,8 @@ def build_parser() -> argparse.ArgumentParser:
     rel.add_argument("--theta", type=float, required=True)
     rel.add_argument("--epsilon", type=float, default=1.0)
     rel.add_argument("--delimiter", default=",")
+    rel.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                     help=f"noise seed (default: {DEFAULT_SEED})")
 
     ver = sub.add_parser("verify", help="certify the log-ratio bound for a pairs file")
     ver.add_argument("--pairs", required=True)
@@ -456,57 +412,13 @@ def build_parser() -> argparse.ArgumentParser:
     scen.add_argument("--user", type=int, default=0)
     scen.add_argument("--mode", choices=("values", "absence"), default="values")
 
-    fig = sub.add_parser("figure4", help="noise-variance vs epsilon series for both calibrations")
-    fig.add_argument("--epsilon-start", type=float, default=0.8)
-    fig.add_argument("--epsilon-stop", type=float, default=5.8)
-    fig.add_argument("--epsilon-step", type=float, default=0.5)
+    sub.add_parser("figure4", help="noise-variance vs epsilon series for both calibrations")
 
     sub.add_parser("tables", help="regenerate the worked-example coupling tables as JSON")
 
     for name, p in sub.choices.items():
-        p.add_argument("--metric", choices=sorted(_METRICS), default="l1")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help=f"random seed (default: {DEFAULT_SEED})")
         p.add_argument("--out", required=True, help="output path" + (" (directory)" if name == "figure4" else ""))
     return parser
-
-
-def parse_config(argv=None) -> RunConfig:
-    args = build_parser().parse_args(argv)
-    inputs = {}
-    options = {}
-    for key in ("p", "q", "pairs", "table", "mapping", "scenario"):
-        value = getattr(args, key, None)
-        if value is not None:
-            inputs[key] = value
-    for key in ("family", "theta", "secret_col", "data_col", "delimiter", "user", "mode"):
-        value = getattr(args, key, None)
-        if value is not None:
-            options[key] = value
-    for src, dst in (("epsilon_start", "eps_start"), ("epsilon_stop", "eps_stop"),
-                     ("epsilon_step", "eps_step")):
-        value = getattr(args, src, None)
-        if value is not None:
-            options[dst] = value
-    return RunConfig(
-        command=args.command,
-        inputs=inputs,
-        epsilon=getattr(args, "epsilon", None),
-        delta=getattr(args, "delta", None),
-        method=getattr(args, "method", None),
-        metric=args.metric,
-        seed=args.seed,
-        out=args.out,
-        options=options,
-    )
-
-
-def run(config: RunConfig) -> int:
-    try:
-        handler = _COMMANDS[config.command]
-    except KeyError:
-        raise ValidationError(f"unknown command {config.command!r}") from None
-    return handler(config)
 
 
 def _emit_error(exc: Exception) -> None:
@@ -516,11 +428,11 @@ def _emit_error(exc: Exception) -> None:
 
 def main(argv=None) -> int:
     try:
-        config = parse_config(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return _EXIT_VALIDATION if exc.code else _EXIT_OK
     try:
-        return run(config)
+        return _COMMANDS[args.command](args)
     except NumericError as exc:
         _emit_error(exc)
         return _EXIT_NUMERIC

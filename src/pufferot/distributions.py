@@ -138,6 +138,8 @@ class DiscreteDistribution:
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "DiscreteDistribution":
+        if not isinstance(payload, Mapping):
+            raise ValidationError(f"a distribution must be a JSON object, got {payload!r}")
         for key in ("support", "mass"):
             if key not in payload:
                 raise ValidationError(f"distribution object is missing {key!r}")

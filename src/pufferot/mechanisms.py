@@ -32,7 +32,7 @@ _BRACKET_MAX_STEPS = 400
 
 _RATE_PROBES = (0.5, 1.0, 2.0, 8.0)
 
-FAMILIES = ("laplace", "gaussian", "exponential")
+FAMILIES = ("laplace", "gaussian")
 
 METHODS = {
     "theorem1": "theorem-1",
@@ -77,7 +77,7 @@ def _check_epsilon(epsilon: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class MechanismSpec:
-    """A calibrated additive-noise mechanism Y = X + N.
+    """A calibrated additive-noise mechanism Y = X + N, with N Laplace or Gaussian.
 
     ``theta`` is the noise scale (0 denotes the degenerate noiseless
     release); ``delta`` is only meaningful for the Gaussian family.
@@ -87,8 +87,6 @@ class MechanismSpec:
     theta: float
     epsilon: float
     delta: float | None = None
-    metric: Metric | None = None
-    rate: RateFunction | None = None
 
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
@@ -101,17 +99,13 @@ class MechanismSpec:
                 raise ValidationError("delta is only meaningful for the gaussian family")
             if not 0 < self.delta < 1:
                 raise ValidationError(f"delta must lie in (0, 1), got {self.delta!r}")
-        if self.family == "exponential" and (self.metric is None or self.rate is None):
-            raise ValidationError("the exponential family requires an explicit metric and rate")
 
     @property
-    def variance(self) -> float | None:
+    def variance(self) -> float:
         """Noise variance: 2 theta^2 for Laplace, theta^2 for Gaussian."""
         if self.family == "laplace":
             return 2.0 * self.theta**2
-        if self.family == "gaussian":
-            return self.theta**2
-        return None
+        return self.theta**2
 
 
 @dataclass(frozen=True)
@@ -362,8 +356,6 @@ def sample_noise(spec: MechanismSpec, n: int, seed: int) -> np.ndarray:
     """Draw n i.i.d. noise values, deterministically under ``seed``."""
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n!r}")
-    if spec.family == "exponential":
-        raise ValidationError("sampling is implemented for the laplace and gaussian families only")
     if spec.theta == 0:
         return np.zeros(int(n))
     rng = np.random.default_rng(seed)

@@ -9,7 +9,6 @@ consume.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from .distributions import DiscreteDistribution
 from .errors import ValidationError
@@ -39,18 +38,3 @@ class DiscriminativePair:
             "p": self.p.to_json_dict(),
             "q": self.q.to_json_dict(),
         }
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "DiscriminativePair":
-        for key in ("labels", "p", "q"):
-            if key not in payload:
-                raise ValidationError(f"pair object is missing {key!r}")
-        labels = payload["labels"]
-        if len(labels) != 2:
-            raise ValidationError("pair labels must hold exactly two entries")
-        return cls(
-            labels=(str(labels[0]), str(labels[1])),
-            p=DiscreteDistribution.from_json_dict(payload["p"]),
-            q=DiscreteDistribution.from_json_dict(payload["q"]),
-            prior=str(payload.get("prior", "empirical")),
-        )

@@ -99,10 +99,6 @@ class UserSystem:
     def user_count(self) -> int:
         return len(self.priors)
 
-    def alphabet(self, user: int) -> np.ndarray:
-        self._check_user(user)
-        return self.priors[user].support
-
     def _check_user(self, user: int) -> None:
         if not 0 <= user < len(self.priors):
             raise ValidationError(f"user index {user} out of range for {len(self.priors)} users")

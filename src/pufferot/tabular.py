@@ -86,6 +86,15 @@ def header_column(path: str, header: Sequence[str], column: str) -> int | None:
     return found[0] if header[found[0]] else None
 
 
+def csv_rows(path: str, fh, delimiter: str):
+    """The rows of ``csv.reader(fh)``; a ``csv.Error`` is re-raised naming ``path`` and the line."""
+    reader = csv.reader(fh, delimiter=delimiter)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def load_table(
     path: str,
     secret_column: str,
@@ -103,7 +112,7 @@ def load_table(
     Secrets appear in the result in the order of their first row.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv_rows(path, fh, delimiter)
         try:
             header = next(reader)
         except StopIteration:
@@ -192,6 +201,8 @@ def enumerate_pairs(
 
 def load_conditionals_json(payload: Mapping) -> dict[str, DiscreteDistribution]:
     """Parse a per-secret distribution object; keys starting with '_' are metadata."""
+    if not isinstance(payload, Mapping):
+        raise ValidationError("conditionals must be a JSON object of per-secret distributions")
     out = {}
     for label, dist in payload.items():
         if label.startswith("_"):

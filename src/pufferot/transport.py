@@ -32,24 +32,17 @@ _SYMMETRY_PROBES = (0.25, 1.0, 2.5, 7.0)
 class Metric:
     """Symmetric nonnegative ground distance d(z) on the real line.
 
-    ``symmetric`` and ``triangle_inequality`` record what the caller
-    declares about d; symmetry is additionally probed at a few points.
-    Convexity cannot be detected reliably at runtime, so it too is
-    declared; the closed-form optimal plan and the transport cost are
-    only meaningful for convex distances.
+    d(0) = 0, nonnegativity and symmetry are probed at a few points.
+    Convexity cannot be detected reliably at runtime, so it is declared;
+    the closed-form optimal plan and the transport cost are only
+    meaningful for convex distances.
     """
 
     fn: Callable[[float], float]
     convex: bool
     name: str = "custom"
-    symmetric: bool = True
-    triangle_inequality: bool = True
 
     def __post_init__(self) -> None:
-        if not (self.symmetric and self.triangle_inequality):
-            raise ValidationError(
-                f"metric {self.name!r} must declare symmetry and the triangle inequality"
-            )
         if self.fn(0.0) != 0.0:
             raise ValidationError(f"metric {self.name!r} must satisfy d(0) = 0")
         for z in _SYMMETRY_PROBES:

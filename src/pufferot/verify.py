@@ -8,8 +8,9 @@ For Laplace noise the check is exact: between neighbouring positive-mass
 support points the ratio is a Moebius function of exp(2y/theta), hence
 monotone, and outside their hull it is constant, so its supremum over y is
 attained at a support point. Only those points are evaluated, in O(n + m).
-For Gaussian noise the ratio is evaluated on a grid (:class:`GridConfig`),
-which is a certificate at grid resolution, not a proof.
+For Gaussian noise the ratio is evaluated on a grid reaching 10 theta past
+the support hull at a step of theta / 50, which is a certificate at grid
+resolution, not a proof.
 """
 
 from __future__ import annotations
@@ -34,18 +35,10 @@ LOG_FLOOR = -700.0
 MAX_GRID_POINTS = 1_000_000
 #: (y, atom) terms per block of log_output_density, about 256 KB of float64.
 _BLOCK_ELEMENTS = 1 << 15
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    """Gaussian evaluation grid: support points plus a uniform sweep.
-
-    The sweep extends ``pad_scales * theta`` beyond the support hull at a
-    resolution of ``theta / points_per_scale``. Laplace checks use no grid.
-    """
-
-    pad_scales: float = 10.0
-    points_per_scale: int = 50
+#: The Gaussian grid reaches this many theta beyond the support hull,
+_GRID_PAD_SCALES = 10.0
+#: with this many points per theta.
+_GRID_POINTS_PER_SCALE = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,12 +103,10 @@ def _log_noise_density(spec: MechanismSpec, z: np.ndarray) -> np.ndarray:
         np.abs(z, out=z)
         z /= spec.theta
         return np.subtract(-math.log(2.0 * spec.theta), z, out=z)
-    if spec.family == "gaussian":
-        z /= spec.theta
-        np.square(z, out=z)
-        z *= 0.5
-        return np.subtract(-0.5 * math.log(2.0 * math.pi) - math.log(spec.theta), z, out=z)
-    raise ValidationError(f"verification supports laplace and gaussian noise, not {spec.family!r}")
+    z /= spec.theta
+    np.square(z, out=z)
+    z *= 0.5
+    return np.subtract(-0.5 * math.log(2.0 * math.pi) - math.log(spec.theta), z, out=z)
 
 
 def log_output_density(
@@ -152,16 +143,16 @@ def output_density(dist: DiscreteDistribution, spec: MechanismSpec, y: float) ->
     return float(np.exp(log_output_density(dist, spec, [y])[0]))
 
 
-def _pair_grid(pair: DiscriminativePair, spec: MechanismSpec, cfg: GridConfig):
+def _pair_grid(pair: DiscriminativePair, spec: MechanismSpec):
     """The Gaussian grid's points and description, plus a note if it is over the cap.
 
     The point count is computed before anything is allocated; past
     MAX_GRID_POINTS the points are ``None`` and no grid is built.
     """
     points = np.concatenate([pair.p.support, pair.q.support])
-    lo = float(points.min() - cfg.pad_scales * spec.theta)
-    hi = float(points.max() + cfg.pad_scales * spec.theta)
-    step = spec.theta / cfg.points_per_scale
+    lo = float(points.min() - _GRID_PAD_SCALES * spec.theta)
+    hi = float(points.max() + _GRID_PAD_SCALES * spec.theta)
+    step = spec.theta / _GRID_POINTS_PER_SCALE
     grid_desc = (lo, hi, step)
     # np.arange's length; inf when the step underflows or the ratio overflows
     length = (hi + 0.5 * step - lo) / step if step > 0 else math.inf
@@ -247,12 +238,11 @@ def verify_pufferfish(
     pairs: Sequence[DiscriminativePair],
     spec: MechanismSpec,
     epsilon: float,
-    grid: GridConfig = GridConfig(),
 ) -> VerificationReport:
     """Check |log P(y|s_i) - log P(y|s_j)| <= epsilon for every pair.
 
     Laplace pairs are checked exactly, at the union of the positive-mass
-    support points. Gaussian pairs are checked on ``grid``; grid points
+    support points. Gaussian pairs are checked on a grid; grid points
     where either density falls below the e^LOG_FLOOR floor are excluded
     from the maximum and reported as unverified tail spans, and a pair
     whose grid would exceed MAX_GRID_POINTS fails without being evaluated.
@@ -261,8 +251,6 @@ def verify_pufferfish(
     if not pairs:
         raise ValidationError("at least one discriminative pair is required")
     _check_epsilon(epsilon)
-    if spec.family not in ("laplace", "gaussian"):
-        raise ValidationError(f"verification supports laplace and gaussian noise, not {spec.family!r}")
     checks = []
     for pair in pairs:
         if spec.theta == 0:
@@ -307,7 +295,7 @@ def verify_pufferfish(
                 )
             )
             continue
-        ys, grid_desc, over_cap = _pair_grid(pair, spec, grid)
+        ys, grid_desc, over_cap = _pair_grid(pair, spec)
         if ys is None:
             checks.append(
                 PairCheck(
@@ -383,7 +371,6 @@ def verify_delta_approx(
     spec: MechanismSpec,
     epsilon: float,
     delta: float,
-    grid: GridConfig = GridConfig(),
 ) -> VerificationReport:
     """Check the Gaussian delta-approximate guarantee on every pair.
 
@@ -412,7 +399,7 @@ def verify_delta_approx(
         if spec.theta == 0:
             slack = worst = 0.0 if _identical(pair.p, pair.q) else math.inf
         else:
-            ys, grid_desc, over_cap = _pair_grid(pair, spec, grid)
+            ys, grid_desc, over_cap = _pair_grid(pair, spec)
             if ys is None:
                 passed, worst, slack, note = False, math.inf, None, over_cap
             else:

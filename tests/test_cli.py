@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import shlex
 import tracemalloc
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from pufferot import AttributeMapping, NumericError, cli, load_table
 
 GOLDEN_TABLES = Path(__file__).parent / "data" / "tables_golden.json"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def read_json(path):
@@ -543,11 +545,48 @@ class TestExitDiscipline:
         assert code == 2
         error = json.loads(capsys.readouterr().err)["error"]
         assert f"field larger than field limit ({csv.field_size_limit()})" in error["message"]
+        assert error["type"] == "ValidationError"
+        assert error["message"].startswith(f"{table}: line 4: ")
         assert not out.exists()
         assert sorted(path.name for path in tmp_path.iterdir()) == ["m.json", "t.csv"]
 
     def test_argparse_usage_error(self):
         assert cli.main(["plan"]) == 2
+
+    @pytest.mark.parametrize("case", [
+        "plan-p-scalar", "conditionals-list", "pairs-scalar", "pairs-of-scalars",
+        "priors-scalar", "priors-flat", "query-of-scalars",
+    ])
+    def test_malformed_json_shape_is_a_validation_error(self, tmp_path, capsys, case):
+        dist = {"support": [1, 2], "mass": [0.5, 0.5]}
+        conditionals = {"a": dist, "b": dist}
+        payload, argv = {
+            "plan-p-scalar": (5, ["plan", "--q", write_json(dist, tmp_path / "q.json"), "--p"]),
+            "conditionals-list": ({"conditionals": [1, 2]}, ["calibrate", "--pairs"]),
+            "pairs-scalar": ({"conditionals": conditionals, "pairs": 5}, ["calibrate", "--pairs"]),
+            "pairs-of-scalars": ({"conditionals": conditionals, "pairs": [5]},
+                                 ["calibrate", "--pairs"]),
+            "priors-scalar": ({"priors": 5}, ["scenario", "--scenario"]),
+            "priors-flat": ({"priors": [0.5, 0.5]}, ["scenario", "--scenario"]),
+            "query-of-scalars": ({"priors": [[0.5, 0.5]], "query": [5]},
+                                 ["scenario", "--scenario"]),
+        }[case]
+        if argv[0] == "calibrate":
+            argv = [*argv[:1], "--epsilon", "1.0", *argv[1:]]
+        out = tmp_path / "out.json"
+        code = cli.main([*argv, write_json(payload, tmp_path / "in.json"), "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValidationError"
+        assert not out.exists()
+
+    def test_removed_flags_are_usage_errors(self, tmp_path, pairs_file):
+        out = str(tmp_path / "out")
+        assert cli.main(["calibrate", "--pairs", pairs_file, "--epsilon", "1.0",
+                         "--seed", "3", "--out", out]) == 2
+        assert cli.main(["plan", "--p", "p.json", "--q", "q.json", "--metric", "l1",
+                         "--out", out]) == 2
+        assert cli.main(["figure4", "--epsilon-step", "1", "--out", out]) == 2
+        assert not os.path.exists(out)
 
     def test_numeric_failure_maps_to_three(self, monkeypatch, tmp_path):
         def boom(config):
@@ -562,3 +601,21 @@ class TestExitDiscipline:
         code = cli.main(["plan", "--p", str(bad), "--q", str(bad),
                          "--out", str(tmp_path / "x.json")])
         assert code == 2
+
+
+def readme_commands():
+    """The ``pufferot ...`` lines of README's "Command line" block, continuations joined."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True) for line in lines if line.startswith("pufferot ")]
+
+
+class TestReadmeCommands:
+    def test_block_lists_every_command(self):
+        assert {argv[1] for argv in readme_commands()} == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[1])
+    def test_readme_command_parses(self, argv):
+        assert argv[0] == "pufferot"
+        cli.build_parser().parse_args(argv[1:])

@@ -102,8 +102,9 @@ class TestMechanismSpec:
         with pytest.raises(ValidationError, match="theta"):
             MechanismSpec(family="laplace", theta=-1.0, epsilon=1.0)
 
-    def test_exponential_needs_metric_and_rate(self):
-        with pytest.raises(ValidationError, match="exponential"):
+    def test_exponential_is_an_unknown_family(self):
+        # exponential-family noise is calibrated (RateFunction), never sampled or verified
+        with pytest.raises(ValidationError, match="unknown noise family 'exponential'"):
             MechanismSpec(family="exponential", theta=1.0, epsilon=1.0)
 
     @settings(max_examples=20, deadline=None)
@@ -386,13 +387,6 @@ class TestSampling:
         b = sample_noise(spec, 1000, seed=7)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, sample_noise(spec, 1000, seed=8))
-
-    def test_exponential_family_not_samplable(self):
-        spec = MechanismSpec(
-            family="exponential", theta=1.0, epsilon=1.0, metric=L1, rate=INVERSE_SCALE
-        )
-        with pytest.raises(ValidationError, match="sampling"):
-            sample_noise(spec, 3, seed=0)
 
 
 class TestRelease:
