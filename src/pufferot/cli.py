@@ -101,6 +101,13 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
+def _delimiter(args: argparse.Namespace) -> str:
+    """``--delimiter``, which the csv module takes only as a single character."""
+    if len(args.delimiter) != 1:
+        raise ValidationError(f"--delimiter must be one character, got {args.delimiter!r}")
+    return args.delimiter
+
+
 def _calibration_pairs(args: argparse.Namespace) -> list[DiscriminativePair]:
     if (args.pairs is None) == (args.table is None):
         raise ValidationError("calibrate takes exactly one of --pairs or --table")
@@ -110,9 +117,9 @@ def _calibration_pairs(args: argparse.Namespace) -> list[DiscriminativePair]:
                         ("--mapping", args.mapping)):
         if value is None:
             raise ValidationError(f"--table requires {flag}")
+    delimiter = _delimiter(args)
     mapping = AttributeMapping.from_json_file(args.mapping)
-    counts = load_table(args.table, args.secret_col, args.data_col, mapping,
-                        delimiter=args.delimiter)
+    counts = load_table(args.table, args.secret_col, args.data_col, mapping, delimiter=delimiter)
     conditionals = empirical_conditionals(counts)
     return enumerate_pairs(conditionals, prior=Path(args.table).stem)
 
@@ -219,7 +226,7 @@ def cmd_release(args: argparse.Namespace) -> int:
     may name ``--table``. Neither pass keeps a row, but the file must be a
     regular one that stays the same between the reads.
     """
-    table, delimiter = args.table, args.delimiter
+    table, delimiter = args.table, _delimiter(args)
     if not stat.S_ISREG(os.stat(table).st_mode):
         raise ValidationError(f"{table}: not a regular file; release reads the table twice")
     mapping = None
@@ -266,10 +273,11 @@ def _system_from_json(payload) -> UserSystem:
         raise ValidationError("scenario file is missing 'priors'")
     if not _is_list_of_lists(priors_raw):
         raise ValidationError("scenario 'priors' must be a list of probability lists")
-    if "V" in payload and int(payload["V"]) != len(priors_raw):
-        raise ValidationError(
-            f"scenario declares V={payload['V']} but lists {len(priors_raw)} priors"
-        )
+    declared = payload.get("V", len(priors_raw))
+    if type(declared) is not int:
+        raise ValidationError(f"scenario 'V' must be an integer, got {declared!r}")
+    if declared != len(priors_raw):
+        raise ValidationError(f"scenario declares V={declared} but lists {len(priors_raw)} priors")
     priors = []
     for probs in priors_raw:
         support = np.arange(len(probs), dtype=float)
@@ -289,7 +297,12 @@ def _system_from_json(payload) -> UserSystem:
                     f"user {user}: query table holds {len(outputs)} outputs "
                     f"for an alphabet of {len(priors[user])}"
                 )
-            tables.append({float(j): float(v) for j, v in enumerate(outputs)})
+            try:
+                tables.append({float(j): float(v) for j, v in enumerate(outputs)})
+            except (TypeError, ValueError):
+                raise ValidationError(
+                    f"user {user}: query outputs must be numbers, got {outputs!r}"
+                ) from None
         query = SeparableQuery(tables=tuple(tables))
     return UserSystem(priors=tuple(priors), query=query)
 

@@ -29,6 +29,16 @@ from .transport import L1, Metric, TransportPlan, optimal_plan, plan_sensitivity
 ROOT_LOG_TOL = 1e-10
 _ROOT_MAX_ITER = 200
 _BRACKET_MAX_STEPS = 400
+#: Newton steps allowed before relaxed_theta evaluates the whole bisection.
+_NEWTON_MAX_ITER = 30
+#: Least half-width, in log(theta), of the window around the Newton root
+#: inside which the replayed bisection evaluates the objective: far above
+#: the float spacing of log(theta), and under ROOT_LOG_TOL.
+_REPLAY_MARGIN = 1e-11
+#: Bound on the objective's rounding error per unit of its terms' magnitude
+#: and group size: 128 float64 unit roundoffs, where seeded sweeps (float64
+#: against long double) stay under 2.
+_REPLAY_NOISE = 2.0**-46
 
 _RATE_PROBES = (0.5, 1.0, 2.0, 8.0)
 
@@ -194,12 +204,11 @@ def calibrate_gaussian(
     return sensitivity / epsilon * c
 
 
-def _solve_decreasing_log_theta(g: Callable[[float], float], context: str) -> float:
-    """Root of a strictly decreasing g on the log(theta) axis.
+def _checked(g: Callable[[float], float], context: str) -> Callable[[float], float]:
+    """``g`` with its failures, and a NaN value, raised as ``NumericError``.
 
-    The bracket is grown by repeated doubling of theta (steps of log 2)
-    and then bisected to ROOT_LOG_TOL. A NaN g raises ``NumericError``
-    rather than compare as "not positive" and steer to a wrong root.
+    A NaN must not compare as "not positive" and steer a bisection to a
+    wrong root.
     """
 
     def safe_g(log_theta: float) -> float:
@@ -213,10 +222,21 @@ def _solve_decreasing_log_theta(g: Callable[[float], float], context: str) -> fl
             raise NumericError(f"objective for {context} is NaN at log(theta)={log_theta!r}")
         return value
 
+    return safe_g
+
+
+def _bisect_log_theta(positive: Callable[[float], bool], context: str) -> float:
+    """theta where ``positive`` (a sign test on the log(theta) axis) turns false.
+
+    The bracket is grown by repeated doubling of theta (steps of log 2)
+    from theta = 1 and then bisected to ROOT_LOG_TOL; theta is exp of the
+    final bracket's midpoint. The result depends on nothing but the
+    answers of ``positive`` at these fixed probe points.
+    """
     step = math.log(2.0)
     hi = 0.0
     for _ in range(_BRACKET_MAX_STEPS):
-        if safe_g(hi) <= 0.0:
+        if not positive(hi):
             break
         hi += step
     else:
@@ -225,7 +245,7 @@ def _solve_decreasing_log_theta(g: Callable[[float], float], context: str) -> fl
         )
     lo = 0.0
     for _ in range(_BRACKET_MAX_STEPS):
-        if safe_g(lo) > 0.0:
+        if positive(lo):
             break
         lo -= step
     else:
@@ -234,13 +254,64 @@ def _solve_decreasing_log_theta(g: Callable[[float], float], context: str) -> fl
         )
     for _ in range(_ROOT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if safe_g(mid) > 0.0:
+        if positive(mid):
             lo = mid
         else:
             hi = mid
         if hi - lo <= ROOT_LOG_TOL:
             break
     return math.exp(0.5 * (lo + hi))
+
+
+def _solve_decreasing_log_theta(g: Callable[[float], float], context: str) -> float:
+    """Root of a decreasing g on the log(theta) axis, evaluating g at every probe.
+
+    This is the reference bisection: ``relaxed_theta`` replays it with
+    fewer evaluations for the inverse-scale rate and falls back to it
+    everywhere else. A NaN g raises ``NumericError``.
+    """
+    safe_g = _checked(g, context)
+    return _bisect_log_theta(lambda log_theta: safe_g(log_theta) > 0.0, context)
+
+
+def _replay_window(
+    residuals: Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray]],
+    d: np.ndarray,
+    starts: np.ndarray,
+    sizes: np.ndarray,
+    a: float,
+    noise: float,
+) -> tuple[float, float] | None:
+    """The log(theta) window outside which G = max(residuals(a)) has a known sign.
+
+    G must be convex and increasing in the rate a = 1/theta, with a at or
+    left of its root. Newton's method then lands at or right of the root
+    in its first step and decreases monotonically towards it; its slope is
+    the softmax-weighted mean distance of the binding group. It stops once
+    |G| <= ``noise``, a bound on G's rounding error. Across the window
+    |G| rises to several times ``noise``, so no rounding error flips its
+    sign outside. Returns None when Newton does not stop within
+    _NEWTON_MAX_ITER steps, its slope is not positive, or the window
+    is a log(theta) unit or wider.
+    """
+    for _ in range(_NEWTON_MAX_ITER):
+        values, weights, sums = residuals(a)
+        k = int(np.argmax(values))
+        group = slice(starts[k], starts[k] + sizes[k])
+        value = float(values[k])
+        slope = float(np.dot(weights[group], d[group])) / float(sums[k])
+        if not (math.isfinite(value) and 0.0 < slope < math.inf):
+            return None
+        a -= value / slope
+        if not 0.0 < a < math.inf:
+            return None
+        if abs(value) <= noise:
+            # |dG / dlog(theta)| = a G'(a) near the root.
+            margin = max(_REPLAY_MARGIN, 8.0 * noise / (a * slope))
+            if not margin < 1.0:
+                return None
+            return -math.log(a) - margin, -math.log(a) + margin
+    return None
 
 
 def relaxed_theta(
@@ -260,8 +331,19 @@ def relaxed_theta(
     against p(x). Rows or columns whose entries all sit at distance zero
     hold their inequality for every theta and are left out. The equations
     are solved together: their log residuals all decrease in theta, so the
-    largest root is the root of their maximum, found by one bisection that
-    evaluates every equation at once as a grouped log-sum-exp.
+    largest root is the root of their maximum G, evaluated for every
+    equation at once as a grouped log-sum-exp.
+
+    With the inverse-scale rate, G is convex and increasing in the rate
+    a = 1/theta, so a few Newton steps from the strict rate eps / max d
+    find its root. The reference bisection of ``_solve_decreasing_log_theta``
+    is then replayed probe for probe: a probe more than a margin below the
+    root is known to be positive, one more than a margin above it is known
+    to be nonpositive, and G is evaluated only inside the margin. The
+    returned theta is therefore the reference bisection's, bit for bit.
+    G is checked at both ends of the margin first; if a check fails or
+    Newton does not settle, and for any other rate, every probe is
+    evaluated.
     """
     _check_epsilon(epsilon)
     if not (
@@ -283,13 +365,32 @@ def relaxed_theta(
     sizes = np.diff(starts, append=keys.size)
     targets = epsilon + np.log(np.concatenate([p.mass, q.mass])[keys[starts]])
 
-    def g(log_theta: float) -> float:
-        terms = log_mass + float(rate.forward(math.exp(log_theta))) * d
+    def residuals(a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each equation's log residual at rate a, with its entries' softmax weights and sums."""
+        terms = log_mass + a * d
         peak = np.maximum.reduceat(terms, starts)
-        sums = np.add.reduceat(np.exp(terms - np.repeat(peak, sizes)), starts)
-        return float(np.max(peak + np.log(sums) - targets))
+        weights = np.exp(terms - np.repeat(peak, sizes))
+        sums = np.add.reduceat(weights, starts)
+        return peak + np.log(sums) - targets, weights, sums
 
-    return _solve_decreasing_log_theta(g, "the row and column moment equations")
+    def g(log_theta: float) -> float:
+        return float(np.max(residuals(float(rate.forward(math.exp(log_theta))))[0]))
+
+    context = "the row and column moment equations"
+    if rate is INVERSE_SCALE:
+        # Near the root the terms lie between the log masses and the targets.
+        noise = _REPLAY_NOISE * (
+            float(sizes.max()) + float(np.abs(log_mass).max()) + float(np.abs(targets).max())
+        )
+        window = _replay_window(residuals, d, starts, sizes, epsilon / float(d.max()), noise)
+        if window is not None:
+            lo_edge, hi_edge = window
+            safe_g = _checked(g, context)
+            if safe_g(lo_edge) > noise and safe_g(hi_edge) < -noise:
+                return _bisect_log_theta(
+                    lambda x: x < lo_edge or (x <= hi_edge and safe_g(x) > 0.0), context
+                )
+    return _solve_decreasing_log_theta(g, context)
 
 
 def calibrate_pufferfish(

@@ -12,7 +12,8 @@ import pytest
 
 from pufferot import AttributeMapping, NumericError, cli, load_table
 
-GOLDEN_TABLES = Path(__file__).parent / "data" / "tables_golden.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN_TABLES = DATA / "tables_golden.json"
 README = Path(__file__).parent.parent / "README.md"
 
 
@@ -168,6 +169,11 @@ class TestFigure4:
         eps, var = map(float, relaxed[1].split(","))
         assert eps == 0.8
         assert math.isclose(var, 3.125, rel_tol=1e-3)
+
+    def test_matches_checked_in_golden_bytes(self, tmp_path):
+        assert cli.main(["figure4", "--out", str(tmp_path)]) == 0
+        for name in ("theorem1.csv", "theorem2.csv"):
+            assert (tmp_path / name).read_bytes() == (DATA / f"figure4_{name}").read_bytes()
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -550,12 +556,32 @@ class TestExitDiscipline:
         assert not out.exists()
         assert sorted(path.name for path in tmp_path.iterdir()) == ["m.json", "t.csv"]
 
+    @pytest.mark.parametrize("command", ["calibrate", "release"])
+    @pytest.mark.parametrize("delimiter", ["ab", ""])
+    def test_delimiter_must_be_one_character(self, tmp_path, capsys, command, delimiter):
+        # the table does not exist: the delimiter is rejected before it is opened
+        table = tmp_path / "missing.csv"
+        mapping = write_json(["red", "blue"], tmp_path / "m.json")
+        out = tmp_path / "out"
+        extra = {"calibrate": ["--secret-col", "secret", "--epsilon", "1.0"],
+                 "release": ["--theta", "1.0"]}[command]
+        code = cli.main([
+            command, "--table", str(table), "--data-col", "color", "--mapping", mapping,
+            "--delimiter", delimiter, "--out", str(out), *extra,
+        ])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValidationError"
+        assert f"--delimiter must be one character, got {delimiter!r}" in error["message"]
+        assert not out.exists()
+
     def test_argparse_usage_error(self):
         assert cli.main(["plan"]) == 2
 
     @pytest.mark.parametrize("case", [
         "plan-p-scalar", "conditionals-list", "pairs-scalar", "pairs-of-scalars",
-        "priors-scalar", "priors-flat", "query-of-scalars",
+        "priors-scalar", "priors-flat", "query-of-scalars", "V-list", "support-object",
+        "mass-object", "query-output-list",
     ])
     def test_malformed_json_shape_is_a_validation_error(self, tmp_path, capsys, case):
         dist = {"support": [1, 2], "mass": [0.5, 0.5]}
@@ -570,6 +596,13 @@ class TestExitDiscipline:
             "priors-flat": ({"priors": [0.5, 0.5]}, ["scenario", "--scenario"]),
             "query-of-scalars": ({"priors": [[0.5, 0.5]], "query": [5]},
                                  ["scenario", "--scenario"]),
+            "V-list": ({"V": [1], "priors": [[0.5, 0.5]]}, ["scenario", "--scenario"]),
+            "query-output-list": ({"priors": [[0.5, 0.5]], "query": [[1, [2]]]},
+                                  ["scenario", "--scenario"]),
+            "support-object": ({"support": {"a": 1}, "mass": [1]},
+                               ["plan", "--q", write_json(dist, tmp_path / "q.json"), "--p"]),
+            "mass-object": ({"support": [1], "mass": {"a": 1}},
+                            ["plan", "--q", write_json(dist, tmp_path / "q.json"), "--p"]),
         }[case]
         if argv[0] == "calibrate":
             argv = [*argv[:1], "--epsilon", "1.0", *argv[1:]]

@@ -25,6 +25,7 @@ from pufferot import (
     release,
     sample_noise,
 )
+from pufferot import mechanisms
 
 from oracles import per_equation_relaxed_theta
 
@@ -271,6 +272,74 @@ class TestRelaxedTheta:
             for epsilon in FIGURE4_EPS_GRID:
                 expected = reference_theta(shuffled, pair.p, pair.q, epsilon)
                 assert relaxed_theta(shuffled, pair.p, pair.q, epsilon) == expected
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_matches_per_equation_reference_at_extreme_epsilons_and_scales(
+        self, canonical_pairs, scale
+    ):
+        rng = np.random.default_rng(17)
+        for pair in canonical_pairs + [random_pair(rng, 14, 2), random_pair(rng, 100, 10)]:
+            p = DiscreteDistribution(pair.p.support * scale, pair.p.mass)
+            q = DiscreteDistribution(pair.q.support * scale, pair.q.mass)
+            plan = optimal_plan(p, q)
+            for epsilon in [1e-3, 0.8, 3.3, 5.8, 50.0]:
+                assert relaxed_theta(plan, p, q, epsilon) == reference_theta(plan, p, q, epsilon)
+
+    def test_single_entry_binding_equation(self):
+        # The binding equation holds one plan entry at the largest distance,
+        # so theta2 = theta1. The seeded pair is the 14-atom pair of op 18 of
+        # the figure4-sweep benchmark at seed 108.
+        rng = np.random.default_rng([108, 1, 19])
+        masses = []
+        for _ in range(2):
+            w = rng.dirichlet(np.ones(14))
+            w[rng.choice(14, size=2, replace=False)] = 0.0
+            masses.append(w / w.sum())
+        seeded = [DiscreteDistribution(np.arange(1.0, 15.0), w) for w in masses]
+        one_entry_rows = [
+            DiscreteDistribution.from_weights([0, 1], [1, 1]),
+            DiscreteDistribution.from_weights([1, 3], [1, 1]),
+        ]
+        for p, q in (seeded, one_entry_rows):
+            plan = optimal_plan(p, q)
+            for epsilon in FIGURE4_EPS_GRID:
+                theta = relaxed_theta(plan, p, q, epsilon)
+                assert theta == reference_theta(plan, p, q, epsilon)
+                strict = calibrate_exponential(plan_sensitivity(plan, L1), epsilon)
+                assert theta == pytest.approx(strict, rel=1e-9)
+
+    def test_inverse_scale_never_evaluates_the_full_bisection(self, adult_pair, monkeypatch):
+        # A regression to evaluating every bisection probe must not pass
+        # unnoticed: on the Figure-4 grid the Newton window always holds.
+        def full_bisection(g, context):
+            raise AssertionError(f"full bisection of {context}")
+
+        monkeypatch.setattr(mechanisms, "_solve_decreasing_log_theta", full_bisection)
+        rng = np.random.default_rng(19)
+        pairs = [adult_pair] + [random_pair(rng, n, empty) for n, empty in [(14, 2), (100, 10)] * 3]
+        for pair in pairs:
+            plan = optimal_plan(pair.p, pair.q)
+            for epsilon in FIGURE4_EPS_GRID:
+                relaxed_theta(plan, pair.p, pair.q, epsilon)
+        # any other rate takes the full bisection, so the patch is on its path
+        custom = RateFunction(forward=lambda t: 1.0 / t, inverse=lambda a: 1.0 / a)
+        plan = optimal_plan(adult_pair.p, adult_pair.q)
+        with pytest.raises(AssertionError, match="full bisection"):
+            relaxed_theta(plan, adult_pair.p, adult_pair.q, 0.8, rate=custom)
+
+    @pytest.mark.parametrize("shift", [-1e-6, 1e-6])
+    def test_window_off_the_root_falls_back_to_the_full_bisection(
+        self, adult_pair, monkeypatch, shift
+    ):
+        # the checks at the window's ends must catch a wrong Newton root
+        window = mechanisms._replay_window
+        monkeypatch.setattr(
+            mechanisms, "_replay_window", lambda *args: tuple(x + shift for x in window(*args))
+        )
+        plan = optimal_plan(adult_pair.p, adult_pair.q)
+        for epsilon in FIGURE4_EPS_GRID:
+            expected = reference_theta(plan, adult_pair.p, adult_pair.q, epsilon)
+            assert relaxed_theta(plan, adult_pair.p, adult_pair.q, epsilon) == expected
 
     def test_nan_rate_raises_numeric_error(self, adult_pair):
         # NaN on a band of scales the bisection probes: read as "g <= 0",
