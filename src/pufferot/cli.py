@@ -224,8 +224,12 @@ def cmd_release(args: argparse.Namespace) -> int:
     Pass 1 parses the column; pass 2 streams the rows into a new file beside
     ``--out`` that replaces it only once every row is written, so ``--out``
     may name ``--table``. Neither pass keeps a row, but the file must be a
-    regular one that stays the same between the reads.
+    regular one that stays the same between the reads. The flags are
+    checked before either pass.
     """
+    spec = MechanismSpec(args.family, args.theta, args.epsilon)
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     table, delimiter = args.table, _delimiter(args)
     if not stat.S_ISREG(os.stat(table).st_mode):
         raise ValidationError(f"{table}: not a regular file; release reads the table twice")
@@ -233,7 +237,6 @@ def cmd_release(args: argparse.Namespace) -> int:
     if args.mapping:
         mapping = AttributeMapping.from_json_file(args.mapping)
     header, col, values = _release_column(table, delimiter, args.data_col, mapping)
-    spec = MechanismSpec(args.family, args.theta, args.epsilon)
     noised = release_values(values, spec, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -15,6 +15,7 @@ transport plan between the secret-conditional distributions:
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -85,6 +86,17 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValidationError(f"epsilon must be finite and > 0, got {epsilon!r}")
 
 
+def _noise_variance(family: str, theta: float) -> float:
+    """2 theta^2 for Laplace noise, theta^2 for Gaussian; ``NumericError`` past the float range."""
+    try:
+        variance = (2.0 if family == "laplace" else 1.0) * theta**2
+    except OverflowError:
+        variance = math.inf
+    if variance == math.inf:
+        raise NumericError(f"{family} noise variance overflows a float at theta={theta!r}")
+    return variance
+
+
 @dataclass(frozen=True, eq=False)
 class MechanismSpec:
     """A calibrated additive-noise mechanism Y = X + N, with N Laplace or Gaussian.
@@ -113,9 +125,7 @@ class MechanismSpec:
     @property
     def variance(self) -> float:
         """Noise variance: 2 theta^2 for Laplace, theta^2 for Gaussian."""
-        if self.family == "laplace":
-            return 2.0 * self.theta**2
-        return self.theta**2
+        return _noise_variance(self.family, self.theta)
 
 
 @dataclass(frozen=True)
@@ -296,7 +306,7 @@ def _replay_window(
     """
     for _ in range(_NEWTON_MAX_ITER):
         values, weights, sums = residuals(a)
-        k = int(np.argmax(values))
+        k = int(values.argmax())
         group = slice(starts[k], starts[k] + sizes[k])
         value = float(values[k])
         slope = float(np.dot(weights[group], d[group])) / float(sums[k])
@@ -312,6 +322,76 @@ def _replay_window(
                 return None
             return -math.log(a) - margin, -math.log(a) + margin
     return None
+
+
+@dataclass(frozen=True, eq=False)
+class _MomentEquations:
+    """The live row and column moment equations of one plan under one metric.
+
+    The entries are grouped by equation, in plan order inside each group:
+    equation k holds entries starts[k] to starts[k] + sizes[k] of ``d`` and
+    ``log_mass``, and its marginal is element ``marginals[k]`` of the row
+    masses followed by the column masses. Nothing here depends on epsilon.
+    """
+
+    d: np.ndarray
+    log_mass: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    marginals: np.ndarray
+    d_max: float
+    #: The epsilon-free terms of the objective's rounding bound.
+    magnitude: float
+
+
+#: Pair -> its plan, and plan -> metric -> the plan's sensitivity or moment
+#: equations under the metric. The keys are weak references compared by
+#: identity, so an entry goes with its pair, plan or metric and no sweep
+#: grows these. No value refers to its own key: a plan holds the pair's
+#: distributions, not the pair.
+_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_SENSITIVITIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_EQUATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _per_metric(
+    memo: weakref.WeakKeyDictionary,
+    plan: TransportPlan,
+    metric: Metric,
+    compute: Callable[[TransportPlan, Metric], object],
+):
+    """``compute(plan, metric)``, computed once per plan and metric object."""
+    by_metric = memo.get(plan)
+    if by_metric is None:
+        by_metric = memo[plan] = weakref.WeakKeyDictionary()
+    if metric not in by_metric:
+        by_metric[metric] = compute(plan, metric)
+    return by_metric[metric]
+
+
+def _moment_equations(plan: TransportPlan, metric: Metric) -> _MomentEquations | None:
+    """The equations ``relaxed_theta`` solves on ``plan``, or None when none is live."""
+    distances = np.array(metric.over(plan.displacements()))
+    # One equation per row key 0..len(p)-1 and per column key after them.
+    keys = np.concatenate([plan.rows, plan.cols + plan.source.mass.size])
+    live = np.bincount(keys, weights=np.tile(distances > 0, 2))[keys] > 0
+    if not live.any():
+        return None
+    # The stable sort keeps plan order inside each equation's group.
+    order = np.flatnonzero(live)[np.argsort(keys[live], kind="stable")]
+    keys, entries = keys[order], order % len(plan)
+    d, log_mass = distances[entries], np.log(plan.mass[entries])
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    sizes = np.diff(starts, append=keys.size)
+    return _MomentEquations(
+        d=d,
+        log_mass=log_mass,
+        starts=starts,
+        sizes=sizes,
+        marginals=keys[starts],
+        d_max=float(d.max()),
+        magnitude=float(sizes.max()) + float(np.abs(log_mass).max()),
+    )
 
 
 def relaxed_theta(
@@ -332,7 +412,13 @@ def relaxed_theta(
     hold their inequality for every theta and are left out. The equations
     are solved together: their log residuals all decrease in theta, so the
     largest root is the root of their maximum G, evaluated for every
-    equation at once as a grouped log-sum-exp.
+    equation at once as a grouped log-sum-exp. The grouping depends only
+    on the plan and the metric, so it is built once per plan and metric
+    object and reused at every epsilon.
+
+    An epsilon at or below G's rounding bound cannot move the targets
+    eps + log(marginal) off log(marginal), so rounding alone would decide
+    the root; that raises ``NumericError``.
 
     With the inverse-scale rate, G is convex and increasing in the rate
     a = 1/theta, so a few Newton steps from the strict rate eps / max d
@@ -347,42 +433,37 @@ def relaxed_theta(
     """
     _check_epsilon(epsilon)
     if not (
-        np.array_equal(plan.source.support, p.support)
-        and np.array_equal(plan.target.support, q.support)
+        (plan.source is p or np.array_equal(plan.source.support, p.support))
+        and (plan.target is q or np.array_equal(plan.target.support, q.support))
     ):
         raise ValidationError("plan supports do not match the supplied distributions")
-    distances = np.array(metric.over(plan.displacements()))
-    # One equation per row key 0..len(p)-1 and per column key after them.
-    keys = np.concatenate([plan.rows, plan.cols + p.mass.size])
-    live = np.bincount(keys, weights=np.tile(distances > 0, 2))[keys] > 0
-    if not live.any():
+    eqs = _per_metric(_EQUATIONS, plan, metric, _moment_equations)
+    if eqs is None:
         return 0.0
-    # The stable sort keeps plan order inside each equation's group.
-    order = np.flatnonzero(live)[np.argsort(keys[live], kind="stable")]
-    keys, entries = keys[order], order % len(plan)
-    d, log_mass = distances[entries], np.log(plan.mass[entries])
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    sizes = np.diff(starts, append=keys.size)
-    targets = epsilon + np.log(np.concatenate([p.mass, q.mass])[keys[starts]])
+    d, log_mass, starts, sizes = eqs.d, eqs.log_mass, eqs.starts, eqs.sizes
+    targets = epsilon + np.log(np.concatenate([p.mass, q.mass])[eqs.marginals])
+    # Near the root the terms lie between the log masses and the targets.
+    noise = _REPLAY_NOISE * (eqs.magnitude + float(np.abs(targets).max()))
+    if epsilon <= noise:
+        raise NumericError(
+            f"epsilon={epsilon!r} is within the rounding bound {noise:.3g} of the "
+            "moment equations' targets, so their root would be decided by rounding"
+        )
 
     def residuals(a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each equation's log residual at rate a, with its entries' softmax weights and sums."""
         terms = log_mass + a * d
         peak = np.maximum.reduceat(terms, starts)
-        weights = np.exp(terms - np.repeat(peak, sizes))
+        weights = np.exp(terms - peak.repeat(sizes))
         sums = np.add.reduceat(weights, starts)
         return peak + np.log(sums) - targets, weights, sums
 
     def g(log_theta: float) -> float:
-        return float(np.max(residuals(float(rate.forward(math.exp(log_theta))))[0]))
+        return float(residuals(float(rate.forward(math.exp(log_theta))))[0].max())
 
     context = "the row and column moment equations"
     if rate is INVERSE_SCALE:
-        # Near the root the terms lie between the log masses and the targets.
-        noise = _REPLAY_NOISE * (
-            float(sizes.max()) + float(np.abs(log_mass).max()) + float(np.abs(targets).max())
-        )
-        window = _replay_window(residuals, d, starts, sizes, epsilon / float(d.max()), noise)
+        window = _replay_window(residuals, d, starts, sizes, epsilon / eqs.d_max, noise)
         if window is not None:
             lo_edge, hi_edge = window
             safe_g = _checked(g, context)
@@ -406,7 +487,9 @@ def calibrate_pufferfish(
     Each pair is calibrated on its own optimal transport plan and the
     maximum scale wins; the per-pair breakdown is kept in the report.
     Gaussian methods measure plan sensitivity with the absolute-value
-    distance regardless of ``metric``.
+    distance regardless of ``metric``. A pair object's plan, and the plan's
+    sensitivity per metric object, are computed on its first calibration
+    and reused by later ones, as at every epsilon of a sweep.
     """
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; expected one of {sorted(METHODS)}")
@@ -422,25 +505,25 @@ def calibrate_pufferfish(
 
     records = []
     for pair in pairs:
-        plan = optimal_plan(pair.p, pair.q)
+        plan = _PLANS.get(pair)
+        if plan is None:
+            plan = _PLANS[pair] = optimal_plan(pair.p, pair.q)
+        sens = _per_metric(_SENSITIVITIES, plan, L1 if gaussian else metric, plan_sensitivity)
         if gaussian:
-            sens = plan_sensitivity(plan, L1)
             theta = calibrate_gaussian(sens, epsilon, delta, variant=method[-1])
+        elif method == "theorem2":
+            theta = relaxed_theta(plan, pair.p, pair.q, epsilon, metric, rate)
         else:
-            sens = plan_sensitivity(plan, metric)
-            if method == "theorem2":
-                theta = relaxed_theta(plan, pair.p, pair.q, epsilon, metric, rate)
-            else:
-                theta = calibrate_exponential(sens, epsilon, rate)
+            theta = calibrate_exponential(sens, epsilon, rate)
         records.append(
             PairCalibration(labels=pair.labels, prior=pair.prior, sensitivity=sens, theta=theta)
         )
 
     theta = max(rec.theta for rec in records)
     if gaussian:
-        variance = theta**2
+        variance = _noise_variance("gaussian", theta)
     elif metric is L1 and rate is INVERSE_SCALE:
-        variance = 2.0 * theta**2
+        variance = _noise_variance("laplace", theta)
     else:
         variance = None
     return PrivacyReport(

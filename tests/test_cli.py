@@ -575,6 +575,44 @@ class TestExitDiscipline:
         assert f"--delimiter must be one character, got {delimiter!r}" in error["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--theta", "-1"], "theta must be finite and >= 0, got -1.0"),
+        (["--theta", "nan"], "theta must be finite and >= 0, got nan"),
+        (["--theta", "1.0", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    ])
+    def test_release_flags_checked_before_the_table_is_read(
+        self, tmp_path, capsys, flags, message
+    ):
+        # the second row is too short: reading the table would report it instead
+        table = tmp_path / "t.csv"
+        table.write_text("secret,v\nA,1\nB\n", encoding="utf-8")
+        out = tmp_path / "out.csv"
+        code = cli.main(["release", "--table", str(table), "--data-col", "v", *flags,
+                         "--out", str(out)])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValidationError"
+        assert error["message"] == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method,epsilon,message", [
+        ("theorem1", "1e-160", "laplace noise variance overflows"),
+        ("gaussian-b", "1e-300", "gaussian noise variance overflows"),
+        ("theorem2", "1e-16", "within the rounding bound"),
+    ])
+    def test_unrepresentable_calibration_exits_three(
+        self, tmp_path, capsys, pairs_file, method, epsilon, message
+    ):
+        out = tmp_path / "report.json"
+        delta = ["--delta", "1e-5"] if method.startswith("gaussian") else []
+        code = cli.main(["calibrate", "--pairs", pairs_file, "--method", method,
+                         "--epsilon", epsilon, *delta, "--out", str(out)])
+        assert code == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "NumericError"
+        assert message in error["message"]
+        assert not out.exists()
+
     def test_argparse_usage_error(self):
         assert cli.main(["plan"]) == 2
 

@@ -1,4 +1,8 @@
+import gc
 import math
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -27,6 +31,7 @@ from pufferot import (
 )
 from pufferot import mechanisms
 
+from conftest import EXAMPLE1, make_pair
 from oracles import per_equation_relaxed_theta
 
 EPS_GRID = [0.5, 0.8, 1.0, 1.8, 3.0, 5.8]
@@ -117,6 +122,16 @@ class TestMechanismSpec:
             MechanismSpec(family="laplace", theta=bad, epsilon=1.0)
         with pytest.raises(ValidationError, match="delta"):
             MechanismSpec(family="gaussian", theta=1.0, epsilon=1.0, delta=bad)
+
+    @pytest.mark.parametrize("family,theta", [
+        ("laplace", 1e160),  # theta**2 raises OverflowError
+        ("laplace", 1.2e154),  # theta**2 is finite, 2 theta**2 is not
+        ("gaussian", 1e155),
+    ])
+    def test_variance_overflow_is_a_numeric_error(self, family, theta):
+        spec = MechanismSpec(family=family, theta=theta, epsilon=1.0)
+        with pytest.raises(NumericError, match="variance overflows"):
+            spec.variance
 
 
 class TestCalibrateExponential:
@@ -361,6 +376,22 @@ class TestRelaxedTheta:
         with pytest.raises(ValidationError, match="epsilon"):
             relaxed_theta(plan, pair.p, pair.q, bad)
 
+    @pytest.mark.parametrize("name,epsilon", [
+        ("example-1", 1e-16), ("example-1", 1e-17), ("example-1", 1e-20), ("adult", 1e-15),
+    ])
+    def test_epsilon_below_rounding_bound_raises(self, adult_pair, name, epsilon):
+        # eps + log(marginal) rounds to log(marginal) here: the parent returned
+        # 0.9, 0.09 and 9e-5 of theta1 on example 1 (the limit is 0.5) and
+        # more than theta1 on the adult pair
+        pair = adult_pair if name == "adult" else make_pair(EXAMPLE1, name)
+        plan = optimal_plan(pair.p, pair.q)
+        custom = RateFunction(forward=lambda t: 1.0 / t, inverse=lambda a: 1.0 / a)
+        for rate in (INVERSE_SCALE, custom):
+            with pytest.raises(NumericError, match=f"epsilon={epsilon!r} is within the rounding"):
+                relaxed_theta(plan, pair.p, pair.q, epsilon, rate=rate)
+        with pytest.raises(NumericError, match="rounding bound"):
+            calibrate_pufferfish([pair], epsilon, "theorem2")
+
 
 class TestCalibratePufferfish:
     def test_worked_examples_take_the_max(self, example1_pair, example2_pair):
@@ -433,6 +464,111 @@ class TestCalibratePufferfish:
             for eps in grid
         ]
         assert all(a >= b - 1e-12 for a, b in zip(thetas, thetas[1:]))
+
+
+def fresh_copy(pair):
+    """``pair`` rebuilt from new objects, so nothing derived from the original is reused."""
+    return DiscriminativePair(
+        labels=pair.labels,
+        p=DiscreteDistribution(pair.p.support.copy(), pair.p.mass.copy()),
+        q=DiscreteDistribution(pair.q.support.copy(), pair.q.mass.copy()),
+        prior=pair.prior,
+    )
+
+
+def figure4_sweep(pair_for_call):
+    """JSON reports of all four methods over the Figure-4 grid; gaussian-a at eps / 10."""
+    out = []
+    for epsilon in FIGURE4_EPS_GRID:
+        for method, eps, delta in (
+            ("theorem1", epsilon, None),
+            ("theorem2", epsilon, None),
+            ("gaussian-a", epsilon / 10, 1e-5),
+            ("gaussian-b", epsilon, 1e-5),
+        ):
+            report = calibrate_pufferfish([pair_for_call()], eps, method, delta=delta)
+            out.append(report.to_json_dict())
+    return out
+
+
+class TestPairMemo:
+    """A pair object's plan, sensitivity and moment equations are built once."""
+
+    def sweep_pairs(self, adult_pair):
+        rng = np.random.default_rng(20)
+        return [fresh_copy(adult_pair), make_pair(EXAMPLE1, "example-1"),
+                random_pair(rng, 14, 2), random_pair(rng, 100, 10)]
+
+    def test_cold_and_warm_sweeps_equal_fresh_objects(self, adult_pair):
+        for pair in self.sweep_pairs(adult_pair):
+            fresh = figure4_sweep(lambda: fresh_copy(pair))
+            assert figure4_sweep(lambda: pair) == fresh  # cold
+            assert figure4_sweep(lambda: pair) == fresh  # warm
+
+    def test_one_plan_and_sensitivity_per_pair_per_sweep(self, adult_pair, monkeypatch):
+        plans, sensitivities = [], []
+        optimal, sensitivity = mechanisms.optimal_plan, mechanisms.plan_sensitivity
+        monkeypatch.setattr(mechanisms, "optimal_plan",
+                            lambda p, q: plans.append(1) or optimal(p, q))
+        monkeypatch.setattr(mechanisms, "plan_sensitivity",
+                            lambda plan, metric: sensitivities.append(1) or sensitivity(plan, metric))
+        pairs = self.sweep_pairs(adult_pair)
+        for pair in pairs:
+            figure4_sweep(lambda: pair)
+        assert len(plans) == len(sensitivities) == len(pairs)
+        figure4_sweep(lambda: pairs[0])
+        assert len(plans) == len(sensitivities) == len(pairs)
+
+    def test_metrics_on_one_plan_do_not_share_equations(self, example2_pair, adult_pair):
+        # a memo keyed on the plan alone would hand one metric's equations to the other
+        square = Metric(fn=lambda z: z * z, convex=True, name="square")
+        for pair in (example2_pair, adult_pair):
+            base = optimal_plan(pair.p, pair.q)
+            assert plan_sensitivity(base, square) != plan_sensitivity(base, L1)
+            for metrics in ((L1, square), (square, L1)):
+                plan = optimal_plan(pair.p, pair.q)
+                shared = fresh_copy(pair)
+                for metric in metrics:
+                    for epsilon in FIGURE4_EPS_GRID:
+                        fresh = optimal_plan(pair.p, pair.q)
+                        assert relaxed_theta(plan, pair.p, pair.q, epsilon, metric) == (
+                            relaxed_theta(fresh, pair.p, pair.q, epsilon, metric)
+                        )
+                        for method in ("theorem1", "theorem2"):
+                            got = calibrate_pufferfish([shared], epsilon, method, metric)
+                            want = calibrate_pufferfish([fresh_copy(pair)], epsilon, method, metric)
+                            assert got.to_json_dict() == want.to_json_dict()
+
+    def test_threads_sweeping_shared_pairs_agree_with_fresh_objects(self, adult_pair):
+        pairs = self.sweep_pairs(adult_pair)
+        want = [figure4_sweep(lambda: fresh_copy(pair)) for pair in pairs]
+        got = {}
+
+        def sweep(k):
+            got[k] = figure4_sweep(lambda: pairs[k % len(pairs)])
+
+        threads = [threading.Thread(target=sweep, args=(k,)) for k in range(3 * len(pairs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == {k: want[k % len(pairs)] for k in range(len(threads))}
+
+    def test_memo_does_not_keep_the_pair_alive(self, adult_pair):
+        pair = fresh_copy(adult_pair)
+        for method in ("theorem1", "theorem2"):
+            calibrate_pufferfish([pair], 0.8, method)
+        pair_ref, plan_ref = weakref.ref(pair), weakref.ref(mechanisms._PLANS[pair])
+        del pair
+        gc.collect()
+        assert pair_ref() is None
+        assert plan_ref() is None
 
 
 class TestSampling:
