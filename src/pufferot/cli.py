@@ -12,12 +12,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
-import stat
 import sys
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -37,13 +37,9 @@ from .tabular import (
     load_table,
 )
 from .transport import L1, joint_cdf_table, optimal_plan, plan_sensitivity, w1_distance
-from .scenarios import (
-    SeparableQuery,
-    UserSystem,
-    discriminative_pairs,
-    query_sensitivity,
-)
-from .verify import verify_delta_approx, verify_pufferfish
+
+# ``verify`` and ``scenarios`` are imported by the commands that run them,
+# so ``calibrate`` and ``release`` start without loading them.
 
 #: Fixed default seed so repeated runs are reproducible by default.
 DEFAULT_SEED = 7
@@ -52,8 +48,8 @@ _EXIT_OK = 0
 _EXIT_VALIDATION = 2
 _EXIT_NUMERIC = 3
 
-#: ``release`` turns noised values into text this many at a time.
-_TEXT_BLOCK = 4096
+#: ``release`` reads, noises and writes the table this many rows at a time.
+_BLOCK_ROWS = 1024
 
 #: The Figure-4 epsilon grid: 0.8 to 5.8 in steps of 0.5.
 _FIGURE4_EPSILONS = [0.8 + k * 0.5 for k in range(11)]
@@ -135,129 +131,121 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _changed(table: str) -> ValidationError:
-    return ValidationError(f"{table}: the table changed between release's two reads")
+def _checked_values(
+    table: str, rows: list[list[str]], rownum: int, col: int, column: str,
+    mapping: AttributeMapping | None,
+) -> list[float]:
+    """Cell ``col`` of each stripped row, parsed one row at a time.
 
-
-def _raise_first_bad_row(
-    table: str, delimiter: str, column: str, col: int, mapping: AttributeMapping | None
-) -> NoReturn:
-    """Read ``table`` again and raise for its first row whose cell ``col`` does not parse.
-
-    The row is reported as too short, as an unmappable label or (without a
-    mapping) as a non-numeric cell; rows are numbered from 2, the header
-    being row 1.
+    Raises for the first row that is too short, holds a label the mapping
+    lacks or (without a mapping) a cell that is not a finite number. Rows
+    are numbered from ``rownum``, the header being row 1.
     """
-    with open(table, newline="", encoding="utf-8") as fh:
-        reader = csv_rows(table, fh, delimiter)
-        next(reader, None)
-        for rownum, row in enumerate(reader, start=2):
-            if len(row) <= col:
-                raise ValidationError(f"{table}: row {rownum} is too short")
-            cell = row[col].strip()
-            if mapping is not None:
-                mapping.index(cell)  # raises the mapping's error for an unknown label
-                continue
-            try:
-                float(cell)
-            except ValueError:
-                raise ValidationError(
-                    f"{table}: row {rownum} column {column!r} is not numeric: {cell!r}"
-                ) from None
-    raise _changed(table)
+    values = []
+    for rownum, row in enumerate(rows, start=rownum):
+        if len(row) <= col:
+            raise ValidationError(f"{table}: row {rownum} is too short")
+        cell = row[col]
+        if mapping is not None:
+            values.append(float(mapping.index(cell)))
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ValidationError(
+                f"{table}: row {rownum} column {column!r} is not numeric: {cell!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise ValidationError(
+                f"{table}: row {rownum} column {column!r} is not finite: {cell!r}"
+            )
+        values.append(value)
+    return values
 
 
-def _release_column(
-    table: str, delimiter: str, column: str, mapping: AttributeMapping | None
-) -> tuple[list[str], int, np.ndarray]:
-    """Pass 1: the raw header, the column's position and its cells as floats.
+def _stripped(rows: list[list[str]]) -> list[list[str]]:
+    """``rows`` with every cell stripped, rebuilt only if some cell needs it."""
+    cells = list(chain.from_iterable(rows))
+    if list(map(str.strip, cells)) == cells:
+        return rows
+    return [list(map(str.strip, row)) for row in rows]
 
-    Mapped labels become their indices. The stripped cells are parsed
-    straight into an array, so no row outlives its parse; only when that
-    fails is the table read again for the first failing row.
+
+def _released_blocks(table: str, reader, col: int, column: str,
+                     mapping: AttributeMapping | None, spec: MechanismSpec, rng):
+    """The stripped rows of ``reader``, ``_BLOCK_ROWS`` at a time, cell ``col`` noised.
+
+    Mapped labels become their indices. A block's cells are parsed straight
+    into an array; only when that fails, or a value is not finite, is the
+    block parsed again row by row to name the first bad row. Every block
+    draws its noise from ``rng``, so the draws are those of one call over
+    the whole column.
     """
     if mapping is None:
         parse = float
     else:
         parse = {label: k for k, label in enumerate(mapping.labels, start=1)}.__getitem__
-    with open(table, newline="", encoding="utf-8") as fh:
-        reader = csv_rows(table, fh, delimiter)
+    rownum = 2
+    while rows := _stripped(list(islice(reader, _BLOCK_ROWS))):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{table}: empty file (no header row)") from None
-        col = header_column(table, header, column)
-        if col is None:
-            raise ValidationError(f"{table}: an unnamed column cannot be released")
-        try:
-            cells = map(str.strip, map(itemgetter(col), reader))
-            return header, col, np.fromiter(map(parse, cells), float)
+            values = np.fromiter(map(parse, map(itemgetter(col), rows)), float, len(rows))
         except (IndexError, KeyError, ValueError):
-            pass
-    _raise_first_bad_row(table, delimiter, column, col, mapping)
-
-
-def _noised_rows(table: str, reader, col: int, noised: np.ndarray):
-    """Pass 2: the stripped rows of ``reader`` with cell ``col`` replaced by ``noised``.
-
-    Values become text ``_TEXT_BLOCK`` at a time, so no list of all of them
-    is built. The reader must hold exactly one row per value, as pass 1
-    found; otherwise the table changed between the reads.
-    """
-    rows = 0
-    try:
-        for start in range(0, noised.size, _TEXT_BLOCK):
-            for text, row in zip(map(repr, noised[start:start + _TEXT_BLOCK].tolist()), reader):
-                row = list(map(str.strip, row))
-                row[col] = text
-                rows += 1
-                yield row
-    except IndexError:
-        raise _changed(table) from None
-    if rows != noised.size or next(reader, None) is not None:
-        raise _changed(table)
+            values = None
+        if values is None or not np.isfinite(values).all():
+            values = np.array(_checked_values(table, rows, rownum, col, column, mapping))
+        for row, text in zip(rows, map(repr, release_values(values, spec, rng).tolist())):
+            row[col] = text
+        rownum += len(rows)
+        yield rows
+        del rows  # so that no more than one block is held while the next is read
 
 
 def cmd_release(args: argparse.Namespace) -> int:
-    """Noise one column of ``--table`` in two reads of the file.
+    """Noise one column of ``--table`` in one read of it, a block of rows at a time.
 
-    Pass 1 parses the column; pass 2 streams the rows into a new file beside
-    ``--out`` that replaces it only once every row is written, so ``--out``
-    may name ``--table``. Neither pass keeps a row, but the file must be a
-    regular one that stays the same between the reads. The flags are
-    checked before either pass.
+    The rows stream into a new file beside ``--out`` that replaces it only
+    once every row is written, so ``--out`` may name ``--table`` and a
+    failed run leaves ``--out`` as it was. No more than one block of rows is
+    held, and the table is read once, so it may be a pipe. The flags are
+    checked before the table is opened, the header before anything is
+    written.
     """
     spec = MechanismSpec(args.family, args.theta, args.epsilon)
     if args.seed < 0:
         raise ValidationError(f"--seed must be >= 0, got {args.seed}")
-    table, delimiter = args.table, _delimiter(args)
-    if not stat.S_ISREG(os.stat(table).st_mode):
-        raise ValidationError(f"{table}: not a regular file; release reads the table twice")
+    table, delimiter, column = args.table, _delimiter(args), args.data_col
     mapping = None
     if args.mapping:
         mapping = AttributeMapping.from_json_file(args.mapping)
-    header, col, values = _release_column(table, delimiter, args.data_col, mapping)
-    noised = release_values(values, spec, args.seed)
+    rng = np.random.default_rng(args.seed)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    partial = out.with_name(f".{out.name}.{os.getpid()}.partial")
-    dst = open(partial, "x", newline="", encoding="utf-8")
-    try:
-        with dst, open(table, newline="", encoding="utf-8") as src:
-            reader = csv_rows(table, src, delimiter)
-            if next(reader, None) != header:
-                raise _changed(table)
-            writer = csv.writer(dst, delimiter=delimiter)
-            writer.writerow([name.strip() for name in header])
-            writer.writerows(_noised_rows(table, reader, col, noised))
-        os.replace(partial, out)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    with open(table, newline="", encoding="utf-8") as src:
+        reader = csv_rows(table, src, delimiter)
+        header = next(reader, None)
+        if header is None:
+            raise ValidationError(f"{table}: empty file (no header row)")
+        col = header_column(table, header, column)
+        if col is None:
+            raise ValidationError(f"{table}: an unnamed column cannot be released")
+        out.parent.mkdir(parents=True, exist_ok=True)
+        partial = out.with_name(f".{out.name}.{os.getpid()}.partial")
+        dst = open(partial, "x", newline="", encoding="utf-8")
+        try:
+            with dst:
+                writer = csv.writer(dst, delimiter=delimiter)
+                writer.writerow([name.strip() for name in header])
+                blocks = _released_blocks(table, reader, col, column, mapping, spec, rng)
+                writer.writerows(chain.from_iterable(blocks))
+            os.replace(partial, out)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
     return _EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import verify_delta_approx, verify_pufferfish
+
     pairs = _read_pairs_file(args.pairs)
     spec = MechanismSpec(args.family, args.theta, args.epsilon, delta=args.delta)
     if args.delta is not None:
@@ -269,6 +257,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _system_from_json(payload) -> UserSystem:
+    from .scenarios import SeparableQuery, UserSystem
+
     if not isinstance(payload, dict):
         raise ValidationError("scenario file must hold a JSON object")
     priors_raw = payload.get("priors")
@@ -311,6 +301,8 @@ def _system_from_json(payload) -> UserSystem:
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
+    from .scenarios import discriminative_pairs, query_sensitivity
+
     system = _system_from_json(_read_json(args.scenario))
     pairs = discriminative_pairs(system, args.user, args.mode)
     payload = {

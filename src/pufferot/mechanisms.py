@@ -371,7 +371,7 @@ def _per_metric(
 
 def _moment_equations(plan: TransportPlan, metric: Metric) -> _MomentEquations | None:
     """The equations ``relaxed_theta`` solves on ``plan``, or None when none is live."""
-    distances = np.array(metric.over(plan.displacements()))
+    distances = metric.over(plan.displacements())
     # One equation per row key 0..len(p)-1 and per column key after them.
     keys = np.concatenate([plan.rows, plan.cols + plan.source.mass.size])
     live = np.bincount(keys, weights=np.tile(distances > 0, 2))[keys] > 0
@@ -536,8 +536,15 @@ def calibrate_pufferfish(
     )
 
 
-def sample_noise(spec: MechanismSpec, n: int, seed: int) -> np.ndarray:
-    """Draw n i.i.d. noise values, deterministically under ``seed``."""
+def sample_noise(
+    spec: MechanismSpec, n: int, seed: int | np.random.Generator
+) -> np.ndarray:
+    """Draw n i.i.d. noise values, deterministically under ``seed``.
+
+    ``seed`` may be a ``np.random.Generator``, which is drawn from and left
+    advanced; draws of n1 then n2 values from one generator equal one draw
+    of n1 + n2.
+    """
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n!r}")
     if spec.theta == 0:
@@ -548,11 +555,21 @@ def sample_noise(spec: MechanismSpec, n: int, seed: int) -> np.ndarray:
     return rng.normal(0.0, spec.theta, int(n))
 
 
-def release(values: Sequence[float], spec: MechanismSpec, seed: int) -> np.ndarray:
-    """Elementwise noised copy of ``values`` under the calibrated spec."""
+def release(
+    values: Sequence[float], spec: MechanismSpec, seed: int | np.random.Generator
+) -> np.ndarray:
+    """Elementwise noised copy of ``values`` under the calibrated spec.
+
+    A non-finite value is rejected: no noise hides a published nan or inf.
+    ``seed`` is as for ``sample_noise``.
+    """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise ValidationError(f"values must be one-dimensional, got shape {arr.shape}")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ValidationError(f"values must be finite, got {float(arr[k])!r} at index {k}")
     if arr.size == 0:
         return arr.copy()
     return arr + sample_noise(spec, arr.size, seed)

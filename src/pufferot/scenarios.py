@@ -287,4 +287,4 @@ def query_sensitivity(
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     outputs = np.array([system.query.output(user, a) for a in system.priors[user].support])
-    return max(metric.over(np.subtract.outer(outputs, outputs).ravel()))
+    return float(metric.over(np.subtract.outer(outputs, outputs).ravel()).max())

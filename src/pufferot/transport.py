@@ -56,9 +56,15 @@ class Metric:
     def __call__(self, z: float) -> float:
         return float(self.fn(z))
 
-    def over(self, z: np.ndarray) -> list[float]:
-        """d at every element of ``z``, each evaluated on a Python float."""
-        return list(map(float, map(self.fn, z.tolist())))
+    def over(self, z: np.ndarray) -> np.ndarray:
+        """d at every element of ``z`` as a float array.
+
+        For ``abs`` this is ``np.abs``, which gives the bits of ``abs`` on
+        each Python float; any other ``fn`` is called on each element.
+        """
+        if self.fn is abs:
+            return np.abs(z)
+        return np.array(list(map(float, map(self.fn, z.tolist()))), dtype=float)
 
 
 #: The absolute-value ground distance used by the Laplace mechanism.
@@ -172,7 +178,7 @@ def optimal_plan(p: DiscreteDistribution, q: DiscreteDistribution) -> TransportP
 
 def plan_sensitivity(plan: TransportPlan, metric: Metric = L1) -> float:
     """Largest ground distance carried by the support of the plan."""
-    return max(metric.over(plan.displacements()))
+    return float(metric.over(plan.displacements()).max())
 
 
 def w1_distance(
@@ -185,7 +191,7 @@ def w1_distance(
         )
     plan = optimal_plan(p, q)
     # cumsum adds left to right; np.sum adds pairwise and would change the last bits
-    return float(np.cumsum(np.array(metric.over(plan.displacements())) * plan.mass)[-1])
+    return float(np.cumsum(metric.over(plan.displacements()) * plan.mass)[-1])
 
 
 def support_sensitivity(
@@ -198,7 +204,7 @@ def support_sensitivity(
     """
     xs = p.support[p.mass > 0]
     ys = q.support[q.mass > 0]
-    return max(metric.over(np.subtract.outer(xs, ys).ravel()))
+    return float(metric.over(np.subtract.outer(xs, ys).ravel()).max())
 
 
 def joint_cdf_table(p: DiscreteDistribution, q: DiscreteDistribution) -> np.ndarray:

@@ -5,6 +5,9 @@ import math
 import os
 import random
 import shlex
+import subprocess
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -296,57 +299,89 @@ class TestRelease:
         message = json.loads(capsys.readouterr().err)["error"]["message"]
         assert message.endswith("an unnamed column cannot be released")
 
-    @pytest.mark.parametrize("kind", ["fifo", "device"])
-    def test_non_regular_table_rejected_before_any_read(self, tmp_path, capsys, monkeypatch, kind):
-        if kind == "fifo":
-            table = str(tmp_path / "t.csv")
-            os.mkfifo(table)  # opening it to read would block until a writer came
-        else:
-            table = os.devnull
+    def test_fifo_table_releases_the_file_bytes(self, tmp_path):
+        text = 'id,note,v\n1,"a, b",3\n2, c ,7\n' + "".join(
+            f"{k},n{k},{k % 9}\n" for k in range(3, 3 * cli._BLOCK_ROWS))
+        table = tmp_path / "t.csv"
+        table.write_text(text, encoding="utf-8")
+        fifo = tmp_path / "t.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(text,),
+                                  kwargs={"encoding": "utf-8"}, daemon=True)
+        writer.start()
+        try:
+            from_fifo = self.release_to(tmp_path / "from_fifo.csv", fifo)
+        finally:
+            writer.join(timeout=30)
+        assert not writer.is_alive()
+        from_file = self.release_to(tmp_path / "from_file.csv", table)
+        assert from_fifo.read_bytes() == from_file.read_bytes()
 
-        def no_open(*args, **kwargs):
-            raise AssertionError(f"opened {args[0]}")
+    @staticmethod
+    def release_to(out, table):
+        assert cli.main([
+            "release", "--table", str(table), "--data-col", "v", "--theta", "2.5",
+            "--seed", "5", "--out", str(out),
+        ]) == 0
+        return out
 
-        monkeypatch.setattr(cli, "open", no_open, raising=False)
-        code = cli.main([
-            "release", "--table", table, "--data-col", "v", "--theta", "1.0",
-            "--out", str(tmp_path / "out.csv"),
-        ])
-        assert code == 2
-        assert "not a regular file" in json.loads(capsys.readouterr().err)["error"]["message"]
+    def test_table_is_opened_once(self, tmp_path, monkeypatch):
+        table = tmp_path / "t.csv"
+        table.write_text("id,v\n" + "".join(f"{k},{k}\n" for k in range(2 * cli._BLOCK_ROWS + 1)),
+                         encoding="utf-8")
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        self.release_to(tmp_path / "out.csv", table)
+        assert opened.count(str(table)) == 1
 
     @pytest.mark.parametrize(
-        "changed",
+        ("cell", "message"),
         [
-            pytest.param("id,v\n1,3\n2,7\n3,1\n4,5\n", id="row-appended"),
-            pytest.param("id,v\n1,3\n2,7\n", id="row-dropped"),
-            pytest.param("id,v\n1,3\n2\n3,1\n", id="row-cut-short"),
-            pytest.param("id,w,v\n1,0,3\n2,0,7\n3,0,1\n", id="header-changed"),
+            ("abc", "column 'v' is not numeric: 'abc'"),
+            (None, "is too short"),
+            ("nan", "column 'v' is not finite: 'nan'"),
+            (" -Infinity ", "column 'v' is not finite: '-Infinity'"),
         ],
     )
-    def test_table_changed_between_reads_leaves_no_output(
-        self, tmp_path, capsys, monkeypatch, changed
-    ):
+    def test_bad_row_in_a_later_block_leaves_earlier_output(self, tmp_path, capsys, cell,
+                                                            message):
+        bad = cli._BLOCK_ROWS + 5  # the header is row 1, so this row is in the second block
+        rows = [f"{k},{k % 7}" for k in range(2, 2 * cli._BLOCK_ROWS)]
+        rows[bad - 2] = f"{bad}" if cell is None else f"{bad},{cell}"
         table = tmp_path / "t.csv"
-        table.write_text("id,v\n1,3\n2,7\n3,1\n", encoding="utf-8")
+        table.write_text("id,v\n" + "\n".join(rows) + "\n", encoding="utf-8")
         out = tmp_path / "out.csv"
         out.write_text("earlier release\n", encoding="utf-8")
-        noise = cli.release_values
-
-        def rewrite_then_noise(values, spec, seed):
-            table.write_text(changed, encoding="utf-8")
-            return noise(values, spec, seed)
-
-        monkeypatch.setattr(cli, "release_values", rewrite_then_noise)
         code = cli.main([
             "release", "--table", str(table), "--data-col", "v", "--theta", "1.0",
             "--out", str(out),
         ])
         assert code == 2
-        message = json.loads(capsys.readouterr().err)["error"]["message"]
-        assert message.endswith("the table changed between release's two reads")
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValidationError"
+        assert error["message"] == f"{table}: row {bad} {message}"
         assert out.read_text(encoding="utf-8") == "earlier release\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "t.csv"]
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_cell_rejected(self, tmp_path, capsys, cell):
+        table = tmp_path / "t.csv"
+        table.write_text(f"id,v\n1,2\n2,{cell}\n3,4\n", encoding="utf-8")
+        out = tmp_path / "sub" / "out.csv"
+        code = cli.main([
+            "release", "--table", str(table), "--data-col", "v", "--theta", "1.0",
+            "--out", str(out),
+        ])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValidationError"
+        assert error["message"] == f"{table}: row 3 column 'v' is not finite: {cell!r}"
+        assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == []
 
     def test_out_may_name_the_table(self, tmp_path):
         table = tmp_path / "t.csv"
@@ -362,6 +397,29 @@ class TestRelease:
         assert table.read_bytes() == (tmp_path / "released.csv").read_bytes()
         assert table.read_text(encoding="utf-8").splitlines()[1].startswith('1,"a, b",')
         assert sorted(p.name for p in tmp_path.iterdir()) == ["copy.csv", "released.csv", "t.csv"]
+
+
+class TestLazyImports:
+    def test_cli_leaves_verify_and_scenarios_unloaded(self):
+        # a fresh interpreter, so no earlier test has imported either module
+        code = (
+            "import sys, pufferot.cli, pufferot\n"
+            "loaded = sorted(m for m in ('pufferot.verify', 'pufferot.scenarios') if m in sys.modules)\n"
+            "missing = [n for n in pufferot.__all__ if getattr(pufferot, n, None) is None]\n"
+            "print(loaded, missing, len(pufferot.__all__))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert done.stdout.split("\n")[0] == "[] [] 42"
+
+    def test_unknown_name_is_an_attribute_error(self):
+        import pufferot
+
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            pufferot.no_such_name
 
 
 def write_census_table(tmp_path, rows=2000, seed=5):

@@ -594,6 +594,18 @@ class TestSampling:
         assert not np.array_equal(a, sample_noise(spec, 1000, seed=8))
 
 
+    @pytest.mark.parametrize("family", ["laplace", "gaussian"])
+    @pytest.mark.parametrize("seed", [0, 3, 7, 2024])
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_block_draws_on_one_generator_equal_one_draw(self, family, seed, block):
+        # 100 is not a multiple of 3 or 64, so the last block is short
+        spec = MechanismSpec(family=family, theta=1.7, epsilon=1.0)
+        rng = np.random.default_rng(seed)
+        blocks = [sample_noise(spec, len(range(start, min(start + block, 100))), rng)
+                  for start in range(0, 100, block)]
+        assert np.concatenate(blocks).tobytes() == sample_noise(spec, 100, seed).tobytes()
+
+
 class TestRelease:
     def test_noiseless_identity(self):
         spec = MechanismSpec(family="laplace", theta=0.0, epsilon=1.0)
@@ -616,3 +628,17 @@ class TestRelease:
         a = release(np.arange(10.0), spec, seed=5)
         b = release(np.arange(10.0), spec, seed=5)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("family", ["laplace", "gaussian"])
+    def test_blocks_on_one_generator_equal_one_release(self, family):
+        spec = MechanismSpec(family=family, theta=2.5, epsilon=1.0)
+        values = np.arange(50.0)
+        rng = np.random.default_rng(11)
+        blocks = [release(values[start:start + 7], spec, rng) for start in range(0, 50, 7)]
+        assert np.concatenate(blocks).tobytes() == release(values, spec, seed=11).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        spec = MechanismSpec(family="laplace", theta=1.0, epsilon=1.0)
+        with pytest.raises(ValidationError, match=f"values must be finite, got {bad!r} at index 2"):
+            release([1.0, 2.0, bad, 4.0], spec, seed=0)

@@ -14,6 +14,7 @@ from pufferot import (
     joint_cdf_table,
     optimal_plan,
     plan_sensitivity,
+    relaxed_theta,
     support_sensitivity,
     w1_distance,
 )
@@ -283,6 +284,30 @@ class TestSweepMatchesNumpyScalars:
                 assert plan_sensitivity(plan, metric) == max(metric(z) for z in disp)
                 diffs = np.subtract.outer(p.support[p.mass > 0], q.support[q.mass > 0])
                 assert support_sensitivity(p, q, metric) == max(metric(z) for z in diffs.ravel())
+
+
+class TestMetricArrayPath:
+    # L1 evaluates as np.abs; the same abs behind a lambda takes the per-float path
+    per_float = Metric(fn=lambda z: abs(z), convex=True, name="per-float l1")
+
+    @pytest.mark.parametrize("n", [5, 40, 300])
+    def test_abs_array_keeps_the_per_float_bits(self, n):
+        rng = np.random.default_rng([23, n])
+        for _ in range(10):
+            xs = np.sort(rng.choice(4 * n, n, replace=False)) * 0.37 - n
+            ys = np.sort(rng.choice(4 * n, n, replace=False)) * 0.37 - n
+            p, q = dirichlet_dist(rng, xs, n // 5), dirichlet_dist(rng, ys, n // 5)
+            plan = optimal_plan(p, q)
+            disp = plan.displacements()
+            fast, slow = L1.over(disp), self.per_float.over(disp)
+            assert fast.dtype == slow.dtype == np.float64
+            assert fast.tobytes() == slow.tobytes()
+            assert plan_sensitivity(plan, L1) == plan_sensitivity(plan, self.per_float)
+            assert w1_distance(p, q, L1) == w1_distance(p, q, self.per_float)
+            assert support_sensitivity(p, q, L1) == support_sensitivity(p, q, self.per_float)
+            for eps in (0.3, 1.0, 4.0):
+                assert relaxed_theta(plan, p, q, eps, L1) == relaxed_theta(
+                    plan, p, q, eps, self.per_float)
 
 
 class TestMetricValidation:
