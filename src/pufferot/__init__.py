@@ -71,7 +71,13 @@ __all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str):
-    """Import the module that defines ``name`` on first use, and keep the name here."""
+    """Import the module that defines ``name`` on first use, and keep the name here.
+
+    A module of the table is imported as ``pufferot.<module>``, as when the
+    package imported every module up front.
+    """
+    if name in _MODULE_EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
     module = _EXPORTS.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

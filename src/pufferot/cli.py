@@ -15,9 +15,11 @@ import json
 import math
 import os
 import sys
+from contextlib import suppress
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -131,23 +133,25 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _checked_values(
+def _raise_first_bad_row(
     table: str, rows: list[list[str]], rownum: int, col: int, column: str,
     mapping: AttributeMapping | None,
-) -> list[float]:
-    """Cell ``col`` of each stripped row, parsed one row at a time.
+) -> NoReturn:
+    """Raise for the first of the stripped ``rows`` whose cell ``col`` does not parse.
 
-    Raises for the first row that is too short, holds a label the mapping
-    lacks or (without a mapping) a cell that is not a finite number. Rows
-    are numbered from ``rownum``, the header being row 1.
+    The row is reported as too short, as an unmappable label or (without a
+    mapping) as a cell that is not a finite number. Rows are numbered from
+    ``rownum``, the header being row 1.
     """
-    values = []
     for rownum, row in enumerate(rows, start=rownum):
         if len(row) <= col:
             raise ValidationError(f"{table}: row {rownum} is too short")
         cell = row[col]
         if mapping is not None:
-            values.append(float(mapping.index(cell)))
+            try:
+                mapping.index(cell)
+            except ValidationError as exc:
+                raise ValidationError(f"{table}: row {rownum} column {column!r}: {exc}") from None
             continue
         try:
             value = float(cell)
@@ -159,16 +163,7 @@ def _checked_values(
             raise ValidationError(
                 f"{table}: row {rownum} column {column!r} is not finite: {cell!r}"
             )
-        values.append(value)
-    return values
-
-
-def _stripped(rows: list[list[str]]) -> list[list[str]]:
-    """``rows`` with every cell stripped, rebuilt only if some cell needs it."""
-    cells = list(chain.from_iterable(rows))
-    if list(map(str.strip, cells)) == cells:
-        return rows
-    return [list(map(str.strip, row)) for row in rows]
+    raise AssertionError(f"{table}: a block failed to parse, but none of its rows is bad")
 
 
 def _released_blocks(table: str, reader, col: int, column: str,
@@ -177,27 +172,36 @@ def _released_blocks(table: str, reader, col: int, column: str,
 
     Mapped labels become their indices. A block's cells are parsed straight
     into an array; only when that fails, or a value is not finite, is the
-    block parsed again row by row to name the first bad row. Every block
-    draws its noise from ``rng``, so the draws are those of one call over
-    the whole column.
+    block walked row by row to name the first bad row. Every block draws
+    its noise from ``rng``, so the draws are those of one call over the
+    whole column.
     """
     if mapping is None:
         parse = float
     else:
         parse = {label: k for k, label in enumerate(mapping.labels, start=1)}.__getitem__
     rownum = 2
-    while rows := _stripped(list(islice(reader, _BLOCK_ROWS))):
+    while rows := [list(map(str.strip, row)) for row in islice(reader, _BLOCK_ROWS)]:
         try:
             values = np.fromiter(map(parse, map(itemgetter(col), rows)), float, len(rows))
         except (IndexError, KeyError, ValueError):
-            values = None
-        if values is None or not np.isfinite(values).all():
-            values = np.array(_checked_values(table, rows, rownum, col, column, mapping))
+            _raise_first_bad_row(table, rows, rownum, col, column, mapping)
+        if not np.isfinite(values).all():
+            _raise_first_bad_row(table, rows, rownum, col, column, mapping)
         for row, text in zip(rows, map(repr, release_values(values, spec, rng).tolist())):
             row[col] = text
         rownum += len(rows)
         yield rows
         del rows  # so that no more than one block is held while the next is read
+
+
+def _absent_dirs(directory: Path) -> list[Path]:
+    """``directory`` and those of its ancestors that do not exist, deepest first."""
+    absent = []
+    while not directory.exists():
+        absent.append(directory)
+        directory = directory.parent
+    return absent
 
 
 def cmd_release(args: argparse.Namespace) -> int:
@@ -227,10 +231,12 @@ def cmd_release(args: argparse.Namespace) -> int:
         col = header_column(table, header, column)
         if col is None:
             raise ValidationError(f"{table}: an unnamed column cannot be released")
+        created = _absent_dirs(out.parent)
         out.parent.mkdir(parents=True, exist_ok=True)
         partial = out.with_name(f".{out.name}.{os.getpid()}.partial")
-        dst = open(partial, "x", newline="", encoding="utf-8")
+        dst = None
         try:
+            dst = open(partial, "x", newline="", encoding="utf-8")
             with dst:
                 writer = csv.writer(dst, delimiter=delimiter)
                 writer.writerow([name.strip() for name in header])
@@ -238,7 +244,11 @@ def cmd_release(args: argparse.Namespace) -> int:
                 writer.writerows(chain.from_iterable(blocks))
             os.replace(partial, out)
         except BaseException:
-            partial.unlink(missing_ok=True)
+            if dst is not None:  # a partial file of this name that we did not make stays
+                partial.unlink(missing_ok=True)
+            for directory in created:
+                with suppress(OSError):  # something else was put there meanwhile
+                    directory.rmdir()
             raise
     return _EXIT_OK
 

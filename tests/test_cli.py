@@ -247,7 +247,8 @@ class TestRelease:
             ("id,v\n1,2\n2,3\n3,x1\n4,y\n", False, "row 4 column 'v' is not numeric: 'x1'"),
             ("id,v\n1\n2,abc\n3,4\n", False, "row 2 is too short"),
             ("id,v\n1,2\n\n3,4\n", False, "row 3 is too short"),
-            ("id,v\n1,red\n2,teal\n3\n", True, "label 'teal' is not in the attribute mapping"),
+            ("id,v\n1,red\n2,teal\n3\n", True,
+             "row 3 column 'v': label 'teal' is not in the attribute mapping"),
             ("id,v\n1\n2,teal\n", True, "row 2 is too short"),
         ],
     )
@@ -372,7 +373,7 @@ class TestRelease:
     def test_non_finite_cell_rejected(self, tmp_path, capsys, cell):
         table = tmp_path / "t.csv"
         table.write_text(f"id,v\n1,2\n2,{cell}\n3,4\n", encoding="utf-8")
-        out = tmp_path / "sub" / "out.csv"
+        out = tmp_path / "sub" / "deeper" / "out.csv"
         code = cli.main([
             "release", "--table", str(table), "--data-col", "v", "--theta", "1.0",
             "--out", str(out),
@@ -381,7 +382,7 @@ class TestRelease:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "ValidationError"
         assert error["message"] == f"{table}: row 3 column 'v' is not finite: {cell!r}"
-        assert sorted(p.name for p in (tmp_path / "sub").iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
 
     def test_out_may_name_the_table(self, tmp_path):
         table = tmp_path / "t.csv"
@@ -400,20 +401,29 @@ class TestRelease:
 
 
 class TestLazyImports:
+    @staticmethod
+    def fresh_python(code: str) -> str:
+        """The output of ``code`` in a new interpreter, which has imported nothing yet."""
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True).stdout
+
     def test_cli_leaves_verify_and_scenarios_unloaded(self):
-        # a fresh interpreter, so no earlier test has imported either module
-        code = (
+        out = self.fresh_python(
             "import sys, pufferot.cli, pufferot\n"
             "loaded = sorted(m for m in ('pufferot.verify', 'pufferot.scenarios') if m in sys.modules)\n"
             "missing = [n for n in pufferot.__all__ if getattr(pufferot, n, None) is None]\n"
             "print(loaded, missing, len(pufferot.__all__))\n"
         )
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=60, check=True)
-        assert done.stdout.split("\n")[0] == "[] [] 42"
+        assert out.split("\n")[0] == "[] [] 42"
+
+    def test_modules_are_attributes_of_the_package(self):
+        out = self.fresh_python(
+            "import pufferot\nprint(pufferot.verify.__name__, pufferot.tabular.__name__)\n"
+        )
+        assert out == "pufferot.verify pufferot.tabular\n"
 
     def test_unknown_name_is_an_attribute_error(self):
         import pufferot
