@@ -232,10 +232,10 @@ def cmd_release(args: argparse.Namespace) -> int:
         if col is None:
             raise ValidationError(f"{table}: an unnamed column cannot be released")
         created = _absent_dirs(out.parent)
-        out.parent.mkdir(parents=True, exist_ok=True)
         partial = out.with_name(f".{out.name}.{os.getpid()}.partial")
         dst = None
         try:
+            out.parent.mkdir(parents=True, exist_ok=True)
             dst = open(partial, "x", newline="", encoding="utf-8")
             with dst:
                 writer = csv.writer(dst, delimiter=delimiter)
@@ -247,7 +247,7 @@ def cmd_release(args: argparse.Namespace) -> int:
             if dst is not None:  # a partial file of this name that we did not make stays
                 partial.unlink(missing_ok=True)
             for directory in created:
-                with suppress(OSError):  # something else was put there meanwhile
+                with suppress(OSError):  # not made, or something else was put there meanwhile
                     directory.rmdir()
             raise
     return _EXIT_OK

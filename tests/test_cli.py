@@ -247,8 +247,7 @@ class TestRelease:
             ("id,v\n1,2\n2,3\n3,x1\n4,y\n", False, "row 4 column 'v' is not numeric: 'x1'"),
             ("id,v\n1\n2,abc\n3,4\n", False, "row 2 is too short"),
             ("id,v\n1,2\n\n3,4\n", False, "row 3 is too short"),
-            ("id,v\n1,red\n2,teal\n3\n", True,
-             "row 3 column 'v': label 'teal' is not in the attribute mapping"),
+            ("id,v\n1,red\n2,teal\n3\n", True, "label 'teal' is not in the attribute mapping"),
             ("id,v\n1\n2,teal\n", True, "row 2 is too short"),
         ],
     )
@@ -262,6 +261,19 @@ class TestRelease:
         ])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"]["message"].endswith(message)
+
+    def test_unmapped_label_names_the_table_and_row(self, tmp_path, capsys):
+        table = tmp_path / "t.csv"
+        table.write_text("id,v\n1,red\n2,teal\n", encoding="utf-8")
+        code = cli.main([
+            "release", "--table", str(table), "--data-col", "v", "--theta", "1.0",
+            "--mapping", write_json(["red", "blue"], tmp_path / "m.json"),
+            "--out", str(tmp_path / "out.csv"),
+        ])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"]["message"] == (
+            f"{table}: row 3 column 'v': label 'teal' is not in the attribute mapping"
+        )
 
     @pytest.mark.parametrize("command", ["calibrate", "release"])
     @pytest.mark.parametrize(
