@@ -58,7 +58,6 @@ _MODULE_EXPORTS = {
     "verify": (
         "VerificationReport",
         "gaussian_violation_mass",
-        "output_density",
         "verify_delta_approx",
         "verify_pufferfish",
     ),

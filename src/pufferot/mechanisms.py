@@ -86,6 +86,11 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValidationError(f"epsilon must be finite and > 0, got {epsilon!r}")
 
 
+def _check_delta(delta: float) -> None:
+    if not 0 < delta < 1:
+        raise ValidationError(f"delta must lie in (0, 1), got {delta!r}")
+
+
 def _noise_variance(family: str, theta: float) -> float:
     """2 theta^2 for Laplace noise, theta^2 for Gaussian; ``NumericError`` past the float range."""
     try:
@@ -119,8 +124,7 @@ class MechanismSpec:
         if self.delta is not None:
             if self.family != "gaussian":
                 raise ValidationError("delta is only meaningful for the gaussian family")
-            if not 0 < self.delta < 1:
-                raise ValidationError(f"delta must lie in (0, 1), got {self.delta!r}")
+            _check_delta(self.delta)
 
     @property
     def variance(self) -> float:
@@ -195,8 +199,7 @@ def calibrate_gaussian(
     1e-9 slack on the strict inequality.
     """
     _check_epsilon(epsilon)
-    if not 0 < delta < 1:
-        raise ValidationError(f"delta must lie in (0, 1), got {delta!r}")
+    _check_delta(delta)
     if sensitivity < 0:
         raise ValidationError(f"sensitivity must be >= 0, got {sensitivity!r}")
     if variant not in ("a", "b"):

@@ -8,9 +8,12 @@ For Laplace noise the check is exact: between neighbouring positive-mass
 support points the ratio is a Moebius function of exp(2y/theta), hence
 monotone, and outside their hull it is constant, so its supremum over y is
 attained at a support point. Only those points are evaluated, in O(n + m).
-For Gaussian noise the ratio is evaluated on a grid reaching 10 theta past
-the support hull at a step of theta / 50, which is a certificate at grid
-resolution, not a proof.
+For Gaussian noise the ratio is evaluated at every point of a grid reaching
+10 theta past the support hull at a step h = theta / 50. Its slope is
+(E_p[X|y] - E_q[X|y]) / theta^2, so between grid points it can exceed the
+grid by at most span h / (2 theta^2), and its limits as y -> +-inf are
+exact. One gap is open: beyond the grid the ratio may overshoot its limit
+before it settles, and nothing bounds that overshoot.
 """
 
 from __future__ import annotations
@@ -23,14 +26,12 @@ import numpy as np
 
 from .distributions import DiscreteDistribution
 from .errors import ValidationError
-from .mechanisms import MechanismSpec, _check_epsilon
+from .mechanisms import MechanismSpec, _check_delta, _check_epsilon
 from .pairs import DiscriminativePair
 from .transport import L1, optimal_plan, plan_sensitivity
 
 #: Slack allowed on the log-ratio bound before a pair is flagged.
 VERIFY_TOL = 1e-6
-#: Log-densities below this floor are reported as unverified tail, not compared.
-LOG_FLOOR = -700.0
 #: Most Gaussian grid points a pair may need; a larger grid fails the pair closed.
 MAX_GRID_POINTS = 1_000_000
 #: (y, atom) terms per block of log_output_density, about 256 KB of float64.
@@ -48,7 +49,6 @@ class PairCheck:
     worst_log_ratio: float
     argmax_y: float | None
     grid: tuple[float, float, float] | None
-    unverified_tail: tuple[tuple[float, float], ...] = ()
     note: str = ""
     violation_mass: float | None = None
     density_slack: float | None = None
@@ -60,7 +60,6 @@ class PairCheck:
             "worst_log_ratio": self.worst_log_ratio,
             "argmax_y": self.argmax_y,
             "grid": list(self.grid) if self.grid is not None else None,
-            "unverified_tail": [list(span) for span in self.unverified_tail],
         }
         if self.note:
             payload["note"] = self.note
@@ -138,22 +137,45 @@ def log_output_density(
     return out
 
 
-def output_density(dist: DiscreteDistribution, spec: MechanismSpec, y: float) -> float:
-    """Noised output density at one point."""
-    return float(np.exp(log_output_density(dist, spec, [y])[0]))
+def _identical(p: DiscreteDistribution, q: DiscreteDistribution) -> bool:
+    return np.array_equal(p.support, q.support) and np.array_equal(p.mass, q.mass)
 
 
-def _pair_grid(pair: DiscriminativePair, spec: MechanismSpec):
-    """The Gaussian grid's points and description, plus a note if it is over the cap.
+@dataclass(frozen=True, eq=False)
+class _GaussianGrid:
+    """One pair on the Gaussian grid; over the cap nothing is evaluated.
+
+    ``worst`` is the largest of the grid maximum and both limits, found at
+    ``argmax_y`` (-inf or inf for a limit). Between grid points the
+    log-ratio stays within ``grid_max + slack``.
+    """
+
+    grid: tuple[float, float, float]
+    log_p: np.ndarray | None
+    log_q: np.ndarray | None
+    grid_max: float
+    slack: float
+    worst: float
+    argmax_y: float | None
+    note: str
+
+
+def _gaussian_grid(pair: DiscriminativePair, spec: MechanismSpec) -> _GaussianGrid:
+    """Both log densities at every grid point, the log-ratio's limits and its slack.
 
     The point count is computed before anything is allocated; past
-    MAX_GRID_POINTS the points are ``None`` and no grid is built.
+    MAX_GRID_POINTS no grid is built and the worst is inf. The slope of
+    the log-ratio is (E_p[X|y] - E_q[X|y]) / theta^2: at most span / theta^2
+    for the hull of both positive supports (0 for identical conditionals),
+    and tending to (x_p - x_q) / theta^2 as y -> +-inf, for the extreme
+    positive-mass points at that end. So the limit at an end is inf where
+    they differ and the log mass ratio of the shared atom where they agree.
     """
     points = np.concatenate([pair.p.support, pair.q.support])
     lo = float(points.min() - _GRID_PAD_SCALES * spec.theta)
     hi = float(points.max() + _GRID_PAD_SCALES * spec.theta)
     step = spec.theta / _GRID_POINTS_PER_SCALE
-    grid_desc = (lo, hi, step)
+    grid = (lo, hi, step)
     # np.arange's length; inf when the step underflows or the ratio overflows
     length = (hi + 0.5 * step - lo) / step if step > 0 else math.inf
     count = (math.ceil(length) if length < math.inf else length) + points.size
@@ -162,16 +184,31 @@ def _pair_grid(pair: DiscriminativePair, spec: MechanismSpec):
             f"the Gaussian grid needs up to {count:,} points, more than the cap of "
             f"{MAX_GRID_POINTS:,}; the pair was not evaluated"
         )
-        return None, grid_desc, note
-    sweep = np.arange(lo, hi + 0.5 * step, step)
-    return np.unique(np.concatenate([sweep, points])), grid_desc, ""
-
-
-def _tail_spans(ys: np.ndarray, masked: np.ndarray) -> tuple[tuple[float, float], ...]:
-    edges = np.diff(masked.astype(np.int8), prepend=0, append=0)
-    starts = ys[np.flatnonzero(edges == 1)]
-    ends = ys[np.flatnonzero(edges == -1) - 1]
-    return tuple(zip(starts.tolist(), ends.tolist()))
+        return _GaussianGrid(grid, None, None, math.inf, 0.0, math.inf, None, note)
+    ys = np.unique(np.concatenate([np.arange(lo, hi + 0.5 * step, step), points]))
+    log_p = log_output_density(pair.p, spec, ys)
+    log_q = log_output_density(pair.q, spec, ys)
+    ratios = np.abs(log_p - log_q)
+    k = int(np.argmax(ratios))
+    worst = grid_max = float(ratios[k])
+    argmax_y = float(ys[k])
+    # the extreme positive-mass points, low and high, and their log masses
+    (x_p, m_p), (x_q, m_q) = (
+        (d.support[d.mass > 0][[0, -1]], np.log(d.mass[d.mass > 0][[0, -1]]))
+        for d in (pair.p, pair.q)
+    )
+    limits = np.where(x_p == x_q, np.abs(m_p - m_q), np.inf).tolist()
+    for limit, end in zip(limits, (-math.inf, math.inf)):
+        if limit > worst:
+            worst, argmax_y = limit, end
+    span = float(max(x_p[1], x_q[1]) - min(x_p[0], x_q[0]))
+    slack = 0.0 if _identical(pair.p, pair.q) else span * step / (2.0 * spec.theta**2)
+    note = (
+        f"gaussian: grid maximum {grid_max:.6g} plus a Lipschitz slack of {slack:.3g} "
+        f"between grid points; limits {limits[0]:.6g} as y -> -inf and {limits[1]:.6g} "
+        "as y -> inf; an overshoot of a limit beyond the grid is not bounded"
+    )
+    return _GaussianGrid(grid, log_p, log_q, grid_max, slack, worst, argmax_y, note)
 
 
 def _decayed_prefix(y: np.ndarray, log_w: np.ndarray, theta: float) -> np.ndarray:
@@ -230,10 +267,6 @@ def _laplace_log_ratio(pair: DiscriminativePair, theta: float):
     return ys, np.abs(log_density[0] - log_density[1])
 
 
-def _identical(p: DiscreteDistribution, q: DiscreteDistribution) -> bool:
-    return np.array_equal(p.support, q.support) and np.array_equal(p.mass, q.mass)
-
-
 def verify_pufferfish(
     pairs: Sequence[DiscriminativePair],
     spec: MechanismSpec,
@@ -242,9 +275,11 @@ def verify_pufferfish(
     """Check |log P(y|s_i) - log P(y|s_j)| <= epsilon for every pair.
 
     Laplace pairs are checked exactly, at the union of the positive-mass
-    support points. Gaussian pairs are checked on a grid; grid points
-    where either density falls below the e^LOG_FLOOR floor are excluded
-    from the maximum and reported as unverified tail spans, and a pair
+    support points. A Gaussian pair passes only if both limits of its
+    log-ratio as y -> +-inf, and its grid maximum plus the Lipschitz slack
+    span h / (2 theta^2), are within epsilon; the note gives the slack.
+    That bounds the ratio everywhere but beyond the grid, +-10 theta past
+    the support hull, where it may overshoot its limit unchecked. A pair
     whose grid would exceed MAX_GRID_POINTS fails without being evaluated.
     """
     pairs = list(pairs)
@@ -254,87 +289,35 @@ def verify_pufferfish(
     checks = []
     for pair in pairs:
         if spec.theta == 0:
-            if _identical(pair.p, pair.q):
-                checks.append(
-                    PairCheck(
-                        labels=pair.labels,
-                        passed=True,
-                        worst_log_ratio=0.0,
-                        argmax_y=None,
-                        grid=None,
-                        note="theta = 0: identical conditionals compared exactly",
-                    )
-                )
-            else:
-                checks.append(
-                    PairCheck(
-                        labels=pair.labels,
-                        passed=False,
-                        worst_log_ratio=math.inf,
-                        argmax_y=None,
-                        grid=None,
-                        note="theta = 0 releases the data unchanged while the conditionals differ",
-                    )
-                )
-            continue
-        if spec.family == "laplace":
+            same = _identical(pair.p, pair.q)
+            worst, argmax_y, grid = (0.0 if same else math.inf), None, None
+            note = (
+                "theta = 0: identical conditionals compared exactly"
+                if same
+                else "theta = 0 releases the data unchanged while the conditionals differ"
+            )
+            bound = worst
+        elif spec.family == "laplace":
             ys, ratios = _laplace_log_ratio(pair, spec.theta)
             k = int(np.argmax(ratios))
-            worst = float(ratios[k])
-            checks.append(
-                PairCheck(
-                    labels=pair.labels,
-                    passed=worst <= epsilon + VERIFY_TOL,
-                    worst_log_ratio=worst,
-                    argmax_y=float(ys[k]),
-                    grid=None,
-                    note=(
-                        f"laplace: exact, evaluated at the {ys.size} positive-mass support "
-                        "points, where the log-ratio attains its supremum"
-                    ),
-                )
+            worst, argmax_y, grid = float(ratios[k]), float(ys[k]), None
+            note = (
+                f"laplace: exact, evaluated at the {ys.size} positive-mass support "
+                "points, where the log-ratio attains its supremum"
             )
-            continue
-        ys, grid_desc, over_cap = _pair_grid(pair, spec)
-        if ys is None:
-            checks.append(
-                PairCheck(
-                    labels=pair.labels,
-                    passed=False,
-                    worst_log_ratio=math.inf,
-                    argmax_y=None,
-                    grid=grid_desc,
-                    note=over_cap,
-                )
-            )
-            continue
-        log_p = log_output_density(pair.p, spec, ys)
-        log_q = log_output_density(pair.q, spec, ys)
-        masked = (log_p < LOG_FLOOR) | (log_q < LOG_FLOOR)
-        if masked.all():
-            checks.append(
-                PairCheck(
-                    labels=pair.labels,
-                    passed=False,
-                    worst_log_ratio=math.inf,
-                    argmax_y=None,
-                    grid=grid_desc,
-                    unverified_tail=_tail_spans(ys, masked),
-                    note="every grid point fell below the density floor; nothing was verified",
-                )
-            )
-            continue
-        ratios = np.where(masked, -np.inf, np.abs(log_p - log_q))
-        k = int(np.argmax(ratios))
-        worst = float(ratios[k])
+            bound = worst
+        else:
+            ev = _gaussian_grid(pair, spec)
+            worst, argmax_y, grid, note = ev.worst, ev.argmax_y, ev.grid, ev.note
+            bound = max(worst, ev.grid_max + ev.slack)
         checks.append(
             PairCheck(
                 labels=pair.labels,
-                passed=worst <= epsilon + VERIFY_TOL,
+                passed=bound <= epsilon + VERIFY_TOL,
                 worst_log_ratio=worst,
-                argmax_y=float(ys[k]),
-                grid=grid_desc,
-                unverified_tail=_tail_spans(ys, masked),
+                argmax_y=argmax_y,
+                grid=grid,
+                note=note,
             )
         )
     return VerificationReport(
@@ -387,8 +370,7 @@ def verify_delta_approx(
     if spec.family != "gaussian":
         raise ValidationError(f"the delta-approximation check is Gaussian-only, got {spec.family!r}")
     _check_epsilon(epsilon)
-    if not 0 < delta < 1:
-        raise ValidationError(f"delta must lie in (0, 1), got {delta!r}")
+    _check_delta(delta)
     checks = []
     for pair in pairs:
         sens = plan_sensitivity(optimal_plan(pair.p, pair.q), L1)
@@ -399,22 +381,17 @@ def verify_delta_approx(
         if spec.theta == 0:
             slack = worst = 0.0 if _identical(pair.p, pair.q) else math.inf
         else:
-            ys, grid_desc, over_cap = _pair_grid(pair, spec)
-            if ys is None:
-                passed, worst, slack, note = False, math.inf, None, over_cap
+            ev = _gaussian_grid(pair, spec)
+            grid_desc, worst, argmax_y = ev.grid, ev.worst, ev.argmax_y
+            if ev.log_p is None:
+                passed, slack, note = False, None, ev.note
             else:
-                log_p = log_output_density(pair.p, spec, ys)
-                log_q = log_output_density(pair.q, spec, ys)
                 slack = float(
                     max(
-                        (np.exp(log_p) - np.exp(epsilon + log_q)).max(),
-                        (np.exp(log_q) - np.exp(epsilon + log_p)).max(),
+                        (np.exp(ev.log_p) - np.exp(epsilon + ev.log_q)).max(),
+                        (np.exp(ev.log_q) - np.exp(epsilon + ev.log_p)).max(),
                     )
                 )
-                ratios = np.abs(log_p - log_q)
-                k = int(np.argmax(ratios))
-                worst = float(ratios[k])
-                argmax_y = float(ys[k])
         checks.append(
             PairCheck(
                 labels=pair.labels,

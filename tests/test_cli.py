@@ -429,7 +429,7 @@ class TestLazyImports:
             "missing = [n for n in pufferot.__all__ if getattr(pufferot, n, None) is None]\n"
             "print(loaded, missing, len(pufferot.__all__))\n"
         )
-        assert out.split("\n")[0] == "[] [] 42"
+        assert out.split("\n")[0] == "[] [] 41"
 
     def test_modules_are_attributes_of_the_package(self):
         out = self.fresh_python(

@@ -13,7 +13,6 @@ from pufferot import (
     calibrate_gaussian,
     calibrate_pufferfish,
     gaussian_violation_mass,
-    output_density,
     verify_delta_approx,
     verify_pufferfish,
 )
@@ -41,23 +40,26 @@ def dirac(x):
 
 class TestOutputDensity:
     def test_laplace_peak_at_atom(self):
-        assert output_density(dirac(0), laplace_spec(1.0), 0.0) == pytest.approx(0.5)
+        got = verify.log_output_density(dirac(0), laplace_spec(1.0), [0.0])
+        assert got[0] == pytest.approx(math.log(0.5))
 
     def test_gaussian_peak_at_atom(self):
-        expected = 1.0 / math.sqrt(2.0 * math.pi)
-        assert output_density(dirac(0), gaussian_spec(1.0), 0.0) == pytest.approx(expected, abs=1e-12)
+        expected = -0.5 * math.log(2.0 * math.pi)
+        got = verify.log_output_density(dirac(0), gaussian_spec(1.0), [0.0])
+        assert got[0] == pytest.approx(expected, abs=1e-12)
 
     def test_matches_direct_summation(self, example1_pair):
         spec = laplace_spec(1.0)
-        for y in (-2.0, 0.0, 2.0, 2.5, 4.0, 9.0):
-            got = output_density(example1_pair.p, spec, y)
-            assert got == pytest.approx(
+        ys = [-2.0, 0.0, 2.0, 2.5, 4.0, 9.0]
+        got = np.exp(verify.log_output_density(example1_pair.p, spec, ys))
+        for y, density in zip(ys, got):
+            assert density == pytest.approx(
                 laplace_mixture_density(example1_pair.p, 1.0, y), abs=1e-10
             )
 
     def test_atomic_scale_rejected(self):
         with pytest.raises(ValidationError, match="theta"):
-            output_density(dirac(0), laplace_spec(0.0), 0.0)
+            verify.log_output_density(dirac(0), laplace_spec(0.0), [0.0])
 
 
 class TestVerifyPufferfish:
@@ -67,7 +69,6 @@ class TestVerifyPufferfish:
         check = report.checks[0]
         assert check.worst_log_ratio <= 1.0 + 1e-6
         assert check.grid is None
-        assert check.unverified_tail == ()
         assert check.argmax_y in example1_pair.p.support
         assert "4 positive-mass support points" in check.note
 
@@ -127,29 +128,48 @@ class TestVerifyPufferfish:
         report = verify_pufferfish([example1_pair], gaussian_spec(theta), epsilon=1.0)
         assert report.passed
 
-    def test_unverified_tail_reported_when_density_underflows(self):
-        # the Gaussian grid spans the gap between the atoms, where both densities underflow
+    def test_gaussian_gap_between_atoms_is_evaluated(self):
+        # both densities are about e^-320000 mid-gap; every grid point is still compared
         p = DiscreteDistribution.from_weights([0.0, 1600.0], [1, 1])
         pair = DiscriminativePair(labels=("a", "b"), p=p, q=p)
+        assert verify.log_output_density(p, gaussian_spec(1.0), [800.0])[0] == pytest.approx(
+            -320_000.0 - 0.5 * math.log(2.0 * math.pi)
+        )
         report = verify_pufferfish([pair], gaussian_spec(1.0), epsilon=1.0)
         assert report.passed
-        assert report.checks[0].unverified_tail
+        assert report.checks[0].worst_log_ratio == 0.0
+        assert "slack of 0 " in report.checks[0].note
 
-    def test_fully_unverifiable_grid_fails_closed(self):
-        # the distributions never share probable ground, so every grid point
-        # has one density under the floor; that must not pass vacuously
+    def test_disjoint_atoms_fail_on_their_limits(self):
+        # the extreme atoms differ at both ends, so the log-ratio grows without bound
         pair = DiscriminativePair(labels=("a", "b"), p=dirac(0.0), q=dirac(5000.0))
         report = verify_pufferfish([pair], gaussian_spec(1.0), epsilon=1.0)
         assert not report.passed
+        check = report.checks[0]
+        assert math.isinf(check.worst_log_ratio)
+        assert check.argmax_y in (-math.inf, math.inf)
+
+    def test_gaussian_differing_extremes_fail(self, example2_pair):
+        # the +-10 theta grid sees at most 0.184 here, but the supports' extremes
+        # differ ({1..4} against {2..5}), so |log-ratio| grows linearly in |y|
+        report = verify_pufferfish([example2_pair], gaussian_spec(60.0), epsilon=1.0)
+        assert not report.passed
         assert math.isinf(report.checks[0].worst_log_ratio)
-        assert "nothing was verified" in report.checks[0].note
+
+    def test_gaussian_limit_beyond_the_grid_fails(self, example1_pair):
+        # the grid maximum is 0.144, but as y -> inf the log-ratio tends to
+        # log(m_q(4) / m_p(4)) = log 2 > 0.5
+        report = verify_pufferfish([example1_pair], gaussian_spec(20.0, 0.5), epsilon=0.5)
+        assert not report.passed
+        check = report.checks[0]
+        assert check.worst_log_ratio == pytest.approx(math.log(2.0), rel=1e-12)
+        assert check.argmax_y == math.inf
 
     def test_laplace_wide_gap_has_no_unverified_tail(self):
         p = DiscreteDistribution.from_weights([0.0, 1600.0], [1, 1])
         pair = DiscriminativePair(labels=("a", "b"), p=p, q=p)
         report = verify_pufferfish([pair], laplace_spec(1.0), epsilon=1.0)
         assert report.passed
-        assert report.checks[0].unverified_tail == ()
         assert report.checks[0].worst_log_ratio == 0.0
 
     def test_laplace_far_apart_atoms_fail_at_a_support_point(self):
@@ -159,14 +179,13 @@ class TestVerifyPufferfish:
         check = report.checks[0]
         assert check.worst_log_ratio == pytest.approx(5000.0, rel=1e-12)
         assert check.argmax_y in (0.0, 5000.0)
-        assert check.unverified_tail == ()
 
     def test_json_fields(self, example1_pair):
         report = verify_pufferfish([example1_pair], laplace_spec(1.0), epsilon=1.0)
         payload = report.to_json_dict()
         assert payload["pass"] is True
         entry = payload["pairs"][0]
-        for key in ("worst_log_ratio", "argmax_y", "pass", "grid", "unverified_tail"):
+        for key in ("worst_log_ratio", "argmax_y", "pass", "grid"):
             assert key in entry
 
     def test_empty_pairs_rejected(self):
@@ -347,6 +366,8 @@ class TestBlockedDensity:
             ]
 
         blocked = reports()
+        # a worst of inf hides the grid; the adult pair's extremes match, so its worst does not
+        assert math.isfinite(json.loads(blocked[0])["pairs"][0]["worst_log_ratio"])
         monkeypatch.setattr(verify, "log_output_density", unblocked_log_output_density)
         assert blocked == reports()
 
@@ -362,6 +383,23 @@ class TestBlockedDensity:
         finally:
             tracemalloc.stop()
         assert peak < 8_000_000
+
+
+class TestGaussianLipschitzSlack:
+    def test_log_ratio_between_grid_points_stays_within_the_slack(self):
+        rng = np.random.default_rng(20262)
+        for _ in range(100):
+            pair, span = random_pair(rng)
+            spec = gaussian_spec(span * 10.0 ** rng.uniform(-1.5, 1.0))
+            ev = verify._gaussian_grid(pair, spec)
+            assert np.isfinite(ev.log_p).all() and np.isfinite(ev.log_q).all()
+            lo, hi, _ = ev.grid
+            ys = rng.uniform(lo, hi, 2000)
+            ratio = np.abs(
+                verify.log_output_density(pair.p, spec, ys)
+                - verify.log_output_density(pair.q, spec, ys)
+            )
+            assert ratio.max() <= ev.grid_max + ev.slack + 1e-9
 
 
 class TestGaussianGridCap:
@@ -393,6 +431,5 @@ class TestGaussianGridCap:
         # delta_0 vs delta_5000 at theta = 1 needs 251 k points, the largest grid in use
         pair = DiscriminativePair(labels=("a", "b"), p=dirac(0.0), q=dirac(5000.0))
         check = verify_pufferfish([pair], gaussian_spec(1.0), epsilon=1.0).checks[0]
-        assert check.unverified_tail
         assert "cap" not in check.note
         assert verify.MAX_GRID_POINTS > 251_002
