@@ -30,7 +30,8 @@ from .transport import L1, Metric, TransportPlan, optimal_plan, plan_sensitivity
 ROOT_LOG_TOL = 1e-10
 _ROOT_MAX_ITER = 200
 _BRACKET_MAX_STEPS = 400
-#: Newton steps allowed before relaxed_theta evaluates the whole bisection.
+#: Newton steps allowed, over all equations, before relaxed_theta evaluates
+#: the whole bisection.
 _NEWTON_MAX_ITER = 30
 #: Least half-width, in log(theta), of the window around the Newton root
 #: inside which the replayed bisection evaluates the objective: far above
@@ -217,39 +218,49 @@ def calibrate_gaussian(
     return sensitivity / epsilon * c
 
 
-def _checked(g: Callable[[float], float], context: str) -> Callable[[float], float]:
-    """``g`` with its failures, and a NaN value, raised as ``NumericError``.
+def _checked(
+    residuals: Callable[[float], np.ndarray], context: str
+) -> Callable[[float], tuple[float, np.ndarray]]:
+    """G = max(``residuals``) with the residuals; failures and a NaN G raised as ``NumericError``.
 
     A NaN must not compare as "not positive" and steer a bisection to a
     wrong root.
     """
 
-    def safe_g(log_theta: float) -> float:
+    def safe_g(log_theta: float) -> tuple[float, np.ndarray]:
         try:
-            value = g(log_theta)
+            values = residuals(log_theta)
+            value = float(values.max())
         except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
             raise NumericError(
                 f"objective for {context} failed at log(theta)={log_theta!r}: {exc}"
             ) from exc
         if math.isnan(value):
             raise NumericError(f"objective for {context} is NaN at log(theta)={log_theta!r}")
-        return value
+        return value, values
 
     return safe_g
 
 
-def _bisect_log_theta(positive: Callable[[float], bool], context: str) -> float:
-    """theta where ``positive`` (a sign test on the log(theta) axis) turns false.
+def _bisect_log_theta(
+    g: Callable[[float], tuple[float, np.ndarray]],
+    context: str,
+    lo_edge: float = -math.inf,
+    hi_edge: float = math.inf,
+) -> float:
+    """theta where the decreasing G (first item of ``g``) turns nonpositive on the log(theta) axis.
 
     The bracket is grown by repeated doubling of theta (steps of log 2)
     from theta = 1 and then bisected to ROOT_LOG_TOL; theta is exp of the
-    final bracket's midpoint. The result depends on nothing but the
-    answers of ``positive`` at these fixed probe points.
+    final bracket's midpoint. The result depends on nothing but the sign
+    of G at these fixed probe points. A probe below ``lo_edge`` is taken
+    as positive and one above ``hi_edge`` as nonpositive without calling
+    ``g``: the caller has checked G's sign at both edges.
     """
     step = math.log(2.0)
     hi = 0.0
     for _ in range(_BRACKET_MAX_STEPS):
-        if not positive(hi):
+        if hi > hi_edge or (hi >= lo_edge and g(hi)[0] <= 0.0):
             break
         hi += step
     else:
@@ -258,7 +269,7 @@ def _bisect_log_theta(positive: Callable[[float], bool], context: str) -> float:
         )
     lo = 0.0
     for _ in range(_BRACKET_MAX_STEPS):
-        if positive(lo):
+        if lo < lo_edge or (lo <= hi_edge and g(lo)[0] > 0.0):
             break
         lo -= step
     else:
@@ -267,7 +278,7 @@ def _bisect_log_theta(positive: Callable[[float], bool], context: str) -> float:
         )
     for _ in range(_ROOT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if positive(mid):
+        if mid < lo_edge or (mid <= hi_edge and g(mid)[0] > 0.0):
             lo = mid
         else:
             hi = mid
@@ -276,55 +287,16 @@ def _bisect_log_theta(positive: Callable[[float], bool], context: str) -> float:
     return math.exp(0.5 * (lo + hi))
 
 
-def _solve_decreasing_log_theta(g: Callable[[float], float], context: str) -> float:
-    """Root of a decreasing g on the log(theta) axis, evaluating g at every probe.
+def _solve_decreasing_log_theta(
+    residuals: Callable[[float], np.ndarray], context: str
+) -> float:
+    """Root of G = max(``residuals``), decreasing in log(theta), with G evaluated at every probe.
 
-    This is the reference bisection: ``relaxed_theta`` replays it with
-    fewer evaluations for the inverse-scale rate and falls back to it
-    everywhere else. A NaN g raises ``NumericError``.
+    This is the reference bisection: ``relaxed_theta`` replays it inside a
+    window for the inverse-scale rate and falls back to it everywhere
+    else. A NaN G raises ``NumericError``.
     """
-    safe_g = _checked(g, context)
-    return _bisect_log_theta(lambda log_theta: safe_g(log_theta) > 0.0, context)
-
-
-def _replay_window(
-    residuals: Callable[[float], tuple[np.ndarray, np.ndarray, np.ndarray]],
-    d: np.ndarray,
-    starts: np.ndarray,
-    sizes: np.ndarray,
-    a: float,
-    noise: float,
-) -> tuple[float, float] | None:
-    """The log(theta) window outside which G = max(residuals(a)) has a known sign.
-
-    G must be convex and increasing in the rate a = 1/theta, with a at or
-    left of its root. Newton's method then lands at or right of the root
-    in its first step and decreases monotonically towards it; its slope is
-    the softmax-weighted mean distance of the binding group. It stops once
-    |G| <= ``noise``, a bound on G's rounding error. Across the window
-    |G| rises to several times ``noise``, so no rounding error flips its
-    sign outside. Returns None when Newton does not stop within
-    _NEWTON_MAX_ITER steps, its slope is not positive, or the window
-    is a log(theta) unit or wider.
-    """
-    for _ in range(_NEWTON_MAX_ITER):
-        values, weights, sums = residuals(a)
-        k = int(values.argmax())
-        group = slice(starts[k], starts[k] + sizes[k])
-        value = float(values[k])
-        slope = float(np.dot(weights[group], d[group])) / float(sums[k])
-        if not (math.isfinite(value) and 0.0 < slope < math.inf):
-            return None
-        a -= value / slope
-        if not 0.0 < a < math.inf:
-            return None
-        if abs(value) <= noise:
-            # |dG / dlog(theta)| = a G'(a) near the root.
-            margin = max(_REPLAY_MARGIN, 8.0 * noise / (a * slope))
-            if not margin < 1.0:
-                return None
-            return -math.log(a) - margin, -math.log(a) + margin
-    return None
+    return _bisect_log_theta(_checked(residuals, context), context)
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,18 +305,109 @@ class _MomentEquations:
 
     The entries are grouped by equation, in plan order inside each group:
     equation k holds entries starts[k] to starts[k] + sizes[k] of ``d`` and
-    ``log_mass``, and its marginal is element ``marginals[k]`` of the row
-    masses followed by the column masses. Nothing here depends on epsilon.
+    ``log_mass``, and its target less epsilon is ``log_marginals[k]``, the
+    log of its row or column mass. Nothing here depends on epsilon.
     """
 
     d: np.ndarray
     log_mass: np.ndarray
     starts: np.ndarray
     sizes: np.ndarray
-    marginals: np.ndarray
+    log_marginals: np.ndarray
     d_max: float
     #: The epsilon-free terms of the objective's rounding bound.
     magnitude: float
+
+
+def _objective(eqs: _MomentEquations, targets: np.ndarray, a: float) -> np.ndarray:
+    """Every equation's log residual at rate a, as one grouped log-sum-exp; G is their maximum."""
+    terms = eqs.log_mass + a * eqs.d
+    peak = np.maximum.reduceat(terms, eqs.starts)
+    sums = np.add.reduceat(np.exp(terms - peak.repeat(eqs.sizes)), eqs.starts)
+    return peak + np.log(sums) - targets
+
+
+def _newton_root(
+    eqs: _MomentEquations, k: int, target: float, a: float, noise: float, budget: int
+) -> tuple[float, float, int] | None:
+    """Newton's method on equation k alone, in Python floats over its entries.
+
+    The equation's log residual is convex and increasing in the rate a,
+    so from the left of its root the first step lands at or right of the
+    root, and from the right the steps decrease monotonically towards it;
+    its slope is the softmax-weighted mean distance of the entries. Returns
+    (a, slope, steps left of ``budget``) after the step from a point where
+    |residual| <= ``noise``, a bound on G's rounding error; None when the
+    budget runs out first, a residual is not finite or a slope is not
+    positive.
+    """
+    start = int(eqs.starts[k])
+    stop = start + int(eqs.sizes[k])
+    d = eqs.d[start:stop].tolist()
+    log_mass = eqs.log_mass[start:stop].tolist()
+    for used in range(1, budget + 1):
+        terms = [m + a * x for m, x in zip(log_mass, d)]
+        peak = max(terms)
+        total = moment = 0.0
+        for t, x in zip(terms, d):
+            w = math.exp(t - peak)
+            total += w
+            moment += w * x
+        value = peak + math.log(total) - target
+        slope = moment / total
+        if not (math.isfinite(value) and 0.0 < slope < math.inf):
+            return None
+        a -= value / slope
+        if not 0.0 < a < math.inf:
+            return None
+        if abs(value) <= noise:
+            return a, slope, budget - used
+    return None
+
+
+def _newton_window(
+    eqs: _MomentEquations,
+    targets: np.ndarray,
+    epsilon: float,
+    noise: float,
+    g: Callable[[float], tuple[float, np.ndarray]],
+) -> tuple[float, float] | None:
+    """The log(theta) window outside which G, the first item of ``g``, has a known sign.
+
+    G is convex and increasing in the inverse-scale rate a = 1/theta, and
+    the strict rate eps / max d lies at or left of every equation's root.
+    G is evaluated there once, and Newton runs on its largest equation
+    alone. The window is the Newton root's log(theta) plus or minus a
+    margin across which |G| rises to several times ``noise``, so no
+    rounding error flips its sign outside. G below -noise at the upper
+    edge confirms that no other equation binds further left; otherwise
+    Newton continues on the largest equation there, from the current a,
+    right of that equation's root. G above ``noise`` at the lower edge
+    completes the check. Returns None when Newton does not settle within
+    _NEWTON_MAX_ITER steps in all, or the window is a log(theta) unit or
+    wider.
+    """
+    a, budget = epsilon / eqs.d_max, _NEWTON_MAX_ITER
+    # Only its argmax is used: a NaN makes Newton give up, and the reference
+    # bisection, which checks every value, runs instead.
+    values = _objective(eqs, targets, a)
+    while True:
+        k = int(values.argmax())
+        found = _newton_root(eqs, k, float(targets[k]), a, noise, budget)
+        if found is None:
+            return None
+        a, slope, budget = found
+        # |dG / dlog(theta)| = a G'(a) near the root.
+        margin = max(_REPLAY_MARGIN, 8.0 * noise / (a * slope))
+        if not margin < 1.0:
+            return None
+        root = -math.log(a)
+        value, values = g(root + margin)
+        if value < -noise:
+            break
+    if g(root - margin)[0] > noise:
+        return root - margin, root + margin
+    return None
 
 
 #: Pair -> its plan, and plan -> metric -> the plan's sensitivity or moment
@@ -391,7 +454,7 @@ def _moment_equations(plan: TransportPlan, metric: Metric) -> _MomentEquations |
         log_mass=log_mass,
         starts=starts,
         sizes=sizes,
-        marginals=keys[starts],
+        log_marginals=np.log(np.concatenate([plan.source.mass, plan.target.mass])[keys[starts]]),
         d_max=float(d.max()),
         magnitude=float(sizes.max()) + float(np.abs(log_mass).max()),
     )
@@ -424,27 +487,31 @@ def relaxed_theta(
     the root; that raises ``NumericError``.
 
     With the inverse-scale rate, G is convex and increasing in the rate
-    a = 1/theta, so a few Newton steps from the strict rate eps / max d
-    find its root. The reference bisection of ``_solve_decreasing_log_theta``
-    is then replayed probe for probe: a probe more than a margin below the
-    root is known to be positive, one more than a margin above it is known
-    to be nonpositive, and G is evaluated only inside the margin. The
-    returned theta is therefore the reference bisection's, bit for bit.
-    G is checked at both ends of the margin first; if a check fails or
-    Newton does not settle, and for any other rate, every probe is
-    evaluated.
+    a = 1/theta. G is evaluated once at the strict rate eps / max d, and
+    Newton's method runs on its largest equation alone, in Python floats;
+    G at a margin either side of that root confirms that no other equation
+    binds (``_newton_window``), or Newton moves on to the equation that
+    does. The reference bisection of ``_solve_decreasing_log_theta`` is
+    then replayed probe for probe: a probe below the window is known to be
+    positive, one above it is known to be nonpositive, and G is evaluated
+    only inside it. The returned theta is therefore the reference
+    bisection's, bit for bit. If Newton does not settle or a check at an
+    edge fails, and for any other rate, every probe is evaluated.
+
+    The plan must have been built from ``p`` and ``q``: their supports and
+    masses must equal its own, or ``ValidationError`` is raised.
     """
     _check_epsilon(epsilon)
-    if not (
-        (plan.source is p or np.array_equal(plan.source.support, p.support))
-        and (plan.target is q or np.array_equal(plan.target.support, q.support))
-    ):
-        raise ValidationError("plan supports do not match the supplied distributions")
+    for given, held in ((p, plan.source), (q, plan.target)):
+        if given is not held:
+            if not np.array_equal(held.support, given.support):
+                raise ValidationError("plan supports do not match the supplied distributions")
+            if not np.array_equal(held.mass, given.mass):
+                raise ValidationError("plan masses do not match the supplied distributions")
     eqs = _per_metric(_EQUATIONS, plan, metric, _moment_equations)
     if eqs is None:
         return 0.0
-    d, log_mass, starts, sizes = eqs.d, eqs.log_mass, eqs.starts, eqs.sizes
-    targets = epsilon + np.log(np.concatenate([p.mass, q.mass])[eqs.marginals])
+    targets = epsilon + eqs.log_marginals
     # Near the root the terms lie between the log masses and the targets.
     noise = _REPLAY_NOISE * (eqs.magnitude + float(np.abs(targets).max()))
     if epsilon <= noise:
@@ -453,28 +520,16 @@ def relaxed_theta(
             "moment equations' targets, so their root would be decided by rounding"
         )
 
-    def residuals(a: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each equation's log residual at rate a, with its entries' softmax weights and sums."""
-        terms = log_mass + a * d
-        peak = np.maximum.reduceat(terms, starts)
-        weights = np.exp(terms - peak.repeat(sizes))
-        sums = np.add.reduceat(weights, starts)
-        return peak + np.log(sums) - targets, weights, sums
-
-    def g(log_theta: float) -> float:
-        return float(residuals(float(rate.forward(math.exp(log_theta))))[0].max())
+    def residuals(log_theta: float) -> np.ndarray:
+        return _objective(eqs, targets, float(rate.forward(math.exp(log_theta))))
 
     context = "the row and column moment equations"
     if rate is INVERSE_SCALE:
-        window = _replay_window(residuals, d, starts, sizes, epsilon / eqs.d_max, noise)
+        g = _checked(residuals, context)
+        window = _newton_window(eqs, targets, epsilon, noise, g)
         if window is not None:
-            lo_edge, hi_edge = window
-            safe_g = _checked(g, context)
-            if safe_g(lo_edge) > noise and safe_g(hi_edge) < -noise:
-                return _bisect_log_theta(
-                    lambda x: x < lo_edge or (x <= hi_edge and safe_g(x) > 0.0), context
-                )
-    return _solve_decreasing_log_theta(g, context)
+            return _bisect_log_theta(g, context, *window)
+    return _solve_decreasing_log_theta(residuals, context)
 
 
 def calibrate_pufferfish(

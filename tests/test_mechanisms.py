@@ -28,6 +28,7 @@ from pufferot import (
     relaxed_theta,
     release,
     sample_noise,
+    verify_pufferfish,
 )
 from pufferot import mechanisms
 
@@ -242,6 +243,22 @@ class TestRelaxedTheta:
         with pytest.raises(ValidationError, match="supports"):
             relaxed_theta(plan, example2_pair.p, example2_pair.q, 1.0)
 
+    @pytest.mark.parametrize("masses", [[0.30, 0.20, 0.33, 0.17], [0.7, 0.1, 0.1, 0.1]])
+    def test_plan_built_for_other_masses_rejected(self, example1_pair, masses):
+        # on the same supports: the first used to return theta = 0.6768,
+        # though theta2 of these masses is 0.6677, and the second to bisect
+        # the whole bracket and raise NumericError
+        plan = optimal_plan(example1_pair.p, example1_pair.q)
+        other = DiscreteDistribution.from_weights(EXAMPLE1["support"], masses)
+        for p, q in ((other, example1_pair.q), (example1_pair.p, other)):
+            with pytest.raises(ValidationError, match="masses"):
+                relaxed_theta(plan, p, q, 1.0)
+        # equal masses held by other objects are the plan's own
+        same_p = DiscreteDistribution.from_weights(EXAMPLE1["support"], EXAMPLE1["p"])
+        assert relaxed_theta(plan, same_p, example1_pair.q, 1.0) == relaxed_theta(
+            plan, example1_pair.p, example1_pair.q, 1.0
+        )
+
     def test_matches_per_equation_reference_on_canonical_pairs(self, canonical_pairs):
         for pair in canonical_pairs:
             plan = optimal_plan(pair.p, pair.q)
@@ -346,15 +363,71 @@ class TestRelaxedTheta:
     def test_window_off_the_root_falls_back_to_the_full_bisection(
         self, adult_pair, monkeypatch, shift
     ):
-        # the checks at the window's ends must catch a wrong Newton root
-        window = mechanisms._replay_window
-        monkeypatch.setattr(
-            mechanisms, "_replay_window", lambda *args: tuple(x + shift for x in window(*args))
-        )
+        # the checks at the window's edges must catch a wrong Newton root
+        newton_root = mechanisms._newton_root
+        full_bisection = mechanisms._solve_decreasing_log_theta
+        fallbacks = []
+
+        def shifted(*args):
+            found = newton_root(*args)
+            return found and (found[0] * math.exp(shift), *found[1:])
+
+        def counted(*args):
+            fallbacks.append(args)
+            return full_bisection(*args)
+
+        monkeypatch.setattr(mechanisms, "_newton_root", shifted)
+        monkeypatch.setattr(mechanisms, "_solve_decreasing_log_theta", counted)
         plan = optimal_plan(adult_pair.p, adult_pair.q)
         for epsilon in FIGURE4_EPS_GRID:
             expected = reference_theta(plan, adult_pair.p, adult_pair.q, epsilon)
             assert relaxed_theta(plan, adult_pair.p, adult_pair.q, epsilon) == expected
+        assert len(fallbacks) == len(FIGURE4_EPS_GRID)
+
+    def test_full_objective_evaluated_about_three_times_per_call(self, adult_pair, monkeypatch):
+        # once at the strict rate, once at each window edge, and at the
+        # few bisection probes inside the window; the Newton steps on one
+        # equation do not evaluate it
+        objective, counts = mechanisms._objective, []
+
+        def counted(*args):
+            counts[-1] += 1
+            return objective(*args)
+
+        monkeypatch.setattr(mechanisms, "_objective", counted)
+        rng = np.random.default_rng(20)
+        shapes = [(14, 2), (100, 10)] * 4
+        pairs = [adult_pair] + [random_pair(rng, n, empty) for n, empty in shapes]
+        for pair in pairs:
+            plan = optimal_plan(pair.p, pair.q)
+            for epsilon in FIGURE4_EPS_GRID:
+                counts.append(0)
+                relaxed_theta(plan, pair.p, pair.q, epsilon)
+        assert min(counts) >= 3
+        assert sum(counts) / len(counts) <= 3.5
+
+    def test_newton_moves_to_the_equation_binding_at_the_root(self, adult_pair, monkeypatch):
+        # The largest equation at the strict rate is not the one whose root
+        # is largest, so Newton continues on the equation that binds at the
+        # window's upper edge; the window then holds without a full bisection.
+        def full_bisection(residuals, context):
+            raise AssertionError(f"full bisection of {context}")
+
+        newton_root, solved = mechanisms._newton_root, []
+
+        def recorded(eqs, k, *args):
+            solved.append(k)
+            return newton_root(eqs, k, *args)
+
+        monkeypatch.setattr(mechanisms, "_solve_decreasing_log_theta", full_bisection)
+        monkeypatch.setattr(mechanisms, "_newton_root", recorded)
+        seeded = random_pair(np.random.default_rng(4), 5, 1)
+        for pair, epsilon in ((seeded, 1.8), (seeded, 4.8), (adult_pair, 2.3)):
+            solved.clear()
+            plan = optimal_plan(pair.p, pair.q)
+            theta = relaxed_theta(plan, pair.p, pair.q, epsilon)
+            assert theta == reference_theta(plan, pair.p, pair.q, epsilon)
+            assert len(set(solved)) == 2
 
     def test_nan_rate_raises_numeric_error(self, adult_pair):
         # NaN on a band of scales the bisection probes: read as "g <= 0",
@@ -399,6 +472,22 @@ class TestCalibratePufferfish:
         assert report.theta == pytest.approx(2.0)
         assert report.method == "theorem-1"
         assert [rec.sensitivity for rec in report.pairs] == [1.0, 2.0]
+
+    def test_exact_laplace_certificate_holds_at_theta2(self, canonical_pairs):
+        # the paper's guarantee itself, with no tolerance, for epsilon from
+        # 1e-9 up to the top of the Figure-4 grid
+        rng = np.random.default_rng(21)
+        pairs = canonical_pairs + [
+            random_pair(rng, n, empty)
+            for n, empty, count in [(5, 1, 30), (14, 2, 30), (100, 10, 28)]
+            for _ in range(count)
+        ]
+        for pair in pairs:
+            for epsilon in np.geomspace(1e-9, 5.8, 25).tolist():
+                theta = calibrate_pufferfish([pair], epsilon, "theorem2").theta
+                spec = MechanismSpec("laplace", theta, epsilon)
+                report = verify_pufferfish([pair], spec, epsilon)
+                assert report.checks[0].worst_log_ratio <= epsilon, (pair.prior, epsilon, theta)
 
     def test_identical_pair_noiseless(self):
         p = DiscreteDistribution.from_weights([1, 2], [1, 1])
