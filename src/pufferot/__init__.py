@@ -15,10 +15,8 @@ _MODULE_EXPORTS = {
     "distributions": ("DiscreteDistribution", "poisson_binomial"),
     "errors": ("NumericError", "ValidationError"),
     "mechanisms": (
-        "INVERSE_SCALE",
         "MechanismSpec",
         "PrivacyReport",
-        "RateFunction",
         "calibrate_exponential",
         "calibrate_gaussian",
         "calibrate_pufferfish",

@@ -3,25 +3,29 @@
 Three calibration routes are implemented, all driven by the optimal
 transport plan between the secret-conditional distributions:
 
-* the strict exponential-mechanism rule theta = eta^{-1}(eps / s), where s
-  is the largest ground distance on the plan support;
+* the strict exponential-mechanism rule theta = s / eps, where s is the
+  largest ground distance on the plan support;
 * a relaxed rule that solves, per plan row and column, the moment equation
-  sum_k exp(eta(theta) d_k) pi_k = e^eps * (marginal mass) and keeps the
+  sum_k exp(d_k / theta) pi_k = e^eps * (marginal mass) and keeps the
   largest root, which never exceeds the strict rule's scale;
 * Gaussian scales achieving the delta-approximate guarantee, in the
   closed-form variant (valid for eps <= 1) and the quadratic-bound variant.
+
+Both exponential rules use the inverse-scale rate eta(theta) = 1/theta of
+Laplace noise. The paper's rate eta enters them only through a = eta(theta),
+so another rate reparameterises the scale: its theta is eta^{-1}(1/theta).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import weakref
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .distributions import DiscreteDistribution
 from .errors import NumericError, ValidationError
 from .pairs import DiscriminativePair
 from .transport import L1, Metric, TransportPlan, optimal_plan, plan_sensitivity
@@ -29,7 +33,9 @@ from .transport import L1, Metric, TransportPlan, optimal_plan, plan_sensitivity
 #: Absolute tolerance on log(theta) for the relaxed-rule root search.
 ROOT_LOG_TOL = 1e-10
 _ROOT_MAX_ITER = 200
-_BRACKET_MAX_STEPS = 400
+#: |log(theta)| past which theta or 1/theta overflows a float; the root
+#: search's bracket grows no further.
+_LOG_THETA_LIMIT = math.log(sys.float_info.max)
 #: Newton steps allowed, over all equations, before relaxed_theta evaluates
 #: the whole bisection.
 _NEWTON_MAX_ITER = 30
@@ -42,8 +48,6 @@ _REPLAY_MARGIN = 1e-11
 #: against long double) stay under 2.
 _REPLAY_NOISE = 2.0**-46
 
-_RATE_PROBES = (0.5, 1.0, 2.0, 8.0)
-
 FAMILIES = ("laplace", "gaussian")
 
 METHODS = {
@@ -55,36 +59,14 @@ METHODS = {
 _GAUSSIAN_METHODS = ("gaussian-a", "gaussian-b")
 
 
-@dataclass(frozen=True, eq=False)
-class RateFunction:
-    """Invertible rate eta(theta), nonincreasing in the scale theta.
-
-    ``forward`` evaluates eta and ``inverse`` its inverse; the two are
-    probed against each other at construction. The Laplace mechanism is
-    the instance eta(theta) = 1/theta.
-    """
-
-    forward: Callable[[float], float]
-    inverse: Callable[[float], float]
-    name: str = "custom"
-
-    def __post_init__(self) -> None:
-        for a in _RATE_PROBES:
-            theta = float(self.inverse(a))
-            back = float(self.forward(theta))
-            if not math.isclose(back, a, rel_tol=1e-10, abs_tol=1e-10):
-                raise ValidationError(
-                    f"rate function {self.name!r} fails eta(eta^-1({a})) = {a}: got {back!r}"
-                )
-
-
-#: Default rate eta(theta) = 1/theta (the Laplace instance).
-INVERSE_SCALE = RateFunction(forward=lambda t: 1.0 / t, inverse=lambda a: 1.0 / a, name="inverse-scale")
-
-
 def _check_epsilon(epsilon: float) -> None:
     if not 0 < epsilon < math.inf:
         raise ValidationError(f"epsilon must be finite and > 0, got {epsilon!r}")
+
+
+def _check_sensitivity(sensitivity: float) -> None:
+    if not 0 <= sensitivity < math.inf:
+        raise ValidationError(f"sensitivity must be finite and >= 0, got {sensitivity!r}")
 
 
 def _check_delta(delta: float) -> None:
@@ -173,20 +155,17 @@ class PrivacyReport:
         }
 
 
-def calibrate_exponential(
-    sensitivity: float, epsilon: float, rate: RateFunction = INVERSE_SCALE
-) -> float:
-    """Strict rule: theta = eta^{-1}(epsilon / sensitivity).
+def calibrate_exponential(sensitivity: float, epsilon: float) -> float:
+    """Strict rule: theta = sensitivity / epsilon, the inverse of the rate epsilon / sensitivity.
 
     A zero sensitivity means the two conditionals are already
     indistinguishable on the plan support, so no noise is required.
     """
     _check_epsilon(epsilon)
-    if sensitivity < 0:
-        raise ValidationError(f"sensitivity must be >= 0, got {sensitivity!r}")
+    _check_sensitivity(sensitivity)
     if sensitivity == 0:
         return 0.0
-    return float(rate.inverse(epsilon / sensitivity))
+    return float(1.0 / (epsilon / sensitivity))
 
 
 def calibrate_gaussian(
@@ -201,8 +180,7 @@ def calibrate_gaussian(
     """
     _check_epsilon(epsilon)
     _check_delta(delta)
-    if sensitivity < 0:
-        raise ValidationError(f"sensitivity must be >= 0, got {sensitivity!r}")
+    _check_sensitivity(sensitivity)
     if variant not in ("a", "b"):
         raise ValidationError(f"variant must be 'a' or 'b', got {variant!r}")
     if sensitivity == 0:
@@ -245,37 +223,34 @@ def _checked(
 def _bisect_log_theta(
     g: Callable[[float], tuple[float, np.ndarray]],
     context: str,
-    lo_edge: float = -math.inf,
-    hi_edge: float = math.inf,
+    lo_edge: float,
+    hi_edge: float,
 ) -> float:
     """theta where the decreasing G (first item of ``g``) turns nonpositive on the log(theta) axis.
 
     The bracket is grown by repeated doubling of theta (steps of log 2)
-    from theta = 1 and then bisected to ROOT_LOG_TOL; theta is exp of the
-    final bracket's midpoint. The result depends on nothing but the sign
-    of G at these fixed probe points. A probe below ``lo_edge`` is taken
-    as positive and one above ``hi_edge`` as nonpositive without calling
-    ``g``: the caller has checked G's sign at both edges.
+    from theta = 1, as far as theta and 1/theta stay floats, and then
+    bisected to ROOT_LOG_TOL; theta is exp of the final bracket's
+    midpoint. The result depends on nothing but the sign of G at these
+    fixed probe points. A probe below ``lo_edge`` is taken as positive and
+    one above ``hi_edge`` as nonpositive without calling ``g``: the caller
+    has checked G's sign at both edges.
     """
     step = math.log(2.0)
     hi = 0.0
-    for _ in range(_BRACKET_MAX_STEPS):
-        if hi > hi_edge or (hi >= lo_edge and g(hi)[0] <= 0.0):
-            break
+    while hi <= hi_edge and (hi < lo_edge or g(hi)[0] > 0.0):
+        if hi + step > _LOG_THETA_LIMIT:
+            raise NumericError(
+                f"no upper bracket for {context}: g still positive at log(theta)={hi!r}"
+            )
         hi += step
-    else:
-        raise NumericError(
-            f"no upper bracket for {context}: g still positive at log(theta)={hi!r}"
-        )
     lo = 0.0
-    for _ in range(_BRACKET_MAX_STEPS):
-        if lo < lo_edge or (lo <= hi_edge and g(lo)[0] > 0.0):
-            break
+    while lo >= lo_edge and (lo > hi_edge or g(lo)[0] <= 0.0):
+        if lo - step < -_LOG_THETA_LIMIT:
+            raise NumericError(
+                f"no lower bracket for {context}: g still nonpositive at log(theta)={lo!r}"
+            )
         lo -= step
-    else:
-        raise NumericError(
-            f"no lower bracket for {context}: g still nonpositive at log(theta)={lo!r}"
-        )
     for _ in range(_ROOT_MAX_ITER):
         mid = 0.5 * (lo + hi)
         if mid < lo_edge or (mid <= hi_edge and g(mid)[0] > 0.0):
@@ -285,18 +260,6 @@ def _bisect_log_theta(
         if hi - lo <= ROOT_LOG_TOL:
             break
     return math.exp(0.5 * (lo + hi))
-
-
-def _solve_decreasing_log_theta(
-    residuals: Callable[[float], np.ndarray], context: str
-) -> float:
-    """Root of G = max(``residuals``), decreasing in log(theta), with G evaluated at every probe.
-
-    This is the reference bisection: ``relaxed_theta`` replays it inside a
-    window for the inverse-scale rate and falls back to it everywhere
-    else. A NaN G raises ``NumericError``.
-    """
-    return _bisect_log_theta(_checked(residuals, context), context)
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,7 +351,7 @@ def _newton_window(
     wider.
     """
     a, budget = epsilon / eqs.d_max, _NEWTON_MAX_ITER
-    # Only its argmax is used: a NaN makes Newton give up, and the reference
+    # Only its argmax is used: a NaN makes Newton give up, and the full
     # bisection, which checks every value, runs instead.
     values = _objective(eqs, targets, a)
     while True:
@@ -460,23 +423,17 @@ def _moment_equations(plan: TransportPlan, metric: Metric) -> _MomentEquations |
     )
 
 
-def relaxed_theta(
-    plan: TransportPlan,
-    p: DiscreteDistribution,
-    q: DiscreteDistribution,
-    epsilon: float,
-    metric: Metric = L1,
-    rate: RateFunction = INVERSE_SCALE,
-) -> float:
-    """Largest root of the per-row / per-column moment equations.
+def relaxed_theta(plan: TransportPlan, epsilon: float, metric: Metric = L1) -> float:
+    """Largest root of the per-row / per-column moment equations of ``plan``.
 
     For each column x' with q(x') > 0 the equation
-    sum_x exp(eta(theta) d(x - x')) pi(x, x') = e^eps q(x') has a unique
-    root because the left side strictly decreases in theta whenever any
-    entry has positive distance; the symmetric equation is solved per row
-    against p(x). Rows or columns whose entries all sit at distance zero
-    hold their inequality for every theta and are left out. The equations
-    are solved together: their log residuals all decrease in theta, so the
+    sum_x exp(d(x - x') / theta) pi(x, x') = e^eps q(x') has a unique root
+    because the left side strictly decreases in theta whenever any entry
+    has positive distance; the symmetric equation is solved per row
+    against p(x). The marginals p and q are the plan's own source and
+    target. Rows or columns whose entries all sit at distance zero hold
+    their inequality for every theta and are left out. The equations are
+    solved together: their log residuals all decrease in theta, so the
     largest root is the root of their maximum G, evaluated for every
     equation at once as a grouped log-sum-exp. The grouping depends only
     on the plan and the metric, so it is built once per plan and metric
@@ -486,28 +443,19 @@ def relaxed_theta(
     eps + log(marginal) off log(marginal), so rounding alone would decide
     the root; that raises ``NumericError``.
 
-    With the inverse-scale rate, G is convex and increasing in the rate
-    a = 1/theta. G is evaluated once at the strict rate eps / max d, and
-    Newton's method runs on its largest equation alone, in Python floats;
-    G at a margin either side of that root confirms that no other equation
-    binds (``_newton_window``), or Newton moves on to the equation that
-    does. The reference bisection of ``_solve_decreasing_log_theta`` is
-    then replayed probe for probe: a probe below the window is known to be
-    positive, one above it is known to be nonpositive, and G is evaluated
-    only inside it. The returned theta is therefore the reference
-    bisection's, bit for bit. If Newton does not settle or a check at an
-    edge fails, and for any other rate, every probe is evaluated.
-
-    The plan must have been built from ``p`` and ``q``: their supports and
-    masses must equal its own, or ``ValidationError`` is raised.
+    G is convex and increasing in the rate a = 1/theta. G is evaluated once
+    at the strict rate eps / max d, and Newton's method runs on its largest
+    equation alone, in Python floats; G at a margin either side of that
+    root confirms that no other equation binds (``_newton_window``), or
+    Newton moves on to the equation that does. One bisection,
+    ``_bisect_log_theta``, then finds theta: a probe below the window is
+    known to be positive, one above it is known to be nonpositive, and G
+    is evaluated only inside it. Its probes do not depend on the window,
+    so theta is the same bit for bit as with G evaluated at every probe,
+    which is what happens when Newton does not settle or a check at an
+    edge fails.
     """
     _check_epsilon(epsilon)
-    for given, held in ((p, plan.source), (q, plan.target)):
-        if given is not held:
-            if not np.array_equal(held.support, given.support):
-                raise ValidationError("plan supports do not match the supplied distributions")
-            if not np.array_equal(held.mass, given.mass):
-                raise ValidationError("plan masses do not match the supplied distributions")
     eqs = _per_metric(_EQUATIONS, plan, metric, _moment_equations)
     if eqs is None:
         return 0.0
@@ -519,17 +467,10 @@ def relaxed_theta(
             f"epsilon={epsilon!r} is within the rounding bound {noise:.3g} of the "
             "moment equations' targets, so their root would be decided by rounding"
         )
-
-    def residuals(log_theta: float) -> np.ndarray:
-        return _objective(eqs, targets, float(rate.forward(math.exp(log_theta))))
-
     context = "the row and column moment equations"
-    if rate is INVERSE_SCALE:
-        g = _checked(residuals, context)
-        window = _newton_window(eqs, targets, epsilon, noise, g)
-        if window is not None:
-            return _bisect_log_theta(g, context, *window)
-    return _solve_decreasing_log_theta(residuals, context)
+    g = _checked(lambda log_theta: _objective(eqs, targets, 1.0 / math.exp(log_theta)), context)
+    window = _newton_window(eqs, targets, epsilon, noise, g)
+    return _bisect_log_theta(g, context, *(window or (-math.inf, math.inf)))
 
 
 def calibrate_pufferfish(
@@ -537,17 +478,18 @@ def calibrate_pufferfish(
     epsilon: float,
     method: str = "theorem1",
     metric: Metric = L1,
-    rate: RateFunction = INVERSE_SCALE,
     delta: float | None = None,
 ) -> PrivacyReport:
     """Calibrate one noise scale covering every discriminative pair.
 
     Each pair is calibrated on its own optimal transport plan and the
     maximum scale wins; the per-pair breakdown is kept in the report.
-    Gaussian methods measure plan sensitivity with the absolute-value
-    distance regardless of ``metric``. A pair object's plan, and the plan's
-    sensitivity per metric object, are computed on its first calibration
-    and reused by later ones, as at every epsilon of a sweep.
+    ``theorem1`` and ``theorem2`` give the Laplace scale, whose variance
+    2 theta^2 is reported only for the built-in ``L1``. Gaussian methods
+    measure plan sensitivity with the absolute-value distance regardless
+    of ``metric``. A pair object's plan, and the plan's sensitivity per
+    metric object, are computed on its first calibration and reused by
+    later ones, as at every epsilon of a sweep.
     """
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; expected one of {sorted(METHODS)}")
@@ -570,9 +512,9 @@ def calibrate_pufferfish(
         if gaussian:
             theta = calibrate_gaussian(sens, epsilon, delta, variant=method[-1])
         elif method == "theorem2":
-            theta = relaxed_theta(plan, pair.p, pair.q, epsilon, metric, rate)
+            theta = relaxed_theta(plan, epsilon, metric)
         else:
-            theta = calibrate_exponential(sens, epsilon, rate)
+            theta = calibrate_exponential(sens, epsilon)
         records.append(
             PairCalibration(labels=pair.labels, prior=pair.prior, sensitivity=sens, theta=theta)
         )
@@ -580,7 +522,7 @@ def calibrate_pufferfish(
     theta = max(rec.theta for rec in records)
     if gaussian:
         variance = _noise_variance("gaussian", theta)
-    elif metric is L1 and rate is INVERSE_SCALE:
+    elif metric is L1:
         variance = _noise_variance("laplace", theta)
     else:
         variance = None

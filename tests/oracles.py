@@ -202,17 +202,17 @@ def _bisect_decreasing_log_theta(g) -> float:
     return math.exp(0.5 * (lo + hi))
 
 
-def per_equation_relaxed_theta(plan, p, q, epsilon, metric, rate) -> float:
+def per_equation_relaxed_theta(plan, epsilon, metric) -> float:
     """Theorem-2 scale solving each row and column moment equation on its own.
 
     Every equation with an entry at positive distance gets its own
-    bracket and bisection; the largest root wins, and 0 when no equation
-    has one.
+    bracket and bisection against the plan's own marginal; the largest
+    root wins, and 0 when no equation has one.
     """
     distances = np.array([metric(z) for z in plan.displacements()])
     log_mass = np.log(plan.mass)
     best = 0.0
-    for indices, marginals in ((plan.rows, p.mass), (plan.cols, q.mass)):
+    for indices, marginals in ((plan.rows, plan.source.mass), (plan.cols, plan.target.mass)):
         for k in np.unique(indices):
             sel = indices == k
             d = distances[sel]
@@ -222,7 +222,7 @@ def per_equation_relaxed_theta(plan, p, q, epsilon, metric, rate) -> float:
             target = epsilon + math.log(marginals[k])
 
             def g(log_theta, d=d, lm=lm, target=target):
-                values = lm + float(rate.forward(math.exp(log_theta))) * d
+                values = lm + 1.0 / math.exp(log_theta) * d
                 m = float(values.max())
                 return m + math.log(float(np.exp(values - m).sum())) - target
 

@@ -188,7 +188,7 @@ def test_criterion_9_property_suite(criterion, canonical_pairs):
             strict_thetas, relaxed_thetas = [], []
             for epsilon in eps_grid:
                 strict = calibrate_exponential(plan_sensitivity(plan, L1), epsilon)
-                relaxed = relaxed_theta(plan, pair.p, pair.q, epsilon)
+                relaxed = relaxed_theta(plan, epsilon)
                 assert relaxed <= strict + 1e-9
                 strict_thetas.append(strict)
                 relaxed_thetas.append(relaxed)

@@ -10,14 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pufferot import (
-    INVERSE_SCALE,
     DiscreteDistribution,
     DiscriminativePair,
     L1,
     MechanismSpec,
     Metric,
     NumericError,
-    RateFunction,
     TransportPlan,
     ValidationError,
     calibrate_exponential,
@@ -63,8 +61,20 @@ def random_pair(rng, n, empty):
     )
 
 
-def reference_theta(plan, p, q, epsilon):
-    return per_equation_relaxed_theta(plan, p, q, epsilon, L1, INVERSE_SCALE)
+def reference_theta(plan, epsilon):
+    return per_equation_relaxed_theta(plan, epsilon, L1)
+
+
+def record_windows(monkeypatch):
+    """A list that gets every ``_newton_window`` result; None means the full bisection runs."""
+    newton_window, windows = mechanisms._newton_window, []
+
+    def recorded(*args):
+        windows.append(newton_window(*args))
+        return windows[-1]
+
+    monkeypatch.setattr(mechanisms, "_newton_window", recorded)
+    return windows
 
 
 def constraint_values(plan, p, q, epsilon, theta):
@@ -77,15 +87,6 @@ def constraint_values(plan, p, q, epsilon, theta):
             lhs = float(np.sum(plan.mass[sel] * np.exp(dist[sel] / theta)))
             ratios.append(lhs / (math.exp(epsilon) * marginals[k]))
     return ratios
-
-
-class TestRateFunction:
-    def test_default_round_trip(self):
-        assert INVERSE_SCALE.forward(INVERSE_SCALE.inverse(0.7)) == pytest.approx(0.7)
-
-    def test_inconsistent_pair_rejected(self):
-        with pytest.raises(ValidationError, match="rate function"):
-            RateFunction(forward=lambda t: 1.0 / t, inverse=lambda a: 2.0 / a, name="broken")
 
 
 class TestMechanismSpec:
@@ -110,7 +111,7 @@ class TestMechanismSpec:
             MechanismSpec(family="laplace", theta=-1.0, epsilon=1.0)
 
     def test_exponential_is_an_unknown_family(self):
-        # exponential-family noise is calibrated (RateFunction), never sampled or verified
+        # exponential-family noise is calibrated only, never sampled or verified
         with pytest.raises(ValidationError, match="unknown noise family 'exponential'"):
             MechanismSpec(family="exponential", theta=1.0, epsilon=1.0)
 
@@ -158,6 +159,12 @@ class TestCalibrateExponential:
         with pytest.raises(ValidationError, match="epsilon"):
             calibrate_exponential(1.0, bad)
 
+    @settings(max_examples=20, deadline=None)
+    @given(bad=NON_FINITE)
+    def test_non_finite_sensitivity_rejected(self, bad):
+        with pytest.raises(ValidationError, match="sensitivity"):
+            calibrate_exponential(bad, 1.0)
+
 
 class TestCalibrateGaussian:
     def test_variant_a_closed_form(self):
@@ -187,6 +194,8 @@ class TestCalibrateGaussian:
             calibrate_gaussian(1.0, bad, 1e-5, variant=variant)
         with pytest.raises(ValidationError, match="delta"):
             calibrate_gaussian(1.0, 0.5, bad, variant=variant)
+        with pytest.raises(ValidationError, match="sensitivity"):
+            calibrate_gaussian(bad, 0.5, 1e-5, variant=variant)
 
     def test_variant_b_exceeds_strict_bound(self):
         delta = 0.01
@@ -198,34 +207,34 @@ class TestCalibrateGaussian:
 class TestRelaxedTheta:
     def test_adult_fixture_point(self, adult_pair):
         plan = optimal_plan(adult_pair.p, adult_pair.q)
-        theta = relaxed_theta(plan, adult_pair.p, adult_pair.q, 0.8)
+        theta = relaxed_theta(plan, 0.8)
         assert theta == pytest.approx(1.25, abs=1e-3)
 
     def test_diagonal_plan_zero(self):
         p = DiscreteDistribution.from_weights([1, 2], [1, 3])
-        assert relaxed_theta(optimal_plan(p, p), p, p, 1.0) == 0.0
+        assert relaxed_theta(optimal_plan(p, p), 1.0) == 0.0
 
     @pytest.mark.parametrize("epsilon", [0.5, 1.0, 2.0])
     def test_single_term_closed_form(self, epsilon):
         pair = shifted_diagonal_pair()
         plan = optimal_plan(pair.p, pair.q)
-        theta = relaxed_theta(plan, pair.p, pair.q, epsilon)
+        theta = relaxed_theta(plan, epsilon)
         assert theta == pytest.approx(1.0 / epsilon, abs=1e-9)
 
     def test_reduces_to_strict_rule_for_single_distance(self):
         # every plan entry sits at distance 1, so the relaxed root must be
-        # the strict scale eta^{-1}(eps / 1)
+        # the strict scale 1 / eps
         pair = shifted_diagonal_pair()
         plan = optimal_plan(pair.p, pair.q)
         for epsilon in (0.7, 1.3):
-            got = relaxed_theta(plan, pair.p, pair.q, epsilon)
+            got = relaxed_theta(plan, epsilon)
             strict = calibrate_exponential(plan_sensitivity(plan, L1), epsilon)
             assert got == pytest.approx(strict, abs=1e-9)
 
     def test_binding_constraint_residual(self, adult_pair):
         plan = optimal_plan(adult_pair.p, adult_pair.q)
         for epsilon in (0.8, 2.3):
-            theta = relaxed_theta(plan, adult_pair.p, adult_pair.q, epsilon)
+            theta = relaxed_theta(plan, epsilon)
             ratios = constraint_values(plan, adult_pair.p, adult_pair.q, epsilon, theta)
             assert max(ratios) == pytest.approx(1.0, rel=1e-8)
             assert max(ratios) <= 1.0 + 1e-8
@@ -235,36 +244,15 @@ class TestRelaxedTheta:
             plan = optimal_plan(pair.p, pair.q)
             for epsilon in EPS_GRID:
                 strict = calibrate_exponential(plan_sensitivity(plan, L1), epsilon)
-                relaxed = relaxed_theta(plan, pair.p, pair.q, epsilon)
+                relaxed = relaxed_theta(plan, epsilon)
                 assert relaxed <= strict + 1e-9
-
-    def test_mismatched_plan_rejected(self, example1_pair, example2_pair):
-        plan = optimal_plan(example1_pair.p, example1_pair.q)
-        with pytest.raises(ValidationError, match="supports"):
-            relaxed_theta(plan, example2_pair.p, example2_pair.q, 1.0)
-
-    @pytest.mark.parametrize("masses", [[0.30, 0.20, 0.33, 0.17], [0.7, 0.1, 0.1, 0.1]])
-    def test_plan_built_for_other_masses_rejected(self, example1_pair, masses):
-        # on the same supports: the first used to return theta = 0.6768,
-        # though theta2 of these masses is 0.6677, and the second to bisect
-        # the whole bracket and raise NumericError
-        plan = optimal_plan(example1_pair.p, example1_pair.q)
-        other = DiscreteDistribution.from_weights(EXAMPLE1["support"], masses)
-        for p, q in ((other, example1_pair.q), (example1_pair.p, other)):
-            with pytest.raises(ValidationError, match="masses"):
-                relaxed_theta(plan, p, q, 1.0)
-        # equal masses held by other objects are the plan's own
-        same_p = DiscreteDistribution.from_weights(EXAMPLE1["support"], EXAMPLE1["p"])
-        assert relaxed_theta(plan, same_p, example1_pair.q, 1.0) == relaxed_theta(
-            plan, example1_pair.p, example1_pair.q, 1.0
-        )
 
     def test_matches_per_equation_reference_on_canonical_pairs(self, canonical_pairs):
         for pair in canonical_pairs:
             plan = optimal_plan(pair.p, pair.q)
             for epsilon in EPS_GRID + FIGURE4_EPS_GRID:
-                expected = reference_theta(plan, pair.p, pair.q, epsilon)
-                assert relaxed_theta(plan, pair.p, pair.q, epsilon) == expected
+                expected = reference_theta(plan, epsilon)
+                assert relaxed_theta(plan, epsilon) == expected
 
     @pytest.mark.parametrize(
         "n,empty,count,seed", [(5, 1, 4, 11), (14, 2, 4, 12), (100, 10, 2, 13), (300, 30, 1, 14)]
@@ -275,8 +263,8 @@ class TestRelaxedTheta:
             pair = random_pair(rng, n, empty)
             plan = optimal_plan(pair.p, pair.q)
             for epsilon in FIGURE4_EPS_GRID:
-                expected = reference_theta(plan, pair.p, pair.q, epsilon)
-                assert relaxed_theta(plan, pair.p, pair.q, epsilon) == expected
+                expected = reference_theta(plan, epsilon)
+                assert relaxed_theta(plan, epsilon) == expected
 
     def test_transposed_plan_gives_the_same_theta(self, canonical_pairs):
         rng = np.random.default_rng(15)
@@ -284,9 +272,9 @@ class TestRelaxedTheta:
             plan = optimal_plan(pair.p, pair.q)
             flipped = plan.transpose()
             for epsilon in FIGURE4_EPS_GRID:
-                theta = relaxed_theta(flipped, pair.q, pair.p, epsilon)
-                assert theta == reference_theta(flipped, pair.q, pair.p, epsilon)
-                assert theta == relaxed_theta(plan, pair.p, pair.q, epsilon)
+                theta = relaxed_theta(flipped, epsilon)
+                assert theta == reference_theta(flipped, epsilon)
+                assert theta == relaxed_theta(plan, epsilon)
 
     def test_permuted_plan_entries(self, canonical_pairs):
         # the equations' entries are no longer contiguous in the plan
@@ -302,8 +290,8 @@ class TestRelaxedTheta:
                 target=pair.q,
             )
             for epsilon in FIGURE4_EPS_GRID:
-                expected = reference_theta(shuffled, pair.p, pair.q, epsilon)
-                assert relaxed_theta(shuffled, pair.p, pair.q, epsilon) == expected
+                expected = reference_theta(shuffled, epsilon)
+                assert relaxed_theta(shuffled, epsilon) == expected
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_matches_per_equation_reference_at_extreme_epsilons_and_scales(
@@ -315,7 +303,7 @@ class TestRelaxedTheta:
             q = DiscreteDistribution(pair.q.support * scale, pair.q.mass)
             plan = optimal_plan(p, q)
             for epsilon in [1e-3, 0.8, 3.3, 5.8, 50.0]:
-                assert relaxed_theta(plan, p, q, epsilon) == reference_theta(plan, p, q, epsilon)
+                assert relaxed_theta(plan, epsilon) == reference_theta(plan, epsilon)
 
     def test_single_entry_binding_equation(self):
         # The binding equation holds one plan entry at the largest distance,
@@ -335,29 +323,23 @@ class TestRelaxedTheta:
         for p, q in (seeded, one_entry_rows):
             plan = optimal_plan(p, q)
             for epsilon in FIGURE4_EPS_GRID:
-                theta = relaxed_theta(plan, p, q, epsilon)
-                assert theta == reference_theta(plan, p, q, epsilon)
+                theta = relaxed_theta(plan, epsilon)
+                assert theta == reference_theta(plan, epsilon)
                 strict = calibrate_exponential(plan_sensitivity(plan, L1), epsilon)
                 assert theta == pytest.approx(strict, rel=1e-9)
 
-    def test_inverse_scale_never_evaluates_the_full_bisection(self, adult_pair, monkeypatch):
+    def test_newton_window_always_holds_on_the_figure4_grid(self, adult_pair, monkeypatch):
         # A regression to evaluating every bisection probe must not pass
         # unnoticed: on the Figure-4 grid the Newton window always holds.
-        def full_bisection(g, context):
-            raise AssertionError(f"full bisection of {context}")
-
-        monkeypatch.setattr(mechanisms, "_solve_decreasing_log_theta", full_bisection)
+        windows = record_windows(monkeypatch)
         rng = np.random.default_rng(19)
         pairs = [adult_pair] + [random_pair(rng, n, empty) for n, empty in [(14, 2), (100, 10)] * 3]
         for pair in pairs:
             plan = optimal_plan(pair.p, pair.q)
             for epsilon in FIGURE4_EPS_GRID:
-                relaxed_theta(plan, pair.p, pair.q, epsilon)
-        # any other rate takes the full bisection, so the patch is on its path
-        custom = RateFunction(forward=lambda t: 1.0 / t, inverse=lambda a: 1.0 / a)
-        plan = optimal_plan(adult_pair.p, adult_pair.q)
-        with pytest.raises(AssertionError, match="full bisection"):
-            relaxed_theta(plan, adult_pair.p, adult_pair.q, 0.8, rate=custom)
+                relaxed_theta(plan, epsilon)
+        assert len(windows) == len(pairs) * len(FIGURE4_EPS_GRID)
+        assert None not in windows
 
     @pytest.mark.parametrize("shift", [-1e-6, 1e-6])
     def test_window_off_the_root_falls_back_to_the_full_bisection(
@@ -365,24 +347,27 @@ class TestRelaxedTheta:
     ):
         # the checks at the window's edges must catch a wrong Newton root
         newton_root = mechanisms._newton_root
-        full_bisection = mechanisms._solve_decreasing_log_theta
-        fallbacks = []
 
         def shifted(*args):
             found = newton_root(*args)
             return found and (found[0] * math.exp(shift), *found[1:])
 
-        def counted(*args):
-            fallbacks.append(args)
-            return full_bisection(*args)
-
         monkeypatch.setattr(mechanisms, "_newton_root", shifted)
-        monkeypatch.setattr(mechanisms, "_solve_decreasing_log_theta", counted)
+        windows = record_windows(monkeypatch)
         plan = optimal_plan(adult_pair.p, adult_pair.q)
         for epsilon in FIGURE4_EPS_GRID:
-            expected = reference_theta(plan, adult_pair.p, adult_pair.q, epsilon)
-            assert relaxed_theta(plan, adult_pair.p, adult_pair.q, epsilon) == expected
-        assert len(fallbacks) == len(FIGURE4_EPS_GRID)
+            expected = reference_theta(plan, epsilon)
+            assert relaxed_theta(plan, epsilon) == expected
+        assert windows == [None] * len(FIGURE4_EPS_GRID)
+
+    def test_full_bisection_matches_the_reference(self, adult_pair, monkeypatch):
+        # the path taken whenever the Newton window does not hold
+        monkeypatch.setattr(mechanisms, "_newton_window", lambda *args: None)
+        rng = np.random.default_rng(22)
+        for pair in [adult_pair, random_pair(rng, 14, 2), random_pair(rng, 100, 10)]:
+            plan = optimal_plan(pair.p, pair.q)
+            for epsilon in FIGURE4_EPS_GRID:
+                assert relaxed_theta(plan, epsilon) == reference_theta(plan, epsilon)
 
     def test_full_objective_evaluated_about_three_times_per_call(self, adult_pair, monkeypatch):
         # once at the strict rate, once at each window edge, and at the
@@ -402,7 +387,7 @@ class TestRelaxedTheta:
             plan = optimal_plan(pair.p, pair.q)
             for epsilon in FIGURE4_EPS_GRID:
                 counts.append(0)
-                relaxed_theta(plan, pair.p, pair.q, epsilon)
+                relaxed_theta(plan, epsilon)
         assert min(counts) >= 3
         assert sum(counts) / len(counts) <= 3.5
 
@@ -410,36 +395,51 @@ class TestRelaxedTheta:
         # The largest equation at the strict rate is not the one whose root
         # is largest, so Newton continues on the equation that binds at the
         # window's upper edge; the window then holds without a full bisection.
-        def full_bisection(residuals, context):
-            raise AssertionError(f"full bisection of {context}")
-
         newton_root, solved = mechanisms._newton_root, []
 
         def recorded(eqs, k, *args):
             solved.append(k)
             return newton_root(eqs, k, *args)
 
-        monkeypatch.setattr(mechanisms, "_solve_decreasing_log_theta", full_bisection)
         monkeypatch.setattr(mechanisms, "_newton_root", recorded)
+        windows = record_windows(monkeypatch)
         seeded = random_pair(np.random.default_rng(4), 5, 1)
         for pair, epsilon in ((seeded, 1.8), (seeded, 4.8), (adult_pair, 2.3)):
             solved.clear()
             plan = optimal_plan(pair.p, pair.q)
-            theta = relaxed_theta(plan, pair.p, pair.q, epsilon)
-            assert theta == reference_theta(plan, pair.p, pair.q, epsilon)
+            theta = relaxed_theta(plan, epsilon)
+            assert theta == reference_theta(plan, epsilon)
             assert len(set(solved)) == 2
+            assert windows[-1] is not None
 
-    def test_nan_rate_raises_numeric_error(self, adult_pair):
-        # NaN on a band of scales the bisection probes: read as "g <= 0",
+    def test_nan_objective_raises_numeric_error(self, adult_pair, monkeypatch):
+        # NaN on a band of scales the full bisection probes: read as "g <= 0",
         # it would move the upper end of the bracket and yield a wrong root
-        nan_rate = RateFunction(
-            forward=lambda t: math.nan if 1.1 < t < 1.2 else 1.0 / t,
-            inverse=lambda a: 1.0 / a,
-            name="nan-rate",
-        )
+        objective = mechanisms._objective
+
+        def nan_band(eqs, targets, a):
+            values = objective(eqs, targets, a)
+            return values * math.nan if 1.1 < 1.0 / a < 1.2 else values
+
+        monkeypatch.setattr(mechanisms, "_newton_window", lambda *args: None)
+        monkeypatch.setattr(mechanisms, "_objective", nan_band)
         plan = optimal_plan(adult_pair.p, adult_pair.q)
         with pytest.raises(NumericError, match="NaN"):
-            relaxed_theta(plan, adult_pair.p, adult_pair.q, 0.8, rate=nan_rate)
+            relaxed_theta(plan, 0.8)
+
+    @pytest.mark.parametrize("scale", [1e125, 1e150, 1e-125, 1e-300])
+    def test_scales_far_from_one_are_bracketed(self, monkeypatch, scale):
+        pair = DiscriminativePair(
+            labels=("a", "b"),
+            p=DiscreteDistribution(np.array([1.0, 2.0]) * scale, np.array([0.5, 0.5])),
+            q=DiscreteDistribution(np.array([2.0, 3.0]) * scale, np.array([0.3, 0.7])),
+        )
+        plan = optimal_plan(pair.p, pair.q)
+        theta = calibrate_pufferfish([pair], 1.0, "theorem2").theta
+        assert theta <= calibrate_pufferfish([pair], 1.0, "theorem1").theta
+        assert theta == reference_theta(plan, 1.0)
+        monkeypatch.setattr(mechanisms, "_newton_window", lambda *args: None)
+        assert relaxed_theta(plan, 1.0) == theta
 
     @settings(max_examples=20, deadline=None)
     @given(bad=NON_FINITE)
@@ -447,7 +447,7 @@ class TestRelaxedTheta:
         pair = shifted_diagonal_pair()
         plan = optimal_plan(pair.p, pair.q)
         with pytest.raises(ValidationError, match="epsilon"):
-            relaxed_theta(plan, pair.p, pair.q, bad)
+            relaxed_theta(plan, bad)
 
     @pytest.mark.parametrize("name,epsilon", [
         ("example-1", 1e-16), ("example-1", 1e-17), ("example-1", 1e-20), ("adult", 1e-15),
@@ -458,10 +458,8 @@ class TestRelaxedTheta:
         # more than theta1 on the adult pair
         pair = adult_pair if name == "adult" else make_pair(EXAMPLE1, name)
         plan = optimal_plan(pair.p, pair.q)
-        custom = RateFunction(forward=lambda t: 1.0 / t, inverse=lambda a: 1.0 / a)
-        for rate in (INVERSE_SCALE, custom):
-            with pytest.raises(NumericError, match=f"epsilon={epsilon!r} is within the rounding"):
-                relaxed_theta(plan, pair.p, pair.q, epsilon, rate=rate)
+        with pytest.raises(NumericError, match=f"epsilon={epsilon!r} is within the rounding"):
+            relaxed_theta(plan, epsilon)
         with pytest.raises(NumericError, match="rounding bound"):
             calibrate_pufferfish([pair], epsilon, "theorem2")
 
@@ -620,8 +618,8 @@ class TestPairMemo:
                 for metric in metrics:
                     for epsilon in FIGURE4_EPS_GRID:
                         fresh = optimal_plan(pair.p, pair.q)
-                        assert relaxed_theta(plan, pair.p, pair.q, epsilon, metric) == (
-                            relaxed_theta(fresh, pair.p, pair.q, epsilon, metric)
+                        assert relaxed_theta(plan, epsilon, metric) == (
+                            relaxed_theta(fresh, epsilon, metric)
                         )
                         for method in ("theorem1", "theorem2"):
                             got = calibrate_pufferfish([shared], epsilon, method, metric)

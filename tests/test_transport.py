@@ -306,8 +306,7 @@ class TestMetricArrayPath:
             assert w1_distance(p, q, L1) == w1_distance(p, q, self.per_float)
             assert support_sensitivity(p, q, L1) == support_sensitivity(p, q, self.per_float)
             for eps in (0.3, 1.0, 4.0):
-                assert relaxed_theta(plan, p, q, eps, L1) == relaxed_theta(
-                    plan, p, q, eps, self.per_float)
+                assert relaxed_theta(plan, eps, L1) == relaxed_theta(plan, eps, self.per_float)
 
 
 class TestMetricValidation:
