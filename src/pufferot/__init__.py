@@ -2,8 +2,8 @@
 
 The library couples the secret-conditional distributions of a public value
 through their Kantorovich optimal transport plan, calibrates additive
-noise (Laplace, exponential-family, or Gaussian) to the plan's sensitivity,
-and numerically certifies the resulting indistinguishability guarantee.
+noise (Laplace or Gaussian) to the plan's sensitivity, and numerically
+certifies the resulting indistinguishability guarantee.
 """
 
 import importlib
@@ -44,8 +44,6 @@ _MODULE_EXPORTS = {
         "load_table",
     ),
     "transport": (
-        "L1",
-        "Metric",
         "TransportPlan",
         "joint_cdf_table",
         "optimal_plan",

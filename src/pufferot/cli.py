@@ -38,7 +38,7 @@ from .tabular import (
     load_conditionals_json,
     load_table,
 )
-from .transport import L1, joint_cdf_table, optimal_plan, plan_sensitivity, w1_distance
+from .transport import joint_cdf_table, optimal_plan, plan_sensitivity, w1_distance
 
 # ``verify`` and ``scenarios`` are imported by the commands that run them,
 # so ``calibrate`` and ``release`` start without loading them.
@@ -93,8 +93,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
     q = DiscreteDistribution.from_json_dict(_read_json(args.q))
     plan = optimal_plan(p, q)
     payload = plan.to_json_dict()
-    payload["sensitivity"] = plan_sensitivity(plan, L1)
-    payload["w1_cost"] = w1_distance(p, q, L1)
+    payload["sensitivity"] = plan_sensitivity(plan)
+    payload["w1_cost"] = w1_distance(p, q)
     _write_json(payload, args.out)
     return _EXIT_OK
 
@@ -318,7 +318,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     payload = {
         "user": args.user,
         "mode": args.mode,
-        "query_sensitivity": query_sensitivity(system, args.user, L1, args.mode),
+        "query_sensitivity": query_sensitivity(system, args.user, args.mode),
         "pairs": [pair.to_json_dict() for pair in pairs],
     }
     _write_json(payload, args.out)
@@ -361,7 +361,7 @@ def cmd_tables(args: argparse.Namespace) -> int:
             "q": q.to_json_dict(),
             "joint_cmf": joint_cdf_table(p, q).tolist(),
             "plan": plan.to_json_dict(),
-            "sensitivity": plan_sensitivity(plan, L1),
+            "sensitivity": plan_sensitivity(plan),
         }
     _write_json(payload, args.out)
     return _EXIT_OK

@@ -4,7 +4,7 @@ Three calibration routes are implemented, all driven by the optimal
 transport plan between the secret-conditional distributions:
 
 * the strict exponential-mechanism rule theta = s / eps, where s is the
-  largest ground distance on the plan support;
+  largest distance |x - x'| on the plan support;
 * a relaxed rule that solves, per plan row and column, the moment equation
   sum_k exp(d_k / theta) pi_k = e^eps * (marginal mass) and keeps the
   largest root, which never exceeds the strict rule's scale;
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .pairs import DiscriminativePair
-from .transport import L1, Metric, TransportPlan, optimal_plan, plan_sensitivity
+from .transport import TransportPlan, optimal_plan, plan_sensitivity
 
 #: Absolute tolerance on log(theta) for the relaxed-rule root search.
 ROOT_LOG_TOL = 1e-10
@@ -67,6 +67,16 @@ def _check_epsilon(epsilon: float) -> None:
 def _check_sensitivity(sensitivity: float) -> None:
     if not 0 <= sensitivity < math.inf:
         raise ValidationError(f"sensitivity must be finite and >= 0, got {sensitivity!r}")
+
+
+def _check_scale(theta: float, sensitivity: float, epsilon: float) -> float:
+    """``theta``, unless a positive sensitivity gave a scale of 0 (no noise) or inf."""
+    if sensitivity > 0 and not 0 < theta < math.inf:
+        raise NumericError(
+            f"the noise scale for sensitivity={sensitivity!r} at epsilon={epsilon!r} "
+            f"is {theta!r}, outside the positive floats"
+        )
+    return theta
 
 
 def _check_delta(delta: float) -> None:
@@ -131,7 +141,7 @@ class PrivacyReport:
     epsilon: float
     delta: float | None
     theta: float
-    variance: float | None
+    variance: float
     pairs: tuple[PairCalibration, ...]
     verification: dict | None = None
 
@@ -165,7 +175,8 @@ def calibrate_exponential(sensitivity: float, epsilon: float) -> float:
     _check_sensitivity(sensitivity)
     if sensitivity == 0:
         return 0.0
-    return float(1.0 / (epsilon / sensitivity))
+    rate = epsilon / sensitivity
+    return _check_scale(float(1.0 / rate) if rate else math.inf, sensitivity, epsilon)
 
 
 def calibrate_gaussian(
@@ -190,10 +201,12 @@ def calibrate_gaussian(
             raise ValidationError(
                 f"variant 'a' is only valid for epsilon <= 1, got {epsilon!r}"
             )
-        return math.sqrt(2.0 * math.log(1.25 / delta)) * sensitivity / epsilon
-    t = 0.41 * delta ** (-1.0 / 3.0)
-    c = t + math.sqrt(t * t + epsilon / 2.0) + 1e-9
-    return sensitivity / epsilon * c
+        theta = math.sqrt(2.0 * math.log(1.25 / delta)) * sensitivity / epsilon
+    else:
+        t = 0.41 * delta ** (-1.0 / 3.0)
+        c = t + math.sqrt(t * t + epsilon / 2.0) + 1e-9
+        theta = sensitivity / epsilon * c
+    return _check_scale(theta, sensitivity, epsilon)
 
 
 def _checked(
@@ -264,7 +277,7 @@ def _bisect_log_theta(
 
 @dataclass(frozen=True, eq=False)
 class _MomentEquations:
-    """The live row and column moment equations of one plan under one metric.
+    """The live row and column moment equations of one plan.
 
     The entries are grouped by equation, in plan order inside each group:
     equation k holds entries starts[k] to starts[k] + sizes[k] of ``d`` and
@@ -373,34 +386,25 @@ def _newton_window(
     return None
 
 
-#: Pair -> its plan, and plan -> metric -> the plan's sensitivity or moment
-#: equations under the metric. The keys are weak references compared by
-#: identity, so an entry goes with its pair, plan or metric and no sweep
-#: grows these. No value refers to its own key: a plan holds the pair's
-#: distributions, not the pair.
+#: Pair -> its plan, and plan -> its sensitivity or moment equations. The
+#: keys are weak references compared by identity, so an entry goes with its
+#: pair or plan and no sweep grows these. No value refers to its own key: a
+#: plan holds the pair's distributions, not the pair.
 _PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _SENSITIVITIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _EQUATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _per_metric(
-    memo: weakref.WeakKeyDictionary,
-    plan: TransportPlan,
-    metric: Metric,
-    compute: Callable[[TransportPlan, Metric], object],
-):
-    """``compute(plan, metric)``, computed once per plan and metric object."""
-    by_metric = memo.get(plan)
-    if by_metric is None:
-        by_metric = memo[plan] = weakref.WeakKeyDictionary()
-    if metric not in by_metric:
-        by_metric[metric] = compute(plan, metric)
-    return by_metric[metric]
+def _memoized(memo: weakref.WeakKeyDictionary, key, compute: Callable):
+    """``compute(key)``, computed once per ``key`` object."""
+    if key not in memo:
+        memo[key] = compute(key)
+    return memo[key]
 
 
-def _moment_equations(plan: TransportPlan, metric: Metric) -> _MomentEquations | None:
+def _moment_equations(plan: TransportPlan) -> _MomentEquations | None:
     """The equations ``relaxed_theta`` solves on ``plan``, or None when none is live."""
-    distances = metric.over(plan.displacements())
+    distances = np.abs(plan.displacements())
     # One equation per row key 0..len(p)-1 and per column key after them.
     keys = np.concatenate([plan.rows, plan.cols + plan.source.mass.size])
     live = np.bincount(keys, weights=np.tile(distances > 0, 2))[keys] > 0
@@ -423,11 +427,11 @@ def _moment_equations(plan: TransportPlan, metric: Metric) -> _MomentEquations |
     )
 
 
-def relaxed_theta(plan: TransportPlan, epsilon: float, metric: Metric = L1) -> float:
+def relaxed_theta(plan: TransportPlan, epsilon: float) -> float:
     """Largest root of the per-row / per-column moment equations of ``plan``.
 
     For each column x' with q(x') > 0 the equation
-    sum_x exp(d(x - x') / theta) pi(x, x') = e^eps q(x') has a unique root
+    sum_x exp(|x - x'| / theta) pi(x, x') = e^eps q(x') has a unique root
     because the left side strictly decreases in theta whenever any entry
     has positive distance; the symmetric equation is solved per row
     against p(x). The marginals p and q are the plan's own source and
@@ -436,12 +440,13 @@ def relaxed_theta(plan: TransportPlan, epsilon: float, metric: Metric = L1) -> f
     solved together: their log residuals all decrease in theta, so the
     largest root is the root of their maximum G, evaluated for every
     equation at once as a grouped log-sum-exp. The grouping depends only
-    on the plan and the metric, so it is built once per plan and metric
-    object and reused at every epsilon.
+    on the plan, so it is built once per plan object and reused at every
+    epsilon.
 
     An epsilon at or below G's rounding bound cannot move the targets
     eps + log(marginal) off log(marginal), so rounding alone would decide
-    the root; that raises ``NumericError``.
+    the root; that raises ``NumericError``, as does a strict rate eps / max d
+    that overflows, where theorem1's scale is 0 and this one no larger.
 
     G is convex and increasing in the rate a = 1/theta. G is evaluated once
     at the strict rate eps / max d, and Newton's method runs on its largest
@@ -456,7 +461,7 @@ def relaxed_theta(plan: TransportPlan, epsilon: float, metric: Metric = L1) -> f
     edge fails.
     """
     _check_epsilon(epsilon)
-    eqs = _per_metric(_EQUATIONS, plan, metric, _moment_equations)
+    eqs = _memoized(_EQUATIONS, plan, _moment_equations)
     if eqs is None:
         return 0.0
     targets = epsilon + eqs.log_marginals
@@ -467,6 +472,8 @@ def relaxed_theta(plan: TransportPlan, epsilon: float, metric: Metric = L1) -> f
             f"epsilon={epsilon!r} is within the rounding bound {noise:.3g} of the "
             "moment equations' targets, so their root would be decided by rounding"
         )
+    if epsilon / eqs.d_max == math.inf:
+        _check_scale(0.0, eqs.d_max, epsilon)
     context = "the row and column moment equations"
     g = _checked(lambda log_theta: _objective(eqs, targets, 1.0 / math.exp(log_theta)), context)
     window = _newton_window(eqs, targets, epsilon, noise, g)
@@ -477,19 +484,17 @@ def calibrate_pufferfish(
     pairs: Sequence[DiscriminativePair],
     epsilon: float,
     method: str = "theorem1",
-    metric: Metric = L1,
     delta: float | None = None,
 ) -> PrivacyReport:
     """Calibrate one noise scale covering every discriminative pair.
 
     Each pair is calibrated on its own optimal transport plan and the
     maximum scale wins; the per-pair breakdown is kept in the report.
-    ``theorem1`` and ``theorem2`` give the Laplace scale, whose variance
-    2 theta^2 is reported only for the built-in ``L1``. Gaussian methods
-    measure plan sensitivity with the absolute-value distance regardless
-    of ``metric``. A pair object's plan, and the plan's sensitivity per
-    metric object, are computed on its first calibration and reused by
-    later ones, as at every epsilon of a sweep.
+    ``theorem1`` and ``theorem2`` give the Laplace scale, with variance
+    2 theta^2, and the Gaussian methods a Gaussian one, with variance
+    theta^2. A pair object's plan, and the plan's sensitivity, are
+    computed on its first calibration and reused by later ones, as at
+    every epsilon of a sweep.
     """
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; expected one of {sorted(METHODS)}")
@@ -505,14 +510,12 @@ def calibrate_pufferfish(
 
     records = []
     for pair in pairs:
-        plan = _PLANS.get(pair)
-        if plan is None:
-            plan = _PLANS[pair] = optimal_plan(pair.p, pair.q)
-        sens = _per_metric(_SENSITIVITIES, plan, L1 if gaussian else metric, plan_sensitivity)
+        plan = _memoized(_PLANS, pair, lambda pair: optimal_plan(pair.p, pair.q))
+        sens = _memoized(_SENSITIVITIES, plan, plan_sensitivity)
         if gaussian:
             theta = calibrate_gaussian(sens, epsilon, delta, variant=method[-1])
         elif method == "theorem2":
-            theta = relaxed_theta(plan, epsilon, metric)
+            theta = relaxed_theta(plan, epsilon)
         else:
             theta = calibrate_exponential(sens, epsilon)
         records.append(
@@ -520,18 +523,12 @@ def calibrate_pufferfish(
         )
 
     theta = max(rec.theta for rec in records)
-    if gaussian:
-        variance = _noise_variance("gaussian", theta)
-    elif metric is L1:
-        variance = _noise_variance("laplace", theta)
-    else:
-        variance = None
     return PrivacyReport(
         method=METHODS[method],
         epsilon=epsilon,
         delta=delta,
         theta=theta,
-        variance=variance,
+        variance=_noise_variance("gaussian" if gaussian else "laplace", theta),
         pairs=tuple(records),
     )
 

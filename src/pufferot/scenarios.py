@@ -17,7 +17,6 @@ import numpy as np
 from .distributions import DiscreteDistribution, integer_convolution
 from .errors import ValidationError
 from .pairs import DiscriminativePair
-from .transport import L1, Metric
 
 #: Nearby non-integer output atoms are merged within this tolerance.
 ATOM_MERGE_TOL = 1e-9
@@ -274,10 +273,8 @@ def discriminative_pairs(
     ]
 
 
-def query_sensitivity(
-    system: UserSystem, user: int, metric: Metric = L1, mode: str = "values"
-) -> float:
-    """Worst per-user output swing: max over a, b of d(f_i(a) - f_i(b)).
+def query_sensitivity(system: UserSystem, user: int, mode: str = "values") -> float:
+    """Worst per-user output swing: max over a, b of |f_i(a) - f_i(b)|.
 
     The value is independent of the priors. Absence pairs are covered by
     the same bound (the absent conditional is a mixture of the value
@@ -287,4 +284,4 @@ def query_sensitivity(
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     outputs = np.array([system.query.output(user, a) for a in system.priors[user].support])
-    return float(metric.over(np.subtract.outer(outputs, outputs).ravel()).max())
+    return float(np.abs(np.subtract.outer(outputs, outputs).ravel()).max())

@@ -1,7 +1,7 @@
 """Tabular ingestion: empirical secret-conditional distributions from CSV.
 
 A public categorical attribute is mapped onto contiguous 1-based numeric
-indices (the index order defines the metric geometry, so unknown labels
+indices (the index distances are what calibration measures, so unknown labels
 reject the row rather than silently extending the mapping). Per-secret
 counts then normalize into the conditional distributions that calibration
 consumes.

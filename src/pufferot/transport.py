@@ -2,18 +2,17 @@
 
 For every convex ground distance on the line the Kantorovich problem is
 minimized by the comonotone (quantile) coupling, whose cumulative mass is
-min{F(x), G(x')}. The plan is built here by a north-west-corner sweep over
-the sorted supports, which computes exactly the discrete second difference
-of that minimum. The sweep runs on Python floats taken from the mass
-arrays: the same IEEE operations as on numpy scalars, so the same bits,
-at a fraction of the per-step cost.
+min{F(x), G(x')}. The plan therefore does not depend on the distance, and
+every distance here is |x - x'|, the one Laplace noise is calibrated to.
+The plan is built by a north-west-corner sweep over the sorted supports,
+which computes exactly the discrete second difference of that minimum.
+The sweep runs on Python floats taken from the mass arrays: the same IEEE
+operations as on numpy scalars, so the same bits, at a fraction of the
+per-step cost.
 """
-
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -24,51 +23,6 @@ from .errors import ValidationError
 ENTRY_DROP_TOL = 1e-15
 #: Per-atom tolerance when checking that plan marginals reproduce the inputs.
 MARGINAL_TOL = 1e-10
-
-_SYMMETRY_PROBES = (0.25, 1.0, 2.5, 7.0)
-
-
-@dataclass(frozen=True, eq=False)
-class Metric:
-    """Symmetric nonnegative ground distance d(z) on the real line.
-
-    d(0) = 0, nonnegativity and symmetry are probed at a few points.
-    Convexity cannot be detected reliably at runtime, so it is declared;
-    the closed-form optimal plan and the transport cost are only
-    meaningful for convex distances.
-    """
-
-    fn: Callable[[float], float]
-    convex: bool
-    name: str = "custom"
-
-    def __post_init__(self) -> None:
-        if self.fn(0.0) != 0.0:
-            raise ValidationError(f"metric {self.name!r} must satisfy d(0) = 0")
-        for z in _SYMMETRY_PROBES:
-            plus = float(self.fn(z))
-            minus = float(self.fn(-z))
-            if plus < 0 or minus < 0:
-                raise ValidationError(f"metric {self.name!r} is negative at z={z}")
-            if not math.isclose(plus, minus, rel_tol=1e-12, abs_tol=1e-12):
-                raise ValidationError(f"metric {self.name!r} is not symmetric at z={z}")
-
-    def __call__(self, z: float) -> float:
-        return float(self.fn(z))
-
-    def over(self, z: np.ndarray) -> np.ndarray:
-        """d at every element of ``z`` as a float array.
-
-        For ``abs`` this is ``np.abs``, which gives the bits of ``abs`` on
-        each Python float; any other ``fn`` is called on each element.
-        """
-        if self.fn is abs:
-            return np.abs(z)
-        return np.array(list(map(float, map(self.fn, z.tolist()))), dtype=float)
-
-
-#: The absolute-value ground distance used by the Laplace mechanism.
-L1 = Metric(fn=abs, convex=True, name="l1")
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,35 +130,27 @@ def optimal_plan(p: DiscreteDistribution, q: DiscreteDistribution) -> TransportP
     )
 
 
-def plan_sensitivity(plan: TransportPlan, metric: Metric = L1) -> float:
-    """Largest ground distance carried by the support of the plan."""
-    return float(metric.over(plan.displacements()).max())
+def plan_sensitivity(plan: TransportPlan) -> float:
+    """Largest distance |x - x'| carried by the support of the plan."""
+    return float(np.abs(plan.displacements()).max())
 
 
-def w1_distance(
-    p: DiscreteDistribution, q: DiscreteDistribution, metric: Metric = L1
-) -> float:
-    """Optimal transport cost between ``p`` and ``q`` under a convex metric."""
-    if not metric.convex:
-        raise ValidationError(
-            f"transport cost requires a convex metric; {metric.name!r} is not declared convex"
-        )
+def w1_distance(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
+    """Optimal transport cost between ``p`` and ``q`` under |x - x'|."""
     plan = optimal_plan(p, q)
     # cumsum adds left to right; np.sum adds pairwise and would change the last bits
-    return float(np.cumsum(metric.over(plan.displacements()) * plan.mass)[-1])
+    return float(np.cumsum(np.abs(plan.displacements()) * plan.mass)[-1])
 
 
-def support_sensitivity(
-    p: DiscreteDistribution, q: DiscreteDistribution, metric: Metric = L1
-) -> float:
-    """Largest ground distance between the positive-mass supports.
+def support_sensitivity(p: DiscreteDistribution, q: DiscreteDistribution) -> float:
+    """Largest distance between the positive-mass supports.
 
-    This is the naive query-sensitivity baseline: the maximum of d(x - x')
+    This is the naive query-sensitivity baseline: the maximum of |x - x'|
     over all x with p(x) > 0 and x' with q(x') > 0.
     """
     xs = p.support[p.mass > 0]
     ys = q.support[q.mass > 0]
-    return float(metric.over(np.subtract.outer(xs, ys).ravel()).max())
+    return float(np.abs(np.subtract.outer(xs, ys).ravel()).max())
 
 
 def joint_cdf_table(p: DiscreteDistribution, q: DiscreteDistribution) -> np.ndarray:

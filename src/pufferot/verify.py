@@ -28,7 +28,7 @@ from .distributions import DiscreteDistribution
 from .errors import ValidationError
 from .mechanisms import MechanismSpec, _check_delta, _check_epsilon
 from .pairs import DiscriminativePair
-from .transport import L1, optimal_plan, plan_sensitivity
+from .transport import optimal_plan, plan_sensitivity
 
 #: Slack allowed on the log-ratio bound before a pair is flagged.
 VERIFY_TOL = 1e-6
@@ -373,7 +373,7 @@ def verify_delta_approx(
     _check_delta(delta)
     checks = []
     for pair in pairs:
-        sens = plan_sensitivity(optimal_plan(pair.p, pair.q), L1)
+        sens = plan_sensitivity(optimal_plan(pair.p, pair.q))
         mass = gaussian_violation_mass(spec.theta, epsilon, sens)
         passed = mass <= delta
         note = "pass criterion is the noise tail mass; density_slack reports the literal density reading"

@@ -202,14 +202,14 @@ def _bisect_decreasing_log_theta(g) -> float:
     return math.exp(0.5 * (lo + hi))
 
 
-def per_equation_relaxed_theta(plan, epsilon, metric) -> float:
+def per_equation_relaxed_theta(plan, epsilon) -> float:
     """Theorem-2 scale solving each row and column moment equation on its own.
 
     Every equation with an entry at positive distance gets its own
     bracket and bisection against the plan's own marginal; the largest
     root wins, and 0 when no equation has one.
     """
-    distances = np.array([metric(z) for z in plan.displacements()])
+    distances = np.array([abs(z) for z in plan.displacements().tolist()])
     log_mass = np.log(plan.mass)
     best = 0.0
     for indices, marginals in ((plan.rows, plan.source.mass), (plan.cols, plan.target.mass)):

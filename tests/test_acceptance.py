@@ -10,7 +10,6 @@ import pytest
 
 from pufferot import (
     DiscreteDistribution,
-    L1,
     MechanismSpec,
     bernoulli_counting,
     calibrate_exponential,
@@ -71,9 +70,9 @@ def test_criterion_1_first_worked_example(criterion, example1_pair):
         assert set(got) == set(GOLDEN_PLAN_1)
         for key, expected in GOLDEN_PLAN_1.items():
             assert abs(got[key] - float(expected)) <= 1e-12
-        assert plan_sensitivity(plan, L1) == 1.0
+        assert plan_sensitivity(plan) == 1.0
         for epsilon in (0.5, 1.0, 2.0):
-            assert calibrate_exponential(plan_sensitivity(plan, L1), epsilon) == pytest.approx(
+            assert calibrate_exponential(plan_sensitivity(plan), epsilon) == pytest.approx(
                 1.0 / epsilon, abs=1e-12
             )
         assert calibrate_exponential(1.0, 1.0) == pytest.approx(1.0, abs=1e-12)
@@ -91,7 +90,7 @@ def test_criterion_2_second_worked_example(criterion, example2_pair):
         assert set(got) == set(GOLDEN_PLAN_2)
         for key, expected in GOLDEN_PLAN_2.items():
             assert abs(got[key] - expected) <= 1e-12
-        assert plan_sensitivity(plan, L1) == 2.0
+        assert plan_sensitivity(plan) == 2.0
         for epsilon in (0.5, 1.0, 2.0):
             assert calibrate_exponential(2.0, epsilon) == pytest.approx(2.0 / epsilon, abs=1e-12)
 
@@ -99,8 +98,8 @@ def test_criterion_2_second_worked_example(criterion, example2_pair):
 def test_criterion_3_adult_fixture_sensitivities(criterion, adult_pair):
     with criterion(3, "education-by-race fixture: plan sensitivity 2; diameter discrepancy logged"):
         plan = optimal_plan(adult_pair.p, adult_pair.q)
-        assert plan_sensitivity(plan, L1) == 2.0
-        computed = support_sensitivity(adult_pair.p, adult_pair.q, L1)
+        assert plan_sensitivity(plan) == 2.0
+        computed = support_sensitivity(adult_pair.p, adult_pair.q)
         quoted = 14.0  # diameter quoted alongside the dataset description
         acceptance_results.append(
             f"criterion 3 note: support diameter computed={computed:g} vs quoted={quoted:g} "
@@ -131,7 +130,7 @@ def test_criterion_5_counting_scenarios(criterion):
             assert np.all(plan.displacements() == -1.0)
             for pair in discriminative_pairs(system, 0, "absence"):
                 plan = optimal_plan(pair.p, pair.q)
-                assert plan_sensitivity(plan, L1) <= 1.0
+                assert plan_sensitivity(plan) <= 1.0
 
 
 def test_criterion_6_transport_oracle(criterion):
@@ -144,9 +143,9 @@ def test_criterion_6_transport_oracle(criterion):
                 return DiscreteDistribution.from_weights(support, rng.random(n) + 1e-3)
 
             p, q = draw(), draw()
-            assert abs(w1_distance(p, q, L1) - lp_transport_cost(p, q)) <= 1e-9
+            assert abs(w1_distance(p, q) - lp_transport_cost(p, q)) <= 1e-9
             plan = optimal_plan(p, q)
-            assert plan_sensitivity(plan, L1) <= support_sensitivity(p, q, L1) + 1e-12
+            assert plan_sensitivity(plan) <= support_sensitivity(p, q) + 1e-12
 
 
 def test_criterion_7_verification_soundness(criterion, canonical_pairs, example2_pair):
@@ -187,7 +186,7 @@ def test_criterion_9_property_suite(criterion, canonical_pairs):
             assert np.abs(col - pair.q.mass).max() <= 1e-10
             strict_thetas, relaxed_thetas = [], []
             for epsilon in eps_grid:
-                strict = calibrate_exponential(plan_sensitivity(plan, L1), epsilon)
+                strict = calibrate_exponential(plan_sensitivity(plan), epsilon)
                 relaxed = relaxed_theta(plan, epsilon)
                 assert relaxed <= strict + 1e-9
                 strict_thetas.append(strict)

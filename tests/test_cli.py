@@ -429,7 +429,7 @@ class TestLazyImports:
             "missing = [n for n in pufferot.__all__ if getattr(pufferot, n, None) is None]\n"
             "print(loaded, missing, len(pufferot.__all__))\n"
         )
-        assert out.split("\n")[0] == "[] [] 39"
+        assert out.split("\n")[0] == "[] [] 37"
 
     def test_modules_are_attributes_of_the_package(self):
         out = self.fresh_python(
@@ -745,6 +745,23 @@ class TestExitDiscipline:
 
         monkeypatch.setitem(cli._COMMANDS, "tables", boom)
         assert cli.main(["tables", "--out", str(tmp_path / "t.json")]) == 3
+
+    def test_scale_outside_the_floats_maps_to_three(self, tmp_path, capsys):
+        # eps / sensitivity underflows to 0 here; the parent raised ZeroDivisionError
+        payload = {
+            "prior": "edge",
+            "conditionals": {
+                "a": {"support": [1e308, 1.5e308], "mass": [0.5, 0.5]},
+                "b": {"support": [1.2e308, 1.7e308], "mass": [0.5, 0.5]},
+            },
+            "pairs": [["a", "b"]],
+        }
+        out = tmp_path / "report.json"
+        code = cli.main(["calibrate", "--pairs", write_json(payload, tmp_path / "edge.json"),
+                         "--epsilon", "1e-20", "--method", "theorem1", "--out", str(out)])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "NumericError"
+        assert not out.exists()
 
     def test_malformed_json_input(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import sys
 import threading
 import weakref
@@ -12,9 +13,7 @@ from hypothesis import strategies as st
 from pufferot import (
     DiscreteDistribution,
     DiscriminativePair,
-    L1,
     MechanismSpec,
-    Metric,
     NumericError,
     TransportPlan,
     ValidationError,
@@ -62,7 +61,7 @@ def random_pair(rng, n, empty):
 
 
 def reference_theta(plan, epsilon):
-    return per_equation_relaxed_theta(plan, epsilon, L1)
+    return per_equation_relaxed_theta(plan, epsilon)
 
 
 def record_windows(monkeypatch):
@@ -165,6 +164,17 @@ class TestCalibrateExponential:
         with pytest.raises(ValidationError, match="sensitivity"):
             calibrate_exponential(bad, 1.0)
 
+    @pytest.mark.parametrize("sensitivity,epsilon,theta", [
+        (1e-300, 1e10, 0.0), (1e-320, 1e10, 0.0), (1e308, 1e-20, math.inf),
+    ])
+    def test_scale_outside_the_floats_raises(self, sensitivity, epsilon, theta):
+        # the parent returned 0.0, a noiseless release, for the first two and
+        # raised ZeroDivisionError for the third
+        with pytest.raises(NumericError, match=re.escape(
+            f"sensitivity={sensitivity!r} at epsilon={epsilon!r} is {theta!r}"
+        )):
+            calibrate_exponential(sensitivity, epsilon)
+
 
 class TestCalibrateGaussian:
     def test_variant_a_closed_form(self):
@@ -197,6 +207,15 @@ class TestCalibrateGaussian:
         with pytest.raises(ValidationError, match="sensitivity"):
             calibrate_gaussian(bad, 0.5, 1e-5, variant=variant)
 
+    @pytest.mark.parametrize("sensitivity,epsilon,variant,theta", [
+        (1e-320, 1e10, "b", 0.0), (1e308, 1e-20, "a", math.inf),
+    ])
+    def test_scale_outside_the_floats_raises(self, sensitivity, epsilon, variant, theta):
+        with pytest.raises(NumericError, match=re.escape(
+            f"sensitivity={sensitivity!r} at epsilon={epsilon!r} is {theta!r}"
+        )):
+            calibrate_gaussian(sensitivity, epsilon, 1e-5, variant)
+
     def test_variant_b_exceeds_strict_bound(self):
         delta = 0.01
         t = 0.41 * delta ** (-1 / 3)
@@ -228,7 +247,7 @@ class TestRelaxedTheta:
         plan = optimal_plan(pair.p, pair.q)
         for epsilon in (0.7, 1.3):
             got = relaxed_theta(plan, epsilon)
-            strict = calibrate_exponential(plan_sensitivity(plan, L1), epsilon)
+            strict = calibrate_exponential(plan_sensitivity(plan), epsilon)
             assert got == pytest.approx(strict, abs=1e-9)
 
     def test_binding_constraint_residual(self, adult_pair):
@@ -243,7 +262,7 @@ class TestRelaxedTheta:
         for pair in canonical_pairs:
             plan = optimal_plan(pair.p, pair.q)
             for epsilon in EPS_GRID:
-                strict = calibrate_exponential(plan_sensitivity(plan, L1), epsilon)
+                strict = calibrate_exponential(plan_sensitivity(plan), epsilon)
                 relaxed = relaxed_theta(plan, epsilon)
                 assert relaxed <= strict + 1e-9
 
@@ -325,7 +344,7 @@ class TestRelaxedTheta:
             for epsilon in FIGURE4_EPS_GRID:
                 theta = relaxed_theta(plan, epsilon)
                 assert theta == reference_theta(plan, epsilon)
-                strict = calibrate_exponential(plan_sensitivity(plan, L1), epsilon)
+                strict = calibrate_exponential(plan_sensitivity(plan), epsilon)
                 assert theta == pytest.approx(strict, rel=1e-9)
 
     def test_newton_window_always_holds_on_the_figure4_grid(self, adult_pair, monkeypatch):
@@ -441,6 +460,25 @@ class TestRelaxedTheta:
         monkeypatch.setattr(mechanisms, "_newton_window", lambda *args: None)
         assert relaxed_theta(plan, 1.0) == theta
 
+    def test_infinite_strict_rate_raises_as_theorem1_does(self, monkeypatch):
+        # eps / max d overflows, so theorem1's scale is 0; the parent evaluated
+        # the objective at that infinite rate and warned
+        pair = DiscriminativePair(
+            labels=("a", "b"),
+            p=DiscreteDistribution(np.array([1.0, 2.0]) * 1e-300, np.array([0.5, 0.5])),
+            q=DiscreteDistribution(np.array([2.0, 3.0]) * 1e-300, np.array([0.3, 0.7])),
+        )
+        objective, calls = mechanisms._objective, []
+        monkeypatch.setattr(mechanisms, "_objective",
+                            lambda *args: calls.append(1) or objective(*args))
+        errors = []
+        for method in ("theorem1", "theorem2"):
+            with pytest.raises(NumericError, match=r"is 0\.0, outside the positive floats") as info:
+                calibrate_pufferfish([pair], 1e10, method)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert calls == []
+
     @settings(max_examples=20, deadline=None)
     @given(bad=NON_FINITE)
     def test_non_finite_epsilon_rejected(self, bad):
@@ -526,12 +564,6 @@ class TestCalibratePufferfish:
         with pytest.raises(ValidationError, match="epsilon"):
             calibrate_pufferfish([pair], epsilon=bad, method=method, delta=delta)
 
-    def test_variance_rule_trusts_only_the_builtin_l1(self, example1_pair):
-        lookalike = Metric(fn=lambda z: 2 * abs(z), convex=True, name="l1")
-        report = calibrate_pufferfish([example1_pair], epsilon=1.0, metric=lookalike)
-        assert report.variance is None
-        assert calibrate_pufferfish([example1_pair], epsilon=1.0).variance == 2.0
-
     def test_json_fields(self, example1_pair):
         report = calibrate_pufferfish([example1_pair], epsilon=1.0)
         payload = report.to_json_dict()
@@ -598,7 +630,7 @@ class TestPairMemo:
         monkeypatch.setattr(mechanisms, "optimal_plan",
                             lambda p, q: plans.append(1) or optimal(p, q))
         monkeypatch.setattr(mechanisms, "plan_sensitivity",
-                            lambda plan, metric: sensitivities.append(1) or sensitivity(plan, metric))
+                            lambda plan: sensitivities.append(1) or sensitivity(plan))
         pairs = self.sweep_pairs(adult_pair)
         for pair in pairs:
             figure4_sweep(lambda: pair)
@@ -606,25 +638,23 @@ class TestPairMemo:
         figure4_sweep(lambda: pairs[0])
         assert len(plans) == len(sensitivities) == len(pairs)
 
-    def test_metrics_on_one_plan_do_not_share_equations(self, example2_pair, adult_pair):
-        # a memo keyed on the plan alone would hand one metric's equations to the other
-        square = Metric(fn=lambda z: z * z, convex=True, name="square")
-        for pair in (example2_pair, adult_pair):
-            base = optimal_plan(pair.p, pair.q)
-            assert plan_sensitivity(base, square) != plan_sensitivity(base, L1)
-            for metrics in ((L1, square), (square, L1)):
-                plan = optimal_plan(pair.p, pair.q)
-                shared = fresh_copy(pair)
-                for metric in metrics:
-                    for epsilon in FIGURE4_EPS_GRID:
-                        fresh = optimal_plan(pair.p, pair.q)
-                        assert relaxed_theta(plan, epsilon, metric) == (
-                            relaxed_theta(fresh, epsilon, metric)
-                        )
-                        for method in ("theorem1", "theorem2"):
-                            got = calibrate_pufferfish([shared], epsilon, method, metric)
-                            want = calibrate_pufferfish([fresh_copy(pair)], epsilon, method, metric)
-                            assert got.to_json_dict() == want.to_json_dict()
+    def test_one_set_of_moment_equations_per_plan(self, adult_pair, monkeypatch):
+        built, build = [], mechanisms._moment_equations
+        monkeypatch.setattr(mechanisms, "_moment_equations",
+                            lambda plan: built.append(1) or build(plan))
+        # no equation is live on this pair's plan, and that None is kept too
+        p = make_pair(EXAMPLE1, "identical").p
+        identical = DiscriminativePair(labels=("a", "b"), p=p, q=p)
+        pairs = [*self.sweep_pairs(adult_pair), identical]
+        for pair in pairs:
+            figure4_sweep(lambda: pair)  # cold
+        assert len(built) == len(pairs)
+        for pair in pairs:
+            figure4_sweep(lambda: pair)  # warm
+            assert relaxed_theta(mechanisms._PLANS[pair], 1.0) == (
+                calibrate_pufferfish([pair], 1.0, "theorem2").theta
+            )
+        assert len(built) == len(pairs)
 
     def test_threads_sweeping_shared_pairs_agree_with_fresh_objects(self, adult_pair):
         pairs = self.sweep_pairs(adult_pair)
@@ -648,14 +678,19 @@ class TestPairMemo:
         assert got == {k: want[k % len(pairs)] for k in range(len(threads))}
 
     def test_memo_does_not_keep_the_pair_alive(self, adult_pair):
+        gc.collect()
+        memos = (mechanisms._SENSITIVITIES, mechanisms._EQUATIONS)
+        sizes = [len(memo) for memo in memos]
         pair = fresh_copy(adult_pair)
         for method in ("theorem1", "theorem2"):
             calibrate_pufferfish([pair], 0.8, method)
+        assert [len(memo) for memo in memos] == [size + 1 for size in sizes]
         pair_ref, plan_ref = weakref.ref(pair), weakref.ref(mechanisms._PLANS[pair])
         del pair
         gc.collect()
         assert pair_ref() is None
         assert plan_ref() is None
+        assert [len(memo) for memo in memos] == sizes
 
 
 class TestSampling:

@@ -5,7 +5,6 @@ import pytest
 
 from pufferot import (
     DiscreteDistribution,
-    L1,
     SecretEvent,
     SeparableQuery,
     UserSystem,
@@ -128,7 +127,7 @@ class TestDiscriminativePairs:
         system = bernoulli_counting(ps)
         for pair in discriminative_pairs(system, 0, "absence"):
             plan = optimal_plan(pair.p, pair.q)
-            assert plan_sensitivity(plan, L1) <= 1.0
+            assert plan_sensitivity(plan) <= 1.0
 
     def test_offset_matches_per_user_output_gap(self):
         # three-letter alphabet with outputs 0, 3, 6: the (a, b) plan support
@@ -152,32 +151,32 @@ class TestDiscriminativePairs:
 class TestQuerySensitivity:
     def test_counting_binary_alphabet(self):
         system = bernoulli_counting([0.6, 0.2])
-        assert query_sensitivity(system, 0, L1) == 1.0
+        assert query_sensitivity(system, 0) == 1.0
 
     def test_constant_query_zero(self):
         prior = DiscreteDistribution.from_weights([0, 1], [1, 1])
         tables = ({0.0: 5.0, 1.0: 5.0},)
         system = UserSystem(priors=(prior,), query=SeparableQuery(tables=tables))
-        assert query_sensitivity(system, 0, L1) == 0.0
+        assert query_sensitivity(system, 0) == 0.0
 
     def test_scaled_ternary_alphabet(self):
         support = [0.0, 1.0, 2.0]
         prior = DiscreteDistribution.from_weights(support, [1, 1, 1])
         tables = ({a: 3.0 * a for a in support},)
         system = UserSystem(priors=(prior,), query=SeparableQuery(tables=tables))
-        assert query_sensitivity(system, 0, L1) == 6.0
+        assert query_sensitivity(system, 0) == 6.0
 
     def test_independent_of_priors(self):
         for ps in ([0.5, 0.5, 0.5], [0.9, 0.1, 0.3]):
             system = bernoulli_counting(ps)
-            assert query_sensitivity(system, 1, L1) == 1.0
+            assert query_sensitivity(system, 1) == 1.0
 
     def test_bounds_value_pair_plans(self):
         system = bernoulli_counting(HETERO_PS)
-        bound = query_sensitivity(system, 4, L1)
+        bound = query_sensitivity(system, 4)
         for pair in discriminative_pairs(system, 4, "values"):
             plan = optimal_plan(pair.p, pair.q)
-            assert plan_sensitivity(plan, L1) <= bound
+            assert plan_sensitivity(plan) <= bound
 
 
 def ternary_system(seed, users=12):

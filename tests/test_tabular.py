@@ -6,7 +6,6 @@ import pytest
 
 from pufferot import (
     AttributeMapping,
-    L1,
     ValidationError,
     adult_education_conditionals,
     adult_education_fixture,
@@ -257,11 +256,11 @@ class TestAdultFixture:
     def test_pipeline_plan_sensitivity(self):
         pair = adult_education_pair()
         plan = optimal_plan(pair.p, pair.q)
-        assert plan_sensitivity(plan, L1) == 2.0
+        assert plan_sensitivity(plan) == 2.0
 
     def test_support_diameter_versus_quoted_value(self):
         pair = adult_education_pair()
-        computed = support_sensitivity(pair.p, pair.q, L1)
+        computed = support_sensitivity(pair.p, pair.q)
         quoted = adult_education_fixture()["_meta"]["quoted_alphabet_diameter"]
         assert computed == 13.0
         assert quoted == 14

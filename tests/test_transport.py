@@ -8,13 +8,9 @@ from hypothesis import strategies as st
 
 from pufferot import (
     DiscreteDistribution,
-    L1,
-    Metric,
-    ValidationError,
     joint_cdf_table,
     optimal_plan,
     plan_sensitivity,
-    relaxed_theta,
     support_sensitivity,
     w1_distance,
 )
@@ -105,56 +101,50 @@ class TestGoldenPlans:
 class TestPlanSensitivity:
     def test_first_example_unit(self, example1_pair):
         plan = optimal_plan(example1_pair.p, example1_pair.q)
-        assert plan_sensitivity(plan, L1) == 1.0
+        assert plan_sensitivity(plan) == 1.0
 
     def test_second_example_two(self, example2_pair):
         plan = optimal_plan(example2_pair.p, example2_pair.q)
-        assert plan_sensitivity(plan, L1) == 2.0
+        assert plan_sensitivity(plan) == 2.0
 
     def test_diagonal_zero(self):
         p = DiscreteDistribution.from_weights([0, 1], [1, 1])
-        assert plan_sensitivity(optimal_plan(p, p), L1) == 0.0
+        assert plan_sensitivity(optimal_plan(p, p)) == 0.0
 
 
 class TestW1:
     def test_first_example_quarter(self, example1_pair):
-        got = w1_distance(example1_pair.p, example1_pair.q, L1)
+        got = w1_distance(example1_pair.p, example1_pair.q)
         assert math.isclose(got, 0.25, abs_tol=1e-12)
         assert math.isclose(got, cdf_area_w1(example1_pair.p, example1_pair.q), abs_tol=1e-12)
 
     def test_identical_zero(self):
         p = DiscreteDistribution.from_weights([2, 4], [1, 3])
-        assert w1_distance(p, p, L1) == 0.0
+        assert w1_distance(p, p) == 0.0
 
     def test_forced_dirac_transport(self):
         a = DiscreteDistribution.from_weights([0], [1])
         b = DiscreteDistribution.from_weights([3], [1])
-        assert w1_distance(a, b, L1) == 3.0
-
-    def test_nonconvex_metric_rejected(self):
-        bounded = Metric(fn=lambda z: min(abs(z), 1.0), convex=False, name="bounded")
-        p = DiscreteDistribution.from_weights([0, 1], [1, 1])
-        with pytest.raises(ValidationError, match="convex"):
-            w1_distance(p, p, bounded)
+        assert w1_distance(a, b) == 3.0
 
 
 class TestSupportSensitivity:
     def test_first_example(self, example1_pair):
-        assert support_sensitivity(example1_pair.p, example1_pair.q, L1) == 3.0
+        assert support_sensitivity(example1_pair.p, example1_pair.q) == 3.0
 
     def test_dirac_pair(self):
         a = DiscreteDistribution.from_weights([2], [1])
         b = DiscreteDistribution.from_weights([9], [1])
-        assert support_sensitivity(a, b, L1) == 7.0
+        assert support_sensitivity(a, b) == 7.0
 
     def test_adult_fixture_diameter(self, adult_pair):
-        assert support_sensitivity(adult_pair.p, adult_pair.q, L1) == 13.0
+        assert support_sensitivity(adult_pair.p, adult_pair.q) == 13.0
 
     def test_ignores_zero_atoms(self):
         p = DiscreteDistribution([0, 10], [1.0, 0.0])
         q = DiscreteDistribution([0, 10], [0.0, 1.0])
-        assert support_sensitivity(p, q, L1) == 10.0
-        assert support_sensitivity(p, p.prune(), L1) == 0.0
+        assert support_sensitivity(p, q) == 10.0
+        assert support_sensitivity(p, p.prune()) == 0.0
 
 
 class TestOracleAgreement:
@@ -162,7 +152,7 @@ class TestOracleAgreement:
         rng = np.random.default_rng(20240817)
         for _ in range(50):
             p, q = random_pair(rng)
-            got = w1_distance(p, q, L1)
+            got = w1_distance(p, q)
             assert math.isclose(got, lp_transport_cost(p, q), abs_tol=1e-9)
 
     def test_plan_never_exceeds_support_sensitivity(self):
@@ -170,7 +160,7 @@ class TestOracleAgreement:
         for _ in range(50):
             p, q = random_pair(rng)
             plan = optimal_plan(p, q)
-            assert plan_sensitivity(plan, L1) <= support_sensitivity(p, q, L1) + 1e-12
+            assert plan_sensitivity(plan) <= support_sensitivity(p, q) + 1e-12
 
 
 @st.composite
@@ -220,7 +210,7 @@ class TestPlanProperties:
     def test_dominance(self, pq):
         p, q = pq
         plan = optimal_plan(p, q)
-        assert plan_sensitivity(plan, L1) <= support_sensitivity(p, q, L1) + 1e-12
+        assert plan_sensitivity(plan) <= support_sensitivity(p, q) + 1e-12
 
     def test_positive_entries_only(self, example2_pair):
         plan = optimal_plan(example2_pair.p, example2_pair.q)
@@ -271,52 +261,14 @@ class TestSweepMatchesNumpyScalars:
                 assert_same_plan(pair.p, pair.q)
 
     def test_metric_sums_keep_their_bits(self):
-        capped = Metric(fn=lambda z: min(abs(z), 1.5), convex=False, name="capped")
         rng = np.random.default_rng(22)
         support = np.arange(1.0, 41.0)
         for _ in range(20):
             p, q = dirichlet_dist(rng, support, 4), dirichlet_dist(rng, support, 4)
             plan = optimal_plan(p, q)
-            disp = plan.displacements()
-            cost = float(sum(L1(z) * m for z, m in zip(disp, plan.mass)))
-            assert w1_distance(p, q, L1) == cost
-            for metric in (L1, capped):
-                assert plan_sensitivity(plan, metric) == max(metric(z) for z in disp)
-                diffs = np.subtract.outer(p.support[p.mass > 0], q.support[q.mass > 0])
-                assert support_sensitivity(p, q, metric) == max(metric(z) for z in diffs.ravel())
-
-
-class TestMetricArrayPath:
-    # L1 evaluates as np.abs; the same abs behind a lambda takes the per-float path
-    per_float = Metric(fn=lambda z: abs(z), convex=True, name="per-float l1")
-
-    @pytest.mark.parametrize("n", [5, 40, 300])
-    def test_abs_array_keeps_the_per_float_bits(self, n):
-        rng = np.random.default_rng([23, n])
-        for _ in range(10):
-            xs = np.sort(rng.choice(4 * n, n, replace=False)) * 0.37 - n
-            ys = np.sort(rng.choice(4 * n, n, replace=False)) * 0.37 - n
-            p, q = dirichlet_dist(rng, xs, n // 5), dirichlet_dist(rng, ys, n // 5)
-            plan = optimal_plan(p, q)
-            disp = plan.displacements()
-            fast, slow = L1.over(disp), self.per_float.over(disp)
-            assert fast.dtype == slow.dtype == np.float64
-            assert fast.tobytes() == slow.tobytes()
-            assert plan_sensitivity(plan, L1) == plan_sensitivity(plan, self.per_float)
-            assert w1_distance(p, q, L1) == w1_distance(p, q, self.per_float)
-            assert support_sensitivity(p, q, L1) == support_sensitivity(p, q, self.per_float)
-            for eps in (0.3, 1.0, 4.0):
-                assert relaxed_theta(plan, eps, L1) == relaxed_theta(plan, eps, self.per_float)
-
-
-class TestMetricValidation:
-    def test_requires_zero_at_origin(self):
-        with pytest.raises(ValidationError, match=r"d\(0\)"):
-            Metric(fn=lambda z: abs(z) + 1.0, convex=True, name="shifted")
-
-    def test_requires_symmetry(self):
-        with pytest.raises(ValidationError, match="symmetric"):
-            Metric(fn=lambda z: max(z, 0.0), convex=True, name="one-sided")
-
-    def test_callable(self):
-        assert L1(-3.5) == 3.5
+            disp = plan.displacements().tolist()
+            cost = float(sum(abs(z) * m for z, m in zip(disp, plan.mass)))
+            assert w1_distance(p, q) == cost
+            assert plan_sensitivity(plan) == max(abs(z) for z in disp)
+            diffs = np.subtract.outer(p.support[p.mass > 0], q.support[q.mass > 0])
+            assert support_sensitivity(p, q) == max(abs(z) for z in diffs.ravel().tolist())
