@@ -11,11 +11,17 @@ from pufferot import (
     joint_cdf_table,
     optimal_plan,
     plan_sensitivity,
+    relaxed_theta,
     support_sensitivity,
     w1_distance,
 )
 
-from oracles import cdf_area_w1, lp_transport_cost, numpy_scalar_optimal_plan
+from oracles import (
+    cdf_area_w1,
+    lp_transport_cost,
+    numpy_scalar_optimal_plan,
+    per_equation_relaxed_theta,
+)
 from pufferot.scenarios import bernoulli_counting, discriminative_pairs
 
 # Golden couplings for the two worked examples, as exact fractions.
@@ -272,3 +278,24 @@ class TestSweepMatchesNumpyScalars:
             assert plan_sensitivity(plan) == max(abs(z) for z in disp)
             diffs = np.subtract.outer(p.support[p.mass > 0], q.support[q.mass > 0])
             assert support_sensitivity(p, q) == max(abs(z) for z in diffs.ravel().tolist())
+
+
+class TestMetricArrayPath:
+    # every distance is np.abs of an array; Python abs per float is the reference
+    @pytest.mark.parametrize("n", [5, 40, 300])
+    def test_abs_array_keeps_the_per_float_bits(self, n):
+        rng = np.random.default_rng([23, n])
+        for _ in range(10):
+            xs = np.sort(rng.choice(4 * n, n, replace=False)) * 0.37 - n
+            ys = np.sort(rng.choice(4 * n, n, replace=False)) * 0.37 - n
+            p, q = dirichlet_dist(rng, xs, n // 5), dirichlet_dist(rng, ys, n // 5)
+            plan = optimal_plan(p, q)
+            disp = plan.displacements()
+            per_float = np.array([abs(z) for z in disp.tolist()])
+            assert np.abs(disp).tobytes() == per_float.tobytes()
+            assert plan_sensitivity(plan) == max(per_float.tolist())
+            assert w1_distance(p, q) == float(sum(d * m for d, m in zip(per_float, plan.mass)))
+            diffs = np.subtract.outer(p.support[p.mass > 0], q.support[q.mass > 0])
+            assert support_sensitivity(p, q) == max(abs(z) for z in diffs.ravel().tolist())
+            for eps in (0.3, 1.0, 4.0):
+                assert relaxed_theta(plan, eps) == per_equation_relaxed_theta(plan, eps)
