@@ -4,7 +4,8 @@ Every command reads and writes machine-readable JSON/CSV only; plotting is
 left to external tools. Exit codes: 0 on success, 2 on validation errors,
 3 on numeric failures. Only ``release`` draws noise, from --seed (default
 7); every other command is deterministic, so identical invocations produce
-byte-identical artifacts.
+byte-identical artifacts. The CLI defaults OPENBLAS_NUM_THREADS to 1 before
+numpy loads, since no command calls BLAS; a value already set is kept.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import NoReturn
+
+# No command calls BLAS, and each thread OpenBLAS starts when numpy loads costs start-up time.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -266,7 +270,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _system_from_json(payload) -> UserSystem:
+def _system_from_json(payload):
+    """The scenario file's ``scenarios.UserSystem``."""
     from .scenarios import SeparableQuery, UserSystem
 
     if not isinstance(payload, dict):

@@ -360,8 +360,8 @@ def _newton_window(
     Newton continues on the largest equation there, from the current a,
     right of that equation's root. G above ``noise`` at the lower edge
     completes the check. Returns None when Newton does not settle within
-    _NEWTON_MAX_ITER steps in all, or the window is a log(theta) unit or
-    wider.
+    _NEWTON_MAX_ITER steps in all, the window is a log(theta) unit or
+    wider, or an edge lies outside +-_LOG_THETA_LIMIT.
     """
     a, budget = epsilon / eqs.d_max, _NEWTON_MAX_ITER
     # Only its argmax is used: a NaN makes Newton give up, and the full
@@ -375,9 +375,10 @@ def _newton_window(
         a, slope, budget = found
         # |dG / dlog(theta)| = a G'(a) near the root.
         margin = max(_REPLAY_MARGIN, 8.0 * noise / (a * slope))
-        if not margin < 1.0:
-            return None
         root = -math.log(a)
+        # Past the limit, 1/theta or theta is not a float: G is inf x 0 there.
+        if not (margin < 1.0 and abs(root) + margin <= _LOG_THETA_LIMIT):
+            return None
         value, values = g(root + margin)
         if value < -noise:
             break

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import typing
 from pathlib import Path
 
 import pytest
@@ -414,13 +416,43 @@ class TestRelease:
 
 class TestLazyImports:
     @staticmethod
-    def fresh_python(code: str) -> str:
-        """The output of ``code`` in a new interpreter, which has imported nothing yet."""
+    def fresh_python(code: str, **extra_env: str) -> str:
+        """The output of ``code`` in a new interpreter, which has imported nothing yet.
+
+        OPENBLAS_NUM_THREADS is left out of its environment unless given in
+        ``extra_env``: this process has imported ``pufferot.cli``, which sets it.
+        """
         src = str(Path(cli.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        env.update(extra_env)
         return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=60, check=True).stdout
+
+    # The thread count is printed only where it can be read and numpy loaded
+    # OpenBLAS, whose worker threads are what the CLI's default avoids.
+    OPENBLAS_STATE = (
+        "import os, sys\n"
+        "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)\n"
+        "maps = '/proc/self/maps'\n"
+        "if os.path.exists(maps) and 'openblas' in open(maps).read().lower():\n"
+        "    print(len(os.listdir('/proc/self/task')))\n"
+    )
+
+    def test_cli_starts_with_one_openblas_thread(self):
+        out = self.fresh_python("import pufferot.cli\n" + self.OPENBLAS_STATE).split()
+        assert out[:2] == ["1", "True"]
+        assert out[2:] in ([], ["1"])
+
+    def test_cli_keeps_a_preset_openblas_thread_count(self):
+        out = self.fresh_python("import pufferot.cli\n" + self.OPENBLAS_STATE,
+                                OPENBLAS_NUM_THREADS="3").split()
+        assert out[:2] == ["3", "True"]
+
+    def test_library_leaves_openblas_threads_to_the_host(self):
+        out = self.fresh_python("import pufferot\npufferot.load_table\n" + self.OPENBLAS_STATE)
+        assert out.split()[:2] == ["None", "True"]
 
     def test_cli_leaves_verify_and_scenarios_unloaded(self):
         out = self.fresh_python(
@@ -436,6 +468,15 @@ class TestLazyImports:
             "import pufferot\nprint(pufferot.verify.__name__, pufferot.tabular.__name__)\n"
         )
         assert out == "pufferot.verify pufferot.tabular\n"
+
+    def test_cli_annotations_resolve_without_the_lazy_modules(self):
+        # an annotation naming a class that only a function body imports
+        # makes typing.get_type_hints raise NameError
+        functions = [f for f in vars(cli).values()
+                     if inspect.isfunction(f) and f.__module__ == cli.__name__]
+        assert len(functions) > 10
+        for function in functions:
+            typing.get_type_hints(function)
 
     def test_unknown_name_is_an_attribute_error(self):
         import pufferot

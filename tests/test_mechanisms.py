@@ -460,6 +460,18 @@ class TestRelaxedTheta:
         monkeypatch.setattr(mechanisms, "_newton_window", lambda *args: None)
         assert relaxed_theta(plan, 1.0) == theta
 
+    def test_window_past_the_float_limit_falls_back_to_the_full_bisection(self, monkeypatch):
+        # The Newton root lies within a margin of -_LOG_THETA_LIMIT, where
+        # 1/theta overflows and inf x 0 on the zero-distance entry is NaN.
+        windows = record_windows(monkeypatch)
+        p = DiscreteDistribution(np.array([1.0, 2.0]) * 2e-320, np.array([0.5, 0.5]))
+        q = DiscreteDistribution(np.array([1.0, 2.0]) * 2e-320, np.array([0.3, 0.7]))
+        plan = optimal_plan(p, q)
+        theta = relaxed_theta(plan, 1e-12)
+        assert theta == reference_theta(plan, 1e-12) == 7.998134333304217e-309
+        assert theta < calibrate_exponential(plan_sensitivity(plan), 1e-12)
+        assert windows == [None]
+
     def test_infinite_strict_rate_raises_as_theorem1_does(self, monkeypatch):
         # eps / max d overflows, so theorem1's scale is 0; the parent evaluated
         # the objective at that infinite rate and warned
