@@ -26,8 +26,6 @@ _MODULE_EXPORTS = {
     ),
     "pairs": ("DiscriminativePair",),
     "scenarios": (
-        "SecretEvent",
-        "SeparableQuery",
         "UserSystem",
         "bernoulli_counting",
         "conditional_output_dist",

@@ -27,7 +27,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from .distributions import DiscreteDistribution
+from .distributions import DiscreteDistribution, number_list
 from .errors import NumericError, ValidationError
 from .mechanisms import MechanismSpec, calibrate_pufferfish
 from .mechanisms import release as release_values
@@ -272,47 +272,30 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _system_from_json(payload):
     """The scenario file's ``scenarios.UserSystem``."""
-    from .scenarios import SeparableQuery, UserSystem
+    from .scenarios import UserSystem
 
     if not isinstance(payload, dict):
         raise ValidationError("scenario file must hold a JSON object")
     priors_raw = payload.get("priors")
-    if not priors_raw:
-        raise ValidationError("scenario file is missing 'priors'")
-    if not _is_list_of_lists(priors_raw):
-        raise ValidationError("scenario 'priors' must be a list of probability lists")
+    if not priors_raw or not isinstance(priors_raw, list):
+        raise ValidationError("scenario 'priors' must be a nonempty list of probability lists")
     declared = payload.get("V", len(priors_raw))
     if type(declared) is not int:
         raise ValidationError(f"scenario 'V' must be an integer, got {declared!r}")
     if declared != len(priors_raw):
         raise ValidationError(f"scenario declares V={declared} but lists {len(priors_raw)} priors")
     priors = []
-    for probs in priors_raw:
-        support = np.arange(len(probs), dtype=float)
+    for i, probs in enumerate(priors_raw):
+        support = np.arange(len(number_list(probs, f"priors[{i}]")), dtype=float)
         priors.append(DiscreteDistribution.from_weights(support, probs))
     query_raw = payload.get("query", "counting")
     if query_raw == "counting":
-        query = SeparableQuery.counting([prior.support for prior in priors])
+        outputs = [prior.support for prior in priors]
+    elif isinstance(query_raw, list):
+        outputs = [number_list(out, f"query[{i}]") for i, out in enumerate(query_raw)]
     else:
-        if not _is_list_of_lists(query_raw):
-            raise ValidationError("scenario 'query' must be \"counting\" or a list of output lists")
-        if len(query_raw) != len(priors):
-            raise ValidationError("query tables must align one-to-one with priors")
-        tables = []
-        for user, outputs in enumerate(query_raw):
-            if len(outputs) != len(priors[user]):
-                raise ValidationError(
-                    f"user {user}: query table holds {len(outputs)} outputs "
-                    f"for an alphabet of {len(priors[user])}"
-                )
-            try:
-                tables.append({float(j): float(v) for j, v in enumerate(outputs)})
-            except (TypeError, ValueError):
-                raise ValidationError(
-                    f"user {user}: query outputs must be numbers, got {outputs!r}"
-                ) from None
-        query = SeparableQuery(tables=tuple(tables))
-    return UserSystem(priors=tuple(priors), query=query)
+        raise ValidationError("scenario 'query' must be \"counting\" or a list of output lists")
+    return UserSystem(priors=tuple(priors), outputs=tuple(outputs))
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
@@ -323,7 +306,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     payload = {
         "user": args.user,
         "mode": args.mode,
-        "query_sensitivity": query_sensitivity(system, args.user, args.mode),
+        "query_sensitivity": query_sensitivity(system, args.user),
         "pairs": [pair.to_json_dict() for pair in pairs],
     }
     _write_json(payload, args.out)

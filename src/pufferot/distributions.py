@@ -19,10 +19,20 @@ from .errors import ValidationError
 MASS_TOL = 1e-12
 
 
+def number_list(values, name: str) -> list:
+    """``values`` if it is a JSON list of numbers; strings and booleans are not numbers."""
+    if not isinstance(values, list):
+        raise ValidationError(f"{name} must be a list of numbers, got {values!r}")
+    if not set(map(type, values)) <= {int, float}:
+        i, bad = next((i, v) for i, v in enumerate(values) if type(v) not in (int, float))
+        raise ValidationError(f"{name}[{i}] must be a number, got {bad!r}")
+    return values
+
+
 def _as_vector(values: Sequence[float], name: str) -> np.ndarray:
     try:
         arr = np.array(values, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name} must be a list of numbers: {exc}") from None
     if arr.ndim != 1:
         raise ValidationError(f"{name} must be one-dimensional, got shape {arr.shape}")
@@ -30,7 +40,7 @@ def _as_vector(values: Sequence[float], name: str) -> np.ndarray:
         raise ValidationError(f"{name} must not be empty")
     bad = np.flatnonzero(~np.isfinite(arr))
     if bad.size:
-        raise ValidationError(f"{name}[{bad[0]}] is not finite: {arr[bad[0]]!r}")
+        raise ValidationError(f"{name}[{bad[0]}] is not finite: {float(arr[bad[0]])!r}")
     return arr
 
 
@@ -60,13 +70,13 @@ class DiscreteDistribution:
         if bad.size:
             i = int(bad[0]) + 1
             raise ValidationError(
-                f"support must be strictly increasing; support[{i}]={support[i]!r} "
-                f"does not exceed support[{i - 1}]={support[i - 1]!r}"
+                f"support must be strictly increasing; support[{i}]={float(support[i])!r} "
+                f"does not exceed support[{i - 1}]={float(support[i - 1])!r}"
             )
         neg = np.flatnonzero(mass < 0)
         if neg.size:
             i = int(neg[0])
-            raise ValidationError(f"mass[{i}] is negative: {mass[i]!r}")
+            raise ValidationError(f"mass[{i}] is negative: {float(mass[i])!r}")
         total = float(mass.sum())
         if abs(total - 1.0) > MASS_TOL:
             raise ValidationError(f"mass must sum to 1 within {MASS_TOL}, got {total!r}")
@@ -93,7 +103,7 @@ class DiscreteDistribution:
         neg = np.flatnonzero(w < 0)
         if neg.size:
             i = int(neg[0])
-            raise ValidationError(f"weights[{i}] is negative: {w[i]!r}")
+            raise ValidationError(f"weights[{i}] is negative: {float(w[i])!r}")
         order = np.argsort(sup, kind="stable")
         sup = sup[order]
         w = w[order]
@@ -101,7 +111,7 @@ class DiscreteDistribution:
         if dup.size:
             i = int(order[dup[0] + 1])
             raise ValidationError(
-                f"duplicate support value {sup[dup[0]]!r} (input index {i})"
+                f"duplicate support value {float(sup[dup[0]])!r} (input index {i})"
             )
         total = float(w.sum())
         if total <= 0:
@@ -146,6 +156,7 @@ class DiscreteDistribution:
         for key in ("support", "mass"):
             if key not in payload:
                 raise ValidationError(f"distribution object is missing {key!r}")
+            number_list(payload[key], key)
         return cls(payload["support"], payload["mass"])
 
 
@@ -178,7 +189,7 @@ def poisson_binomial(p_values: Sequence[float]) -> DiscreteDistribution:
     bad = np.flatnonzero((ps < 0) | (ps > 1))
     if bad.size:
         i = int(bad[0])
-        raise ValidationError(f"p_values[{i}]={ps[i]!r} is outside [0, 1]")
+        raise ValidationError(f"p_values[{i}]={float(ps[i])!r} is outside [0, 1]")
     offset, pmf = integer_convolution((0, np.array([1.0 - p, p])) for p in ps)
     full = np.zeros(ps.size + 1)
     full[offset : offset + pmf.size] = pmf

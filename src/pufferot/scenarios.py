@@ -10,7 +10,8 @@ conditionals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
@@ -27,48 +28,15 @@ MODES = ("values", "absence")
 
 
 @dataclass(frozen=True, eq=False)
-class SeparableQuery:
-    """Per-user output tables for a query that sums one term per user."""
-
-    tables: tuple[Mapping[float, float], ...]
-
-    def output(self, user: int, value: float) -> float:
-        table = self.tables[user]
-        try:
-            return float(table[float(value)])
-        except KeyError:
-            raise ValidationError(
-                f"value {value!r} is not in the alphabet of user {user}"
-            ) from None
-
-    @classmethod
-    def counting(cls, alphabets: Sequence[Sequence[float]]) -> "SeparableQuery":
-        """Identity per-user terms: the query counts (sums) the raw values."""
-        return cls(tables=tuple({float(a): float(a) for a in alpha} for alpha in alphabets))
-
-
-@dataclass(frozen=True, eq=False)
-class SecretEvent:
-    """Either "user i reported value a" or "user i is absent"."""
-
-    user: int
-    value: float | None = None
-
-    @classmethod
-    def absent(cls, user: int) -> "SecretEvent":
-        return cls(user=user, value=None)
-
-    @property
-    def is_absent(self) -> bool:
-        return self.value is None
-
-
-@dataclass(frozen=True, eq=False)
 class UserSystem:
-    """V independent users with per-user priors and a separable query."""
+    """V independent users: per-user priors and the query's per-user outputs.
+
+    ``outputs[i][k]`` is user i's term of the query when the user reports
+    ``priors[i].support[k]``. The outputs are stored as read-only copies.
+    """
 
     priors: tuple[DiscreteDistribution, ...]
-    query: SeparableQuery
+    outputs: tuple[np.ndarray, ...]
     #: Per user, f_i(S_i) as ``(offset, pmf)`` on the integers, or ``None``
     #: when some output is not an integer; see :func:`_grid_terms`.
     _grid_terms: tuple | None = field(init=False, repr=False)
@@ -77,22 +45,29 @@ class UserSystem:
         priors = tuple(self.priors)
         if not priors:
             raise ValidationError("a user system needs at least one user")
-        if len(self.query.tables) != len(priors):
-            raise ValidationError(
-                f"query has {len(self.query.tables)} tables for {len(priors)} users"
-            )
-        users = np.repeat(np.arange(len(priors)), [prior.support.size for prior in priors])
-        support = np.concatenate([prior.support for prior in priors])
-        outputs = np.array([self.query.output(i, a) for i, a in zip(users.tolist(), support)])
-        bad = np.flatnonzero(~np.isfinite(outputs))
+        try:
+            outputs = tuple(np.array(out, dtype=float) for out in self.outputs)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"query outputs must be numbers: {exc}") from None
+        if len(outputs) != len(priors):
+            raise ValidationError(f"outputs holds {len(outputs)} arrays for {len(priors)} users")
+        for user, (prior, out) in enumerate(zip(priors, outputs)):
+            if out.shape != prior.support.shape:
+                raise ValidationError(
+                    f"user {user} needs {prior.support.size} outputs, got shape {out.shape}"
+                )
+            out.setflags(write=False)
+        flat = np.concatenate(outputs)
+        users = np.repeat(np.arange(len(priors)), [out.size for out in outputs])
+        bad = np.flatnonzero(~np.isfinite(flat))
         if bad.size:
             k = int(bad[0])
-            raise ValidationError(
-                f"query output for user {users[k]} at {support[k]!r} is not finite"
-            )
+            value = float(np.concatenate([prior.support for prior in priors])[k])
+            raise ValidationError(f"query output for user {users[k]} at {value!r} is not finite")
         mass = np.concatenate([prior.mass for prior in priors])
         object.__setattr__(self, "priors", priors)
-        object.__setattr__(self, "_grid_terms", _grid_terms(users, outputs, mass))
+        object.__setattr__(self, "outputs", outputs)
+        object.__setattr__(self, "_grid_terms", _grid_terms(users, flat, mass))
 
     @property
     def user_count(self) -> int:
@@ -108,6 +83,7 @@ def bernoulli_counting(p_values: Sequence[float]) -> UserSystem:
 
     The p vector is validated once; each prior's support {0, 1} and masses
     (1 - p_i, p_i) then meet every distribution invariant by construction.
+    Each user's outputs are its support: the query sums the raw values.
     """
     ps = np.array(p_values, dtype=float)
     if ps.ndim != 1 or ps.size == 0:
@@ -115,12 +91,11 @@ def bernoulli_counting(p_values: Sequence[float]) -> UserSystem:
     bad = np.flatnonzero(~((ps >= 0) & (ps <= 1)))
     if bad.size:
         i = int(bad[0])
-        raise ValidationError(f"each p must lie in [0, 1], got p_values[{i}]={ps[i]!r}")
+        raise ValidationError(f"each p must lie in [0, 1], got p_values[{i}]={float(ps[i])!r}")
     support = np.array([0.0, 1.0])
     masses = np.stack([1.0 - ps, ps], axis=1)
     priors = tuple(DiscreteDistribution._from_checked(support, mass) for mass in masses)
-    query = SeparableQuery.counting([support] * ps.size)
-    return UserSystem(priors=priors, query=query)
+    return UserSystem(priors=priors, outputs=(support,) * ps.size)
 
 
 def _grid_terms(users: np.ndarray, outputs: np.ndarray, mass: np.ndarray):
@@ -153,41 +128,32 @@ def _grid_terms(users: np.ndarray, outputs: np.ndarray, mass: np.ndarray):
     )
 
 
-def _pushforward(system: UserSystem, user: int):
-    """Atoms of f_i(S_i): query outputs with prior mass, equal outputs merged."""
-    prior = system.priors[user]
-    keep = prior.mass > 0
-    outputs = [system.query.output(user, a) for a in prior.support[keep]]
-    values, inverse = np.unique(outputs, return_inverse=True)
-    return values, np.bincount(inverse, weights=prior.mass[keep])
-
-
 def _merge_close(values: np.ndarray, mass: np.ndarray):
-    """Merge atoms lying within ATOM_MERGE_TOL; value is the mass-weighted mean."""
+    """Merge runs of atoms each within ATOM_MERGE_TOL of the one before.
+
+    A merged atom sits at the mass-weighted mean of its run. Each run is
+    reduced behind a leading 0.0, so ``reduceat`` adds as ``ndarray.sum``
+    does: 0 + pairwise(run), not run[0] + pairwise(run[1:]).
+    """
     order = np.argsort(values, kind="stable")
     values = values[order]
     mass = mass[order]
-    out_vals: list[float] = []
-    out_mass: list[float] = []
-    k = 0
-    while k < values.size:
-        end = k + 1
-        while end < values.size and values[end] - values[end - 1] <= ATOM_MERGE_TOL:
-            end += 1
-        chunk_mass = mass[k:end].sum()
-        out_vals.append(float((values[k:end] * mass[k:end]).sum() / chunk_mass))
-        out_mass.append(float(chunk_mass))
-        k = end
-    return np.array(out_vals), np.array(out_mass)
+    starts = np.flatnonzero(np.diff(values, prepend=-np.inf) > ATOM_MERGE_TOL)
+    at = starts + np.arange(starts.size)
+    run_mass = np.add.reduceat(np.insert(mass, starts, 0.0), at)
+    run_moment = np.add.reduceat(np.insert(values * mass, starts, 0.0), at)
+    return run_moment / run_mass, run_mass
 
 
-def _sum_law(system: UserSystem, users: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Atoms and weights of the sum of the given users' terms, convolved in order.
+def _sum_law(system: UserSystem, left_out: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms and weights of the sum of every user's output but ``left_out``'s.
 
-    When every output is an integer the terms are convolved as pmfs on the
-    integer grid; otherwise atoms are summed pairwise and near-equal sums
-    merged.
+    Users are convolved in index order. When every output is an integer the
+    outputs' laws are convolved as pmfs on the integer grid; otherwise each
+    user's positive-mass outputs, equal ones merged, are summed pairwise
+    with the running atoms and near-equal sums merged.
     """
+    users = [i for i in range(system.user_count) if i != left_out]
     if system._grid_terms is not None:
         terms = [system._grid_terms[i] for i in users]
         if any(pmf is None for _, pmf in terms) or (
@@ -200,9 +166,11 @@ def _sum_law(system: UserSystem, users: Sequence[int]) -> tuple[np.ndarray, np.n
     vals = np.array([0.0])
     mass = np.array([1.0])
     for i in users:
-        pv, pm = _pushforward(system, i)
+        keep = system.priors[i].mass > 0
+        out, inverse = np.unique(system.outputs[i][keep], return_inverse=True)
+        out_mass = np.bincount(inverse, weights=system.priors[i].mass[keep])
         vals, mass = _merge_close(
-            np.add.outer(vals, pv).ravel(), np.multiply.outer(mass, pm).ravel()
+            np.add.outer(vals, out).ravel(), np.multiply.outer(mass, out_mass).ravel()
         )
         if vals.size > MAX_ATOMS:
             raise ValidationError(
@@ -211,29 +179,31 @@ def _sum_law(system: UserSystem, users: Sequence[int]) -> tuple[np.ndarray, np.n
     return vals, mass
 
 
-def _others(system: UserSystem, user: int) -> list[int]:
-    return [i for i in range(system.user_count) if i != user]
+def conditional_output_dist(
+    system: UserSystem, user: int, value: float | None = None
+) -> DiscreteDistribution:
+    """Law of the query output given that ``user`` reported ``value``, or is absent (None).
 
-
-def conditional_output_dist(system: UserSystem, event: SecretEvent) -> DiscreteDistribution:
-    """Law of the query output conditioned on a per-user secret event.
-
-    For a value event the other users' terms are convolved and shifted by
-    the conditioned user's output; for an absence event all users are
-    convolved, which equals the prior mixture over the user's values.
+    Given a value, the other users' outputs are convolved and shifted by
+    the user's output; given absence, all users are convolved, which
+    equals the prior mixture over the user's values.
     """
-    system._check_user(event.user)
-    if event.is_absent:
-        vals, mass = _sum_law(system, range(system.user_count))
+    system._check_user(user)
+    if value is None:
+        vals, mass = _sum_law(system)
         return DiscreteDistribution.from_weights(vals, mass)
-    alphabet = system.priors[event.user].support
-    if not np.any(alphabet == float(event.value)):
-        raise ValidationError(
-            f"value {event.value!r} is not in the alphabet of user {event.user}"
-        )
-    vals, mass = _sum_law(system, _others(system, event.user))
-    shift = system.query.output(event.user, event.value)
-    return DiscreteDistribution.from_weights(vals + shift, mass)
+    value = float(value)
+    hit = np.flatnonzero(system.priors[user].support == value)
+    if not hit.size:
+        raise ValidationError(f"value {value!r} is not in the alphabet of user {user}")
+    vals, mass = _sum_law(system, user)
+    return DiscreteDistribution.from_weights(vals + system.outputs[user][hit[0]], mass)
+
+
+def _label(user: int, value: float) -> str:
+    """``S<user>=<value>``, the value in ``:g`` form where that reads back as it."""
+    text = f"{value:g}"
+    return f"S{user}={text if float(text) == value else repr(value)}"
 
 
 def discriminative_pairs(
@@ -248,40 +218,30 @@ def discriminative_pairs(
     system._check_user(user)
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    alphabet = system.priors[user].support.tolist()
-    vals, mass = _sum_law(system, _others(system, user))
+    vals, mass = _sum_law(system, user)
     conditionals = [
-        DiscreteDistribution.from_weights(vals + system.query.output(user, a), mass)
-        for a in alphabet
+        DiscreteDistribution.from_weights(vals + out, mass)
+        for out in system.outputs[user].tolist()
     ]
-    labels = [f"S{user}={a:g}" for a in alphabet]
+    labels = [_label(user, a) for a in system.priors[user].support.tolist()]
     if mode == "values":
         return [
-            DiscriminativePair(
-                labels=(labels[i], labels[j]),
-                p=conditionals[i],
-                q=conditionals[j],
-                prior="scenario",
-            )
-            for i in range(len(alphabet))
-            for j in range(i + 1, len(alphabet))
+            DiscriminativePair((labels[i], labels[j]), conditionals[i], conditionals[j], "scenario")
+            for i, j in combinations(range(len(labels)), 2)
         ]
-    absent = conditional_output_dist(system, SecretEvent.absent(user))
+    absent = conditional_output_dist(system, user)
     return [
         DiscriminativePair(labels=(label, f"S{user}=absent"), p=p, q=absent, prior="scenario")
         for label, p in zip(labels, conditionals)
     ]
 
 
-def query_sensitivity(system: UserSystem, user: int, mode: str = "values") -> float:
+def query_sensitivity(system: UserSystem, user: int) -> float:
     """Worst per-user output swing: max over a, b of |f_i(a) - f_i(b)|.
 
-    The value is independent of the priors. Absence pairs are covered by
-    the same bound (the absent conditional is a mixture of the value
-    conditionals), so both modes return it.
+    That is max - min of the user's outputs, as float rounding is monotone.
+    The value is independent of the priors, and it bounds absence pairs
+    too: the absent conditional is a mixture of the value conditionals.
     """
     system._check_user(user)
-    if mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    outputs = np.array([system.query.output(user, a) for a in system.priors[user].support])
-    return float(np.abs(np.subtract.outer(outputs, outputs).ravel()).max())
+    return float(np.ptp(system.outputs[user]))

@@ -104,19 +104,24 @@ def direct_laplace_log_ratio(p, q, theta: float, ys) -> np.ndarray:
 def per_step_conditional(system, user, value=None):
     """Scenario conditional as (support, mass), convolved one user at a time.
 
-    Each user's query outputs are merged in a dict. When every positive-mass
+    Each user's query outputs are looked up in a dict keyed by alphabet
+    value, and equal outputs merged in a dict. When every positive-mass
     output of the system is an integer, both operands are scattered into
     fresh zero arrays spanning their positive atoms before every
     convolution; otherwise atoms are summed pairwise and sums within
     ``ATOM_MERGE_TOL`` merged by a sequential scan. ``value=None``
     conditions on absence.
     """
+    tables = [
+        dict(zip(prior.support.tolist(), outputs.tolist()))
+        for prior, outputs in zip(system.priors, system.outputs)
+    ]
     laws = []
-    for i, prior in enumerate(system.priors):
+    for table, prior in zip(tables, system.priors):
         agg: dict[float, float] = {}
         for a, m in zip(prior.support, prior.mass):
             if m > 0:
-                out = system.query.output(i, a)
+                out = table[float(a)]
                 agg[out] = agg.get(out, 0.0) + m
         laws.append((np.array(sorted(agg)), np.array([agg[v] for v in sorted(agg)])))
     integer = all(np.all(v == np.round(v)) for v, _ in laws)
@@ -137,7 +142,7 @@ def per_step_conditional(system, user, value=None):
                 np.add.outer(vals, b_vals).ravel(), np.multiply.outer(mass, b_mass).ravel()
             )
     if value is not None:
-        vals = vals + system.query.output(user, value)
+        vals = vals + tables[user][float(value)]
     return vals, mass / mass.sum()
 
 

@@ -19,6 +19,7 @@ from pufferot import AttributeMapping, NumericError, cli, load_table
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_TABLES = DATA / "tables_golden.json"
+GOLDEN_SCENARIO = DATA / "scenario_golden.json"
 README = Path(__file__).parent.parent / "README.md"
 
 
@@ -461,7 +462,7 @@ class TestLazyImports:
             "missing = [n for n in pufferot.__all__ if getattr(pufferot, n, None) is None]\n"
             "print(loaded, missing, len(pufferot.__all__))\n"
         )
-        assert out.split("\n")[0] == "[] [] 37"
+        assert out.split("\n")[0] == "[] [] 35"
 
     def test_modules_are_attributes_of_the_package(self):
         out = self.fresh_python(
@@ -639,6 +640,18 @@ class TestScenarioCommand:
         assert cli.main(["scenario", "--scenario", scen, "--out", str(out)]) == 0
         assert read_json(out)["query_sensitivity"] == 6.0
 
+    def test_fractional_absence_matches_golden(self, tmp_path):
+        # near-equal sums of the tabled outputs are merged into one atom
+        scen = write_json(
+            {"priors": [[0.2, 0.3, 0.5], [0.5, 0.25, 0.25], [0.1, 0.6, 0.3]],
+             "query": [[0, 0.5, 1.25], [0.1, 0.2, 0.3], [0.2, 0.1, 0.75]]},
+            tmp_path / "scen.json",
+        )
+        out = tmp_path / "out.json"
+        assert cli.main(["scenario", "--scenario", scen, "--mode", "absence",
+                         "--out", str(out)]) == 0
+        assert out.read_bytes() == GOLDEN_SCENARIO.read_bytes()
+
     def test_inconsistent_user_count(self, tmp_path):
         scen = write_json({"V": 5, "priors": [[0.5, 0.5]], "query": "counting"},
                           tmp_path / "scen.json")
@@ -740,7 +753,8 @@ class TestExitDiscipline:
     @pytest.mark.parametrize("case", [
         "plan-p-scalar", "conditionals-list", "pairs-scalar", "pairs-of-scalars",
         "priors-scalar", "priors-flat", "query-of-scalars", "V-list", "support-object",
-        "mass-object", "query-output-list",
+        "mass-object", "query-output-list", "priors-string", "query-bool", "support-mixed",
+        "mass-bool", "query-short", "query-infinite", "support-huge-int", "query-huge-int",
     ])
     def test_malformed_json_shape_is_a_validation_error(self, tmp_path, capsys, case):
         dist = {"support": [1, 2], "mass": [0.5, 0.5]}
@@ -762,13 +776,42 @@ class TestExitDiscipline:
                                ["plan", "--q", write_json(dist, tmp_path / "q.json"), "--p"]),
             "mass-object": ({"support": [1], "mass": {"a": 1}},
                             ["plan", "--q", write_json(dist, tmp_path / "q.json"), "--p"]),
+            "priors-string": ({"priors": [[0.5, 0.5], ["0.5", "0.5"]]}, ["scenario", "--scenario"]),
+            "query-bool": ({"priors": [[0.5, 0.5]] * 2, "query": [[0, 1], [True, False]]},
+                           ["scenario", "--scenario"]),
+            "support-mixed": ({"support": [0, "1", True], "mass": [0.5, 0.5, 0]},
+                              ["plan", "--q", write_json(dist, tmp_path / "q.json"), "--p"]),
+            "mass-bool": ({"conditionals": {"a": dist, "b": {"support": [1, 2],
+                                                             "mass": [False, True]}}},
+                          ["calibrate", "--pairs"]),
+            "query-short": ({"priors": [[0.5, 0.5], [0.5, 0.5]], "query": [[0, 1], [0]]},
+                            ["scenario", "--scenario"]),
+            "query-infinite": ({"priors": [[0.5, 0.5]], "query": [[0, math.inf]]},
+                               ["scenario", "--scenario"]),
+            "support-huge-int": ({"support": [10**400], "mass": [1]},
+                                 ["plan", "--q", write_json(dist, tmp_path / "q.json"), "--p"]),
+            "query-huge-int": ({"priors": [[0.5, 0.5]], "query": [[0, 10**400]]},
+                               ["scenario", "--scenario"]),
         }[case]
+        message = {
+            "priors-string": "priors[1][0] must be a number, got '0.5'",
+            "query-bool": "query[1][0] must be a number, got True",
+            "support-mixed": "support[1] must be a number, got '1'",
+            "mass-bool": "mass[0] must be a number, got False",
+            "query-short": "user 1 needs 2 outputs, got shape (1,)",
+            "query-infinite": "query output for user 0 at 1.0 is not finite",
+            "support-huge-int": "support must be a list of numbers: int too large to convert to float",
+            "query-huge-int": "query outputs must be numbers: int too large to convert to float",
+        }.get(case)
         if argv[0] == "calibrate":
             argv = [*argv[:1], "--epsilon", "1.0", *argv[1:]]
         out = tmp_path / "out.json"
         code = cli.main([*argv, write_json(payload, tmp_path / "in.json"), "--out", str(out)])
         assert code == 2
-        assert json.loads(capsys.readouterr().err)["error"]["type"] == "ValidationError"
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValidationError"
+        if message is not None:
+            assert error["message"] == message
         assert not out.exists()
 
     def test_removed_flags_are_usage_errors(self, tmp_path, pairs_file):

@@ -83,6 +83,22 @@ class TestConstructorInvariants:
         with pytest.raises(ValidationError, match=r"mass\[0\]"):
             DiscreteDistribution([1, 2], [-0.1, 1.1])
 
+    @pytest.mark.parametrize("build,message", [
+        (lambda: DiscreteDistribution([1, math.inf], [0.5, 0.5]), "support[1] is not finite: inf"),
+        (lambda: DiscreteDistribution([2, 1], [0.5, 0.5]),
+         "support must be strictly increasing; support[1]=1.0 does not exceed support[0]=2.0"),
+        (lambda: DiscreteDistribution([1, 2], [-0.1, 1.1]), "mass[0] is negative: -0.1"),
+        (lambda: DiscreteDistribution.from_weights([1, 2], [1, -2]),
+         "weights[1] is negative: -2.0"),
+        (lambda: DiscreteDistribution.from_weights([3, 1, 3], [1, 1, 1]),
+         "duplicate support value 3.0 (input index 2)"),
+        (lambda: poisson_binomial([0.5, 1.5]), "p_values[1]=1.5 is outside [0, 1]"),
+    ])
+    def test_messages_show_plain_floats(self, build, message):
+        with pytest.raises(ValidationError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_immutable_arrays(self):
         dist = DiscreteDistribution.from_weights([1, 2], [1, 1])
         with pytest.raises(ValueError):

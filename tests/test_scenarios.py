@@ -5,8 +5,6 @@ import pytest
 
 from pufferot import (
     DiscreteDistribution,
-    SecretEvent,
-    SeparableQuery,
     UserSystem,
     ValidationError,
     bernoulli_counting,
@@ -16,8 +14,9 @@ from pufferot import (
     plan_sensitivity,
     query_sensitivity,
 )
+from pufferot.scenarios import ATOM_MERGE_TOL, _merge_close
 
-from oracles import brute_force_counting_conditional, per_step_conditional
+from oracles import _merge_close_scan, brute_force_counting_conditional, per_step_conditional
 
 HETERO_PS = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.35]
 
@@ -29,23 +28,23 @@ def as_mass_map(dist):
 class TestConditionalOutputDist:
     def test_value_event_matches_published_series(self):
         system = bernoulli_counting([0.7] * 25)
-        given_zero = conditional_output_dist(system, SecretEvent(0, 0.0))
+        given_zero = conditional_output_dist(system, 0, 0.0)
         assert given_zero.support.tolist() == [float(k) for k in range(25)]
         assert math.isclose(given_zero.mass[17], 0.176084886540293, abs_tol=1e-12)
-        given_one = conditional_output_dist(system, SecretEvent(0, 1.0))
+        given_one = conditional_output_dist(system, 0, 1.0)
         assert given_one.support.tolist() == [float(k) for k in range(1, 26)]
         assert math.isclose(as_mass_map(given_one)[17.0], 0.160363021670624, abs_tol=1e-12)
 
     def test_absent_event_matches_published_series(self):
         system = bernoulli_counting([0.7] * 25)
-        absent = conditional_output_dist(system, SecretEvent.absent(0))
+        absent = conditional_output_dist(system, 0)
         mass = as_mass_map(absent)
         assert math.isclose(mass[17.0], 0.165079581131525, abs_tol=1e-12)
         assert math.isclose(mass[25.0], 0.000134106861966396, abs_tol=1e-12)
 
     def test_single_present_user_is_deterministic(self):
         system = bernoulli_counting([0.4])
-        dist = conditional_output_dist(system, SecretEvent(0, 1.0))
+        dist = conditional_output_dist(system, 0, 1.0)
         assert dist.support.tolist() == [1.0]
         assert dist.mass.tolist() == [1.0]
 
@@ -53,11 +52,11 @@ class TestConditionalOutputDist:
     def test_heterogeneous_brute_force(self, event):
         system = bernoulli_counting(HETERO_PS)
         if event is None:
-            dist = conditional_output_dist(system, SecretEvent.absent(0))
+            dist = conditional_output_dist(system, 0)
             oracle = brute_force_counting_conditional(HETERO_PS)
         else:
             user, value = event
-            dist = conditional_output_dist(system, SecretEvent(user, float(value)))
+            dist = conditional_output_dist(system, user, float(value))
             oracle = brute_force_counting_conditional(HETERO_PS, user, value)
         got = as_mass_map(dist)
         for k, expected in oracle.items():
@@ -65,11 +64,11 @@ class TestConditionalOutputDist:
 
     def test_absence_equals_prior_mixture(self):
         system = bernoulli_counting(HETERO_PS)
-        absent = as_mass_map(conditional_output_dist(system, SecretEvent.absent(2)))
+        absent = as_mass_map(conditional_output_dist(system, 2))
         prior = system.priors[2]
         mixture: dict[float, float] = {}
         for a, weight in zip(prior.support, prior.mass):
-            part = conditional_output_dist(system, SecretEvent(2, float(a)))
+            part = conditional_output_dist(system, 2, float(a))
             for x, m in as_mass_map(part).items():
                 mixture[x] = mixture.get(x, 0.0) + weight * m
         assert set(mixture) == set(absent)
@@ -79,23 +78,20 @@ class TestConditionalOutputDist:
     def test_unknown_alphabet_value_rejected(self):
         system = bernoulli_counting([0.5, 0.5])
         with pytest.raises(ValidationError, match="alphabet"):
-            conditional_output_dist(system, SecretEvent(0, 2.0))
+            conditional_output_dist(system, 0, 2.0)
 
     def test_bad_user_index_rejected(self):
         system = bernoulli_counting([0.5])
         with pytest.raises(ValidationError, match="user index"):
-            conditional_output_dist(system, SecretEvent(3, 0.0))
+            conditional_output_dist(system, 3, 0.0)
 
     def test_convolution_atom_cap(self):
         support = np.arange(101, dtype=float)
         prior = DiscreteDistribution.from_weights(support, np.ones(101))
         # irrational-looking spacing defeats the integer grid and the merge
-        tables = tuple({float(a): float(a) * factor for a in support} for factor in (1.0, 1.6180339887,))
-        system = UserSystem(
-            priors=(prior, prior), query=SeparableQuery(tables=tables)
-        )
+        system = UserSystem(priors=(prior, prior), outputs=(support, support * 1.6180339887))
         with pytest.raises(ValidationError, match="atoms"):
-            conditional_output_dist(system, SecretEvent.absent(0))
+            conditional_output_dist(system, 0)
 
 
 class TestDiscriminativePairs:
@@ -134,13 +130,29 @@ class TestDiscriminativePairs:
         # must sit exactly on the diagonal shifted by f(a) - f(b)
         support = [0.0, 1.0, 2.0]
         prior = DiscreteDistribution.from_weights(support, [2, 3, 5])
-        tables = tuple({a: 3.0 * a for a in support} for _ in range(3))
-        system = UserSystem(priors=(prior,) * 3, query=SeparableQuery(tables=tables))
+        system = UserSystem(priors=(prior,) * 3, outputs=(3.0 * prior.support,) * 3)
         for pair in discriminative_pairs(system, 1, "values"):
             a = float(pair.labels[0].split("=")[1])
             b = float(pair.labels[1].split("=")[1])
             plan = optimal_plan(pair.p, pair.q)
             assert np.all(plan.displacements() == 3.0 * a - 3.0 * b)
+
+    @pytest.mark.parametrize("mode", ["values", "absence"])
+    @pytest.mark.parametrize("alphabet,texts", [
+        ([0.1, 0.1000001, 2.0], ["0.1", "0.1000001", "2"]),
+        ([999999.0, 1e6, 1000001.0], ["999999", "1e+06", "1000001.0"]),
+    ])
+    def test_labels_stay_distinct_past_six_digits(self, mode, alphabet, texts):
+        # ":g" keeps six digits; a value it does not read back as is labelled by repr
+        prior = DiscreteDistribution.from_weights(alphabet, [1, 1, 1])
+        coin = DiscreteDistribution.from_weights([0.0, 1.0], [1, 3])
+        system = UserSystem(priors=(prior, coin), outputs=(alphabet, [0.0, 1.0]))
+        labels = [f"S0={text}" for text in texts]
+        expected = {
+            "values": [(labels[0], labels[1]), (labels[0], labels[2]), (labels[1], labels[2])],
+            "absence": [(label, "S0=absent") for label in labels],
+        }[mode]
+        assert [pair.labels for pair in discriminative_pairs(system, 0, mode)] == expected
 
     def test_bad_mode_rejected(self):
         system = bernoulli_counting([0.5])
@@ -155,21 +167,28 @@ class TestQuerySensitivity:
 
     def test_constant_query_zero(self):
         prior = DiscreteDistribution.from_weights([0, 1], [1, 1])
-        tables = ({0.0: 5.0, 1.0: 5.0},)
-        system = UserSystem(priors=(prior,), query=SeparableQuery(tables=tables))
+        system = UserSystem(priors=(prior,), outputs=([5.0, 5.0],))
         assert query_sensitivity(system, 0) == 0.0
 
     def test_scaled_ternary_alphabet(self):
         support = [0.0, 1.0, 2.0]
         prior = DiscreteDistribution.from_weights(support, [1, 1, 1])
-        tables = ({a: 3.0 * a for a in support},)
-        system = UserSystem(priors=(prior,), query=SeparableQuery(tables=tables))
+        system = UserSystem(priors=(prior,), outputs=(3.0 * prior.support,))
         assert query_sensitivity(system, 0) == 6.0
 
     def test_independent_of_priors(self):
         for ps in ([0.5, 0.5, 0.5], [0.9, 0.1, 0.3]):
             system = bernoulli_counting(ps)
             assert query_sensitivity(system, 1) == 1.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_largest_pairwise_swing(self, seed):
+        rng = np.random.default_rng(seed)
+        outputs = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=7)
+        prior = DiscreteDistribution.from_weights(np.arange(7.0), np.ones(7))
+        system = UserSystem(priors=(prior,), outputs=(outputs,))
+        swing = np.abs(np.subtract.outer(outputs, outputs)).max()
+        assert query_sensitivity(system, 0) == swing
 
     def test_bounds_value_pair_plans(self):
         system = bernoulli_counting(HETERO_PS)
@@ -182,15 +201,15 @@ class TestQuerySensitivity:
 def ternary_system(seed, users=12):
     """Integer outputs with collisions, negative values and zero-mass atoms."""
     rng = np.random.default_rng(seed)
-    priors, tables = [], []
+    priors, outputs = [], []
     for _ in range(users):
         support = np.sort(rng.choice(6, size=3, replace=False)).astype(float)
         weights = rng.random(3) * (rng.random(3) > 0.3)
         weights[rng.integers(3)] += 0.2
         priors.append(DiscreteDistribution.from_weights(support, weights))
         scale = float(rng.integers(-2, 4))
-        tables.append({a: float(scale * a // 2) for a in support.tolist()})
-    return UserSystem(priors=tuple(priors), query=SeparableQuery(tables=tuple(tables)))
+        outputs.append([float(scale * a // 2) for a in support.tolist()])
+    return UserSystem(priors=tuple(priors), outputs=tuple(outputs))
 
 
 class TestIntegerGridKernel:
@@ -201,9 +220,8 @@ class TestIntegerGridKernel:
         ps[rng.integers(60, size=4)] = [0.0, 1.0, 0.0, 1.0]
         system = bernoulli_counting(ps)
         for user in (0, 7):
-            for value in (0.0, 1.0, None):
-                event = SecretEvent.absent(user) if value is None else SecretEvent(user, value)
-                dist = conditional_output_dist(system, event)
+            for value in (0.0, 1.0):
+                dist = conditional_output_dist(system, user, value)
                 support, mass = per_step_conditional(system, user, value)
                 assert np.array_equal(dist.support, support)
                 assert np.array_equal(dist.mass, mass)
@@ -213,8 +231,7 @@ class TestIntegerGridKernel:
         system = ternary_system(seed)
         for user in (0, 5):
             for value in system.priors[user].support.tolist() + [None]:
-                event = SecretEvent.absent(user) if value is None else SecretEvent(user, value)
-                dist = conditional_output_dist(system, event)
+                dist = conditional_output_dist(system, user, value)
                 support, mass = per_step_conditional(system, user, value)
                 assert np.array_equal(dist.support, support)
                 assert np.array_equal(dist.mass, mass)
@@ -224,27 +241,27 @@ class TestIntegerGridKernel:
         # it out of the convolution, every other event must hit the cap
         wide = DiscreteDistribution.from_weights([0.0, 1.0], [1, 1])
         coin = DiscreteDistribution.from_weights([0.0, 1.0], [1, 3])
-        tables = ({0.0: 0.0, 1.0: 20000.0},) + ({0.0: 0.0, 1.0: 1.0},) * 3
-        system = UserSystem(priors=(wide,) + (coin,) * 3, query=SeparableQuery(tables=tables))
-        dist = conditional_output_dist(system, SecretEvent(0, 1.0))
+        outputs = ([0.0, 20000.0],) + ([0.0, 1.0],) * 3
+        system = UserSystem(priors=(wide,) + (coin,) * 3, outputs=outputs)
+        dist = conditional_output_dist(system, 0, 1.0)
         assert dist.support.tolist() == [20000.0, 20001.0, 20002.0, 20003.0]
-        for event in (SecretEvent.absent(0), SecretEvent(1, 0.0)):
+        for user, value in ((0, None), (1, 0.0)):
             with pytest.raises(ValidationError, match="atoms"):
-                conditional_output_dist(system, event)
+                conditional_output_dist(system, user, value)
 
 
 def fractional_system(seed, users=6):
     """Non-integer outputs whose pairwise sums collide within the merge tolerance."""
     rng = np.random.default_rng(seed)
     levels = [0.1, 0.2, 0.3, 0.7, 1.5, 2.25]
-    priors, tables = [], []
+    priors, outputs = [], []
     for _ in range(users):
         support = np.sort(rng.choice(5, size=3, replace=False)).astype(float)
         weights = rng.random(3) * (rng.random(3) > 0.3)
         weights[rng.integers(3)] += 0.2
         priors.append(DiscreteDistribution.from_weights(support, weights))
-        tables.append({a: float(rng.choice(levels)) for a in support.tolist()})
-    return UserSystem(priors=tuple(priors), query=SeparableQuery(tables=tuple(tables)))
+        outputs.append([float(rng.choice(levels)) for _ in support])
+    return UserSystem(priors=tuple(priors), outputs=tuple(outputs))
 
 
 def bernoulli_system(seed):
@@ -264,7 +281,7 @@ class TestPairsConvolveOnce:
                 f"S{user}={a:g}": per_step_conditional(system, user, a)
                 for a in system.priors[user].support.tolist()
             }
-            expected[f"S{user}=absent"] = per_step_conditional(system, user, None)
+            expected[f"S{user}=absent"] = per_step_conditional(system, user)
             for mode in ("values", "absence"):
                 for pair in discriminative_pairs(system, user, mode):
                     for label, dist in zip(pair.labels, (pair.p, pair.q)):
@@ -279,16 +296,32 @@ class TestPairsConvolveOnce:
         seen = []
         original = scenarios.conditional_output_dist
 
-        def spy(system, event):
-            seen.append(event.is_absent)
-            return original(system, event)
+        def spy(system, user, value=None):
+            seen.append((user, value))
+            return original(system, user, value)
 
         monkeypatch.setattr(scenarios, "conditional_output_dist", spy)
         system = bernoulli_counting(HETERO_PS)
         scenarios.discriminative_pairs(system, 2, "values")
         assert seen == []
         scenarios.discriminative_pairs(system, 2, "absence")
-        assert seen == [True]
+        assert seen == [(2, None)]
+
+
+class TestMergeClose:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_sequential_scan_exactly(self, seed):
+        # runs of up to a few hundred atoms, where pairwise summation differs
+        # from a left-to-right sum; shuffled, with exact ties
+        rng = np.random.default_rng(seed)
+        centres = rng.random(int(rng.integers(1, 40)))
+        values = rng.choice(centres, size=int(rng.integers(1, 3000)))
+        values += rng.integers(-2, 3, size=values.size) * ATOM_MERGE_TOL * rng.random(values.size)
+        mass = rng.random(values.size)
+        got = _merge_close(values, mass)
+        expected = _merge_close_scan(values, mass)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
 
 
 class TestBernoulliPriors:
@@ -318,21 +351,30 @@ class TestBernoulliPriors:
 
 
 class TestSystemConstruction:
-    def test_query_tables_must_align(self):
+    def test_one_output_array_per_user(self):
         prior = DiscreteDistribution.from_weights([0, 1], [1, 1])
-        with pytest.raises(ValidationError, match="tables"):
-            UserSystem(priors=(prior, prior), query=SeparableQuery(tables=({0.0: 0.0, 1.0: 1.0},)))
+        with pytest.raises(ValidationError, match="outputs holds 1 arrays for 2 users"):
+            UserSystem(priors=(prior, prior), outputs=([0.0, 1.0],))
 
-    def test_alphabet_must_be_covered(self):
+    @pytest.mark.parametrize("outputs", [[0.0], [0.0, 1.0, 2.0], [[0.0, 1.0]], 1.0])
+    def test_one_output_per_alphabet_value(self, outputs):
         prior = DiscreteDistribution.from_weights([0, 1], [1, 1])
-        with pytest.raises(ValidationError, match="alphabet"):
-            UserSystem(priors=(prior,), query=SeparableQuery(tables=({0.0: 0.0},)))
+        with pytest.raises(ValidationError, match="user 0 needs 2 outputs, got shape"):
+            UserSystem(priors=(prior,), outputs=(outputs,))
 
     def test_non_finite_output_names_user_and_value(self):
         prior = DiscreteDistribution.from_weights([0, 1], [1, 1])
-        tables = ({0.0: 0.0, 1.0: 1.0}, {0.0: 0.0, 1.0: math.inf})
-        with pytest.raises(ValidationError, match="user 1 at .*1.0.* not finite"):
-            UserSystem(priors=(prior, prior), query=SeparableQuery(tables=tables))
+        with pytest.raises(ValidationError) as info:
+            UserSystem(priors=(prior, prior), outputs=([0.0, 1.0], [0.0, math.inf]))
+        assert str(info.value) == "query output for user 1 at 1.0 is not finite"
+
+    def test_outputs_are_read_only_copies(self):
+        prior = DiscreteDistribution.from_weights([0, 1], [1, 1])
+        given = np.array([0.0, 2.0])
+        system = UserSystem(priors=(prior,), outputs=(given,))
+        given[1] = 5.0
+        assert system.outputs[0].tolist() == [0.0, 2.0]
+        assert not system.outputs[0].flags.writeable
 
     def test_bernoulli_probability_range(self):
         with pytest.raises(ValidationError, match="p must lie"):
