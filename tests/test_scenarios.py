@@ -141,6 +141,8 @@ class TestDiscriminativePairs:
     @pytest.mark.parametrize("alphabet,texts", [
         ([0.1, 0.1000001, 2.0], ["0.1", "0.1000001", "2"]),
         ([999999.0, 1e6, 1000001.0], ["999999", "1e+06", "1000001.0"]),
+        # no collision: a value ":g" rounds is still labelled by its repr
+        ([0.1234567, 2.0, 3.0], ["0.1234567", "2", "3"]),
     ])
     def test_labels_stay_distinct_past_six_digits(self, mode, alphabet, texts):
         # ":g" keeps six digits; a value it does not read back as is labelled by repr
@@ -220,7 +222,7 @@ class TestIntegerGridKernel:
         ps[rng.integers(60, size=4)] = [0.0, 1.0, 0.0, 1.0]
         system = bernoulli_counting(ps)
         for user in (0, 7):
-            for value in (0.0, 1.0):
+            for value in (0.0, 1.0, None):
                 dist = conditional_output_dist(system, user, value)
                 support, mass = per_step_conditional(system, user, value)
                 assert np.array_equal(dist.support, support)
