@@ -247,7 +247,7 @@ def _bisect_log_theta(
     midpoint. The result depends on nothing but the sign of G at these
     fixed probe points. A probe below ``lo_edge`` is taken as positive and
     one above ``hi_edge`` as nonpositive without calling ``g``: the caller
-    has checked G's sign at both edges.
+    has established G's sign beyond both edges.
     """
     step = math.log(2.0)
     hi = 0.0
@@ -290,6 +290,8 @@ class _MomentEquations:
     starts: np.ndarray
     sizes: np.ndarray
     log_marginals: np.ndarray
+    #: The least and the largest of ``log_marginals``.
+    log_marginal_range: tuple[float, float]
     d_max: float
     #: The epsilon-free terms of the objective's rounding bound.
     magnitude: float
@@ -303,34 +305,39 @@ def _objective(eqs: _MomentEquations, targets: np.ndarray, a: float) -> np.ndarr
     return peak + np.log(sums) - targets
 
 
+def _log_residual(d: list, log_mass: list, target: float, a: float) -> tuple[float, float]:
+    """One equation's log residual at rate a, and its slope in a, in Python floats.
+
+    ``d`` and ``log_mass`` are the equation's entries and ``target`` its
+    target. The slope is the softmax-weighted mean distance of the
+    entries. A NaN or infinite input gives a NaN residual, never an
+    exception.
+    """
+    terms = [m + a * x for m, x in zip(log_mass, d)]
+    peak = max(terms)
+    total = moment = 0.0
+    for t, x in zip(terms, d):
+        w = math.exp(t - peak)
+        total += w
+        moment += w * x
+    return peak + math.log(total) - target, moment / total
+
+
 def _newton_root(
-    eqs: _MomentEquations, k: int, target: float, a: float, noise: float, budget: int
+    d: list, log_mass: list, target: float, a: float, noise: float, budget: int
 ) -> tuple[float, float, int] | None:
-    """Newton's method on equation k alone, in Python floats over its entries.
+    """Newton's method on one equation alone, by ``_log_residual``.
 
     The equation's log residual is convex and increasing in the rate a,
     so from the left of its root the first step lands at or right of the
-    root, and from the right the steps decrease monotonically towards it;
-    its slope is the softmax-weighted mean distance of the entries. Returns
-    (a, slope, steps left of ``budget``) after the step from a point where
-    |residual| <= ``noise``, a bound on G's rounding error; None when the
-    budget runs out first, a residual is not finite or a slope is not
-    positive.
+    root, and from the right the steps decrease monotonically towards it.
+    Returns (a, slope, steps left of ``budget``) after the step from a
+    point where |residual| <= ``noise``, a bound on G's rounding error;
+    None when the budget runs out first, a residual is not finite or a
+    slope is not positive.
     """
-    start = int(eqs.starts[k])
-    stop = start + int(eqs.sizes[k])
-    d = eqs.d[start:stop].tolist()
-    log_mass = eqs.log_mass[start:stop].tolist()
     for used in range(1, budget + 1):
-        terms = [m + a * x for m, x in zip(log_mass, d)]
-        peak = max(terms)
-        total = moment = 0.0
-        for t, x in zip(terms, d):
-            w = math.exp(t - peak)
-            total += w
-            moment += w * x
-        value = peak + math.log(total) - target
-        slope = moment / total
+        value, slope = _log_residual(d, log_mass, target, a)
         if not (math.isfinite(value) and 0.0 < slope < math.inf):
             return None
         a -= value / slope
@@ -358,10 +365,12 @@ def _newton_window(
     rounding error flips its sign outside. G below -noise at the upper
     edge confirms that no other equation binds further left; otherwise
     Newton continues on the largest equation there, from the current a,
-    right of that equation's root. G above ``noise`` at the lower edge
-    completes the check. Returns None when Newton does not settle within
-    _NEWTON_MAX_ITER steps in all, the window is a log(theta) unit or
-    wider, or an edge lies outside +-_LOG_THETA_LIMIT.
+    right of that equation's root. The lower edge needs only the equation
+    Newton solved last: G is the maximum of the equations, so that
+    equation's residual above ``noise`` puts G above it too. Returns None
+    when Newton does not settle within _NEWTON_MAX_ITER steps in all, the
+    window is a log(theta) unit or wider, or an edge lies outside
+    +-_LOG_THETA_LIMIT.
     """
     a, budget = epsilon / eqs.d_max, _NEWTON_MAX_ITER
     # Only its argmax is used: a NaN makes Newton give up, and the full
@@ -369,7 +378,12 @@ def _newton_window(
     values = _objective(eqs, targets, a)
     while True:
         k = int(values.argmax())
-        found = _newton_root(eqs, k, float(targets[k]), a, noise, budget)
+        start = int(eqs.starts[k])
+        stop = start + int(eqs.sizes[k])
+        equation = (
+            eqs.d[start:stop].tolist(), eqs.log_mass[start:stop].tolist(), float(targets[k])
+        )
+        found = _newton_root(*equation, a, noise, budget)
         if found is None:
             return None
         a, slope, budget = found
@@ -382,7 +396,7 @@ def _newton_window(
         value, values = g(root + margin)
         if value < -noise:
             break
-    if g(root - margin)[0] > noise:
+    if _log_residual(*equation, 1.0 / math.exp(root - margin))[0] > noise:
         return root - margin, root + margin
     return None
 
@@ -398,9 +412,11 @@ _EQUATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def _memoized(memo: weakref.WeakKeyDictionary, key, compute: Callable):
     """``compute(key)``, computed once per ``key`` object."""
-    if key not in memo:
-        memo[key] = compute(key)
-    return memo[key]
+    try:
+        return memo[key]
+    except KeyError:
+        value = memo[key] = compute(key)
+        return value
 
 
 def _moment_equations(plan: TransportPlan) -> _MomentEquations | None:
@@ -417,12 +433,14 @@ def _moment_equations(plan: TransportPlan) -> _MomentEquations | None:
     d, log_mass = distances[entries], np.log(plan.mass[entries])
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     sizes = np.diff(starts, append=keys.size)
+    log_marginals = np.log(np.concatenate([plan.source.mass, plan.target.mass])[keys[starts]])
     return _MomentEquations(
         d=d,
         log_mass=log_mass,
         starts=starts,
         sizes=sizes,
-        log_marginals=np.log(np.concatenate([plan.source.mass, plan.target.mass])[keys[starts]]),
+        log_marginals=log_marginals,
+        log_marginal_range=(float(log_marginals.min()), float(log_marginals.max())),
         d_max=float(d.max()),
         magnitude=float(sizes.max()) + float(np.abs(log_mass).max()),
     )
@@ -451,9 +469,10 @@ def relaxed_theta(plan: TransportPlan, epsilon: float) -> float:
 
     G is convex and increasing in the rate a = 1/theta. G is evaluated once
     at the strict rate eps / max d, and Newton's method runs on its largest
-    equation alone, in Python floats; G at a margin either side of that
-    root confirms that no other equation binds (``_newton_window``), or
-    Newton moves on to the equation that does. One bisection,
+    equation alone, in Python floats; G a margin above that root in
+    log(theta) confirms that no other equation binds (``_newton_window``),
+    or Newton moves on to the equation that does, and the binding
+    equation alone a margin below it confirms the root. One bisection,
     ``_bisect_log_theta``, then finds theta: a probe below the window is
     known to be positive, one above it is known to be nonpositive, and G
     is evaluated only inside it. Its probes do not depend on the window,
@@ -467,7 +486,10 @@ def relaxed_theta(plan: TransportPlan, epsilon: float) -> float:
         return 0.0
     targets = epsilon + eqs.log_marginals
     # Near the root the terms lie between the log masses and the targets.
-    noise = _REPLAY_NOISE * (eqs.magnitude + float(np.abs(targets).max()))
+    # The largest |target| is at an extreme log marginal, as eps + x rounds
+    # monotonically in x.
+    eps, (lo, hi) = float(epsilon), eqs.log_marginal_range
+    noise = _REPLAY_NOISE * (eqs.magnitude + max(abs(eps + lo), abs(eps + hi)))
     if epsilon <= noise:
         raise NumericError(
             f"epsilon={epsilon!r} is within the rounding bound {noise:.3g} of the "

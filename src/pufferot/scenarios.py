@@ -121,10 +121,10 @@ def _grid_terms(users: np.ndarray, outputs: np.ndarray, mass: np.ndarray):
     flat = np.zeros(int(ends[-1]))
     at = dense[users]
     np.add.at(flat, (ends - size)[users[at]] + (out - lo[users])[at].astype(np.intp), mass[at])
-    pmfs = np.split(flat, ends[:-1])
+    # size is 0 only for the users past MAX_ATOMS.
     return tuple(
-        (int(offset), pmf if ok else None)
-        for offset, pmf, ok in zip(lo.tolist(), pmfs, dense.tolist())
+        (int(offset), flat[stop - n:stop] if n else None)
+        for offset, n, stop in zip(lo.tolist(), size.tolist(), ends.tolist())
     )
 
 

@@ -100,27 +100,36 @@ def optimal_plan(p: DiscreteDistribution, q: DiscreteDistribution) -> TransportP
     the two CDFs F and G; the sweep below produces the same values while
     keeping the result sparse.
     """
-    p_rem = p.mass.tolist()
-    q_rem = q.mass.tolist()
-    n, m = len(p_rem), len(q_rem)
+    p_mass = p.mass.tolist()
+    q_mass = q.mass.tolist()
+    n, m = len(p_mass), len(q_mass)
     rows: list[int] = []
     cols: list[int] = []
     mass: list[float] = []
+    # a and b are what is left of atoms i and j; each entry uses up one of them.
     i = j = 0
-    while i < n and j < m:
-        a, b = p_rem[i], q_rem[j]
+    a, b = p_mass[0], q_mass[0]
+    while True:
         if a <= ENTRY_DROP_TOL:
             i += 1
-            continue
-        if b <= ENTRY_DROP_TOL:
+            if i == n:
+                break
+            a = p_mass[i]
+        elif b <= ENTRY_DROP_TOL:
             j += 1
-            continue
-        take = min(a, b)
-        rows.append(i)
-        cols.append(j)
-        mass.append(take)
-        p_rem[i] = a - take
-        q_rem[j] = b - take
+            if j == m:
+                break
+            b = q_mass[j]
+        elif a <= b:
+            rows.append(i)
+            cols.append(j)
+            mass.append(a)
+            a, b = 0.0, b - a
+        else:
+            rows.append(i)
+            cols.append(j)
+            mass.append(b)
+            a, b = a - b, 0.0
     return TransportPlan(
         rows=np.array(rows, dtype=np.intp),
         cols=np.array(cols, dtype=np.intp),

@@ -9,7 +9,7 @@ log-sum-exp, the noised output density from one unblocked (y, atom)
 matrix, scenario conditionals from one dict-merged pushforward and one
 freshly scattered grid (or one pairwise merge scan) per user, CSV tallies from
 ``csv.DictReader`` rows, and the comonotone plan from a sweep on numpy
-scalars.
+scalars and from a sweep that writes each remainder back into its list.
 """
 
 from __future__ import annotations
@@ -291,4 +291,32 @@ def numpy_scalar_optimal_plan(p, q):
         mass.append(take)
         p_rem[i] -= take
         q_rem[j] -= take
+    return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(mass)
+
+
+def list_sweep_optimal_plan(p, q):
+    """North-west-corner sweep on lists of Python floats, writing each remainder back.
+
+    Every step reads both remainders from their lists, skips a side at or
+    under ENTRY_DROP_TOL (first p, then q) and otherwise takes the smaller
+    remainder from both sides. Returns (rows, cols, mass) arrays.
+    """
+    p_rem = p.mass.tolist()
+    q_rem = q.mass.tolist()
+    rows, cols, mass = [], [], []
+    i = j = 0
+    while i < len(p_rem) and j < len(q_rem):
+        a, b = p_rem[i], q_rem[j]
+        if a <= ENTRY_DROP_TOL:
+            i += 1
+            continue
+        if b <= ENTRY_DROP_TOL:
+            j += 1
+            continue
+        take = min(a, b)
+        rows.append(i)
+        cols.append(j)
+        mass.append(take)
+        p_rem[i] = a - take
+        q_rem[j] = b - take
     return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp), np.array(mass)

@@ -20,6 +20,7 @@ from pufferot import AttributeMapping, NumericError, cli, load_table
 DATA = Path(__file__).parent / "data"
 GOLDEN_TABLES = DATA / "tables_golden.json"
 GOLDEN_SCENARIO = DATA / "scenario_golden.json"
+GOLDEN_PLAN = DATA / "plan_golden.json"
 README = Path(__file__).parent.parent / "README.md"
 
 
@@ -75,6 +76,14 @@ class TestPlan:
         assert payload["sensitivity"] == 1.0
         assert math.isclose(payload["w1_cost"], 0.25, abs_tol=1e-12)
         assert len(payload["entries"]) == 6
+
+    def test_matches_checked_in_golden_bytes(self, tmp_path):
+        # a seeded 100-atom pair with empty atoms and atoms at and under the
+        # drop tolerance: every swept entry keeps its bits
+        out = tmp_path / "plan.json"
+        args = ["plan", "--p", str(DATA / "plan_p.json"), "--q", str(DATA / "plan_q.json")]
+        assert cli.main([*args, "--out", str(out)]) == 0
+        assert out.read_bytes() == GOLDEN_PLAN.read_bytes()
 
 
 class TestCalibrate:

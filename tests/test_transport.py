@@ -18,11 +18,13 @@ from pufferot import (
 
 from oracles import (
     cdf_area_w1,
+    list_sweep_optimal_plan,
     lp_transport_cost,
     numpy_scalar_optimal_plan,
     per_equation_relaxed_theta,
 )
 from pufferot.scenarios import bernoulli_counting, discriminative_pairs
+from pufferot.transport import ENTRY_DROP_TOL
 
 # Golden couplings for the two worked examples, as exact fractions.
 GOLDEN_PLAN_1 = {
@@ -232,14 +234,15 @@ def dirichlet_dist(rng, support, empty):
 
 def assert_same_plan(p, q):
     plan = optimal_plan(p, q)
-    rows, cols, mass = numpy_scalar_optimal_plan(p, q)
-    assert np.array_equal(plan.rows, rows)
-    assert np.array_equal(plan.cols, cols)
-    assert np.array_equal(plan.mass, mass)
+    for rows, cols, mass in (numpy_scalar_optimal_plan(p, q), list_sweep_optimal_plan(p, q)):
+        assert np.array_equal(plan.rows, rows)
+        assert np.array_equal(plan.cols, cols)
+        assert np.array_equal(plan.mass, mass)
 
 
 class TestSweepMatchesNumpyScalars:
-    # the sweep on Python floats must give the numpy-scalar sweep's bits
+    # the sweep on Python floats must give the bits of the numpy-scalar
+    # sweep and of the sweep that writes remainders back into lists
 
     @pytest.mark.parametrize("n", [5, 14, 100, 300])
     def test_random_pairs_with_empty_atoms(self, n):
@@ -257,6 +260,25 @@ class TestSweepMatchesNumpyScalars:
             xs = np.sort(rng.choice(200, n, replace=False)) - 100.0
             ys = np.sort(rng.choice(200, m, replace=False)) * 0.5
             assert_same_plan(dirichlet_dist(rng, xs, n // 4), dirichlet_dist(rng, ys, m // 4))
+
+    @pytest.mark.parametrize("n", [6, 40, 100])
+    def test_tiny_atoms_and_tied_remainders(self, n):
+        # Dyadic masses make remainders tie exactly (a == b), and atoms at,
+        # under and just over ENTRY_DROP_TOL sit among empty ones, in p and q.
+        rng = np.random.default_rng([24, n])
+        support = np.arange(1.0, n + 1.0)
+        tiny = [0.0, 5e-16, ENTRY_DROP_TOL, 1.5e-15]
+        for _ in range(20):
+            masses = []
+            for _ in range(2):
+                spots = rng.choice(n, min(n // 3, 2 * len(tiny)), replace=False)
+                rest = np.setdiff1d(np.arange(n), spots)
+                mass = np.zeros(n)
+                mass[rest] = rng.multinomial(64, np.full(rest.size, 1.0 / rest.size)) / 64.0
+                mass[spots] = np.resize(tiny, spots.size)
+                masses.append(DiscreteDistribution(support, mass))
+            assert_same_plan(*masses)
+            assert_same_plan(masses[0], masses[0])
 
     def test_counting_absence_pairs(self):
         # ops 47, 83, 96 and 113 hold the plans that keep a rounding-residue
