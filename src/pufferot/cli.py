@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from contextlib import suppress
-from itertools import chain, islice
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import NoReturn
@@ -170,9 +170,29 @@ def _raise_first_bad_row(
     raise AssertionError(f"{table}: a block failed to parse, but none of its rows is bad")
 
 
-def _released_blocks(table: str, reader, col: int, column: str,
-                     mapping: AttributeMapping | None, spec: MechanismSpec, rng):
-    """The stripped rows of ``reader``, ``_BLOCK_ROWS`` at a time, cell ``col`` noised.
+def _recorded(src, lines: list[str]):
+    """The lines of ``src``, each also appended to ``lines``."""
+    for line in src:
+        lines.append(line)
+        yield line
+
+
+#: ASCII whitespace that ``str.strip`` would take off a cell, besides the
+#: newline that ends a line. Such a character is plain only as the delimiter.
+_PADDING = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def _released_blocks(table: str, reader, lines: list[str], delimiter: str, col: int,
+                     column: str, mapping: AttributeMapping | None, spec: MechanismSpec, rng):
+    """The blocks of ``reader``'s rows, stripped, cell ``col`` noised, each as ``(rows, plain)``.
+
+    ``lines`` holds the raw lines ``reader`` has read; the header's are
+    dropped. When a block's lines are ASCII with no quote, carriage return,
+    NUL or ``_PADDING`` other than the delimiter, ``csv.reader`` splits each
+    at the delimiter alone and no cell needs stripping. ``plain`` then says
+    that ``csv.writer`` would quote no cell either, so each row joined with
+    the delimiter gives the same bytes; it is false whatever the lines when
+    the delimiter is a quote or can occur in a noised value's ``repr``.
 
     Mapped labels become their indices. A block's cells are parsed straight
     into an array; only when that fails, or a value is not finite, is the
@@ -184,8 +204,17 @@ def _released_blocks(table: str, reader, col: int, column: str,
         parse = float
     else:
         parse = {label: k for k, label in enumerate(mapping.labels, start=1)}.__getitem__
+    unplain = ['"', "\r", "\0", *_PADDING.replace(delimiter, "")]
+    joinable = delimiter not in '"+-.0123456789aefin'  # a quote, or a character of a float's repr
+    lines.clear()
     rownum = 2
-    while rows := [list(map(str.strip, row)) for row in islice(reader, _BLOCK_ROWS)]:
+    while rows := list(islice(reader, _BLOCK_ROWS)):
+        raw = "".join(lines)
+        lines.clear()
+        plain = raw.isascii() and not any(map(raw.__contains__, unplain))
+        del raw
+        if not plain:
+            rows = [list(map(str.strip, row)) for row in rows]
         try:
             values = np.fromiter(map(parse, map(itemgetter(col), rows)), float, len(rows))
         except (IndexError, KeyError, ValueError):
@@ -195,7 +224,7 @@ def _released_blocks(table: str, reader, col: int, column: str,
         for row, text in zip(rows, map(repr, release_values(values, spec, rng).tolist())):
             row[col] = text
         rownum += len(rows)
-        yield rows
+        yield rows, plain and joinable
         del rows  # so that no more than one block is held while the next is read
 
 
@@ -228,7 +257,8 @@ def cmd_release(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     out = Path(args.out)
     with open(table, newline="", encoding="utf-8") as src:
-        reader = csv_rows(table, src, delimiter)
+        lines: list[str] = []
+        reader = csv_rows(table, _recorded(src, lines), delimiter)
         header = next(reader, None)
         if header is None:
             raise ValidationError(f"{table}: empty file (no header row)")
@@ -244,8 +274,13 @@ def cmd_release(args: argparse.Namespace) -> int:
             with dst:
                 writer = csv.writer(dst, delimiter=delimiter)
                 writer.writerow([name.strip() for name in header])
-                blocks = _released_blocks(table, reader, col, column, mapping, spec, rng)
-                writer.writerows(chain.from_iterable(blocks))
+                for rows, plain in _released_blocks(table, reader, lines, delimiter, col,
+                                                    column, mapping, spec, rng):
+                    if plain:
+                        dst.write("\r\n".join(map(delimiter.join, rows)) + "\r\n")
+                    else:
+                        writer.writerows(rows)
+                    del rows  # so that no more than one block is held while the next is read
             os.replace(partial, out)
         except BaseException:
             if dst is not None:  # a partial file of this name that we did not make stays

@@ -8,13 +8,16 @@ bisection per moment equation, the Laplace log-ratio from an O(n m)
 log-sum-exp, the noised output density from one unblocked (y, atom)
 matrix, scenario conditionals from one dict-merged pushforward and one
 freshly scattered grid (or one pairwise merge scan) per user, CSV tallies from
-``csv.DictReader`` rows, and the comonotone plan from a sweep on numpy
-scalars and from a sweep that writes each remainder back into its list.
+``csv.DictReader`` rows, released tables from whole-table ``csv.reader``
+rows stripped cell by cell and one ``csv.writer``, and the comonotone plan
+from a sweep on numpy scalars and from a sweep that writes each remainder
+back into its list.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import math
 from collections import defaultdict
@@ -23,7 +26,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.stats import norm
 
-from pufferot import ValidationError
+from pufferot import ValidationError, release
 from pufferot.scenarios import ATOM_MERGE_TOL
 from pufferot.transport import ENTRY_DROP_TOL
 
@@ -270,6 +273,25 @@ def dictreader_load_table(path, secret_column, data_column, mapping, delimiter="
     if rows == 0:
         raise ValidationError(f"{path}: no data rows")
     return counts
+
+
+def stripping_release(path, column, spec, seed, mapping=None, delimiter=","):
+    """The bytes ``pufferot release`` writes, from every row of the table at once.
+
+    Every cell of every row is stripped, the column is noised in one draw
+    from ``numpy.random.default_rng(seed)`` and all rows go through one
+    ``csv.writer``. Mapped labels become their 1-based indices.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = [[cell.strip() for cell in row] for row in csv.reader(fh, delimiter=delimiter)]
+    col = rows[0].index(column)
+    parse = float if mapping is None else mapping.index
+    noised = release([parse(row[col]) for row in rows[1:]], spec, np.random.default_rng(seed))
+    for row, value in zip(rows[1:], noised.tolist()):
+        row[col] = repr(value)
+    out = io.StringIO(newline="")
+    csv.writer(out, delimiter=delimiter).writerows(rows)
+    return out.getvalue().encode("utf-8")
 
 
 def numpy_scalar_optimal_plan(p, q):

@@ -15,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from pufferot import AttributeMapping, NumericError, cli, load_table
+from pufferot import AttributeMapping, MechanismSpec, NumericError, cli, load_table
+
+from oracles import stripping_release
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_TABLES = DATA / "tables_golden.json"
@@ -543,11 +545,154 @@ class TestCensusArtefacts:
         assert hashlib.sha256(released.read_bytes()).hexdigest() == self.RELEASED_SHA256
 
 
+#: The labels of ``plain_rows``'s ``edu`` column, in mapping order.
+EDU_LABELS = ["edu-a", "edu-b", "edu-c"]
+
+
+def plain_rows(count=3500, seed=23):
+    """A header and ``count`` seeded data rows of unpadded, unquoted ASCII cells.
+
+    Data row k is ``rows[k]`` and line k + 1 of the table, so rows 1024 and
+    1025 end ``release``'s first block and start its second.
+    """
+    rng = random.Random(seed)
+    rows = [["id", "group", "v", "edu", "note"]]
+    for k in range(1, count + 1):
+        rows.append([str(k), f"g{int(rng.random() * 5)}", str(int(rng.random() * 20) - 5),
+                     EDU_LABELS[int(rng.random() * 3)], "" if k % 7 == 0 else f"n{k % 11}"])
+    return rows
+
+
+def write_rows(path, rows, delimiter=",", newline="\n", final_newline=True):
+    text = newline.join(map(delimiter.join, rows))
+    path.write_bytes((text + newline if final_newline else text).encode("utf-8"))
+    return str(path)
+
+
+class TestPlainBlocks:
+    """``release`` writes the bytes of stripping every cell and one ``csv.writer``.
+
+    Blocks of unpadded, unquoted ASCII skip the strip and ``csv.writer``; the
+    tables here mix such blocks with blocks that need both.
+    """
+
+    # sha256 of ``plain_rows()`` released, as recorded before plain blocks
+    # skipped csv.writer: every block of it is plain.
+    PLAIN_SHA256 = "ca6f2dc8a9c397d6a09b7224c2bee71136544a6f593d59d353fd27975e4bcde7"
+
+    #: Cells (data row, column, text) that each make a block or two not plain.
+    EDITS = {
+        "plain": [],
+        "padded-in-block-2": [(1500, 4, " n1 "), (1600, 2, " 4 ")],
+        "multiline-at-1024": [(1024, 4, '"x\ny"'), (1025, 4, '"z\n\nw"')],
+        "non-ascii": [(2100, 4, "caf\u00e9"), (2200, 4, "\u00a0n2\u3000")],
+        "vt-and-fs": [(2500, 4, "\x0b"), (3100, 2, "\x1c3\x1c")],
+        "padded-header": [(0, 1, " group ")],
+        "no-final-newline": [],
+    }
+
+    @classmethod
+    def table(cls, tmp_path, edits="plain", delimiter=",", newline="\n"):
+        rows = plain_rows()
+        for k, cell, text in cls.EDITS[edits]:
+            rows[k][cell] = text
+        return write_rows(tmp_path / "t.csv", rows, delimiter, newline,
+                          final_newline=edits != "no-final-newline")
+
+    @staticmethod
+    def released(table, tmp_path, data_col="v", delimiter=",", mapped=False):
+        """``release``'s bytes and the oracle's for ``table``."""
+        mapping = ["--mapping", write_json(EDU_LABELS, tmp_path / "edu.json")] if mapped else []
+        out = tmp_path / "released.csv"
+        assert cli.main([
+            "release", "--table", table, "--data-col", data_col, "--delimiter", delimiter,
+            "--theta", "2.5", "--seed", "3", "--out", str(out), *mapping,
+        ]) == 0
+        return out.read_bytes()
+
+    @staticmethod
+    def oracle(table, data_col="v", delimiter=",", mapped=False):
+        return stripping_release(table, data_col, MechanismSpec("laplace", 2.5, 1.0), 3,
+                                 mapping=AttributeMapping(EDU_LABELS) if mapped else None,
+                                 delimiter=delimiter)
+
+    @pytest.mark.parametrize("edits", EDITS)
+    @pytest.mark.parametrize(("delimiter", "newline", "mapped"), [
+        (",", "\n", False), (",", "\n", True), (";", "\n", False), ("\t", "\n", True),
+        (",", "\r\n", False), (";", "\r\n", True), (".", "\n", False),
+    ])
+    def test_matches_the_stripping_oracle(self, tmp_path, edits, delimiter, newline, mapped):
+        table = self.table(tmp_path, edits, delimiter, newline)
+        data_col = "edu" if mapped else "v"
+        assert (self.released(table, tmp_path, data_col, delimiter, mapped)
+                == self.oracle(table, data_col, delimiter, mapped))
+
+    def test_plain_table_bytes(self, tmp_path):
+        table = self.table(tmp_path)
+        released = self.released(table, tmp_path)
+        assert released == self.oracle(table)
+        assert hashlib.sha256(released).hexdigest() == self.PLAIN_SHA256
+
+    @pytest.mark.parametrize(("edits", "delimiter", "blocks"), [
+        ("plain", ",", []),
+        ("padded-in-block-2", ",", [1024]),
+        ("multiline-at-1024", ";", [1024, 1024]),
+        ("vt-and-fs", "\t", [1024, 428]),
+        ("padded-header", ",", []),
+        # a noised value's repr holds a "." and is quoted, so no block is plain
+        ("plain", ".", [1024, 1024, 1024, 428]),
+    ])
+    def test_only_blocks_that_are_not_plain_go_through_csv_writer(
+            self, tmp_path, monkeypatch, edits, delimiter, blocks):
+        table = self.table(tmp_path, edits, delimiter)
+        written = []
+        csv_writer = csv.writer
+
+        class CountingWriter:
+            def __init__(self, *args, **kwargs):
+                self.writer = csv_writer(*args, **kwargs)
+                self.writerow = self.writer.writerow
+
+            def writerows(self, rows):
+                rows = list(rows)
+                written.append(len(rows))
+                self.writer.writerows(rows)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.csv, "writer", CountingWriter)
+            released = self.released(table, tmp_path, delimiter=delimiter)
+        assert written == blocks
+        assert released == self.oracle(table, delimiter=delimiter)
+
+    @pytest.mark.parametrize(("data_col", "cells", "message"), [
+        ("v", ["2055"], "row 2056 is too short"),
+        ("edu", ["2055", "g1", "3", "teal", "n1"],
+         "row 2056 column 'edu': label 'teal' is not in the attribute mapping"),
+        ("v", ["2055", "g1", "3", "edu-a", "x" * 200_000],
+         f"line 2056: field larger than field limit ({csv.field_size_limit()})"),
+    ])
+    def test_errors_after_two_plain_blocks(self, tmp_path, capsys, data_col, cells, message):
+        rows = plain_rows()
+        rows[2055] = cells  # the 7th row of the third block
+        table = write_rows(tmp_path / "t.csv", rows)
+        mapping = ["--mapping", write_json(EDU_LABELS, tmp_path / "edu.json")]
+        out = tmp_path / "out.csv"
+        code = cli.main([
+            "release", "--table", table, "--data-col", data_col, "--theta", "1.0",
+            "--out", str(out), *(mapping if data_col == "edu" else []),
+        ])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error == {"type": "ValidationError", "message": f"{table}: {message}"}
+        assert not out.exists()
+
+
 class TestBoundedMemory:
     """Peak traced memory of the census publish path, per row of a 50 000-row table.
 
     Neither ``release`` nor ``load_table`` keeps a row: their peaks are a few
     float arrays (``release``) or one integer code (``load_table``) per row.
+    The peak of ``release`` also stays the same as its table grows tenfold.
     """
 
     ROWS = 50_000
@@ -565,14 +710,18 @@ class TestBoundedMemory:
         table.write_text("\n".join(lines) + "\n", encoding="utf-8")
         return str(table), write_json(labels, tmp_path / "labels.json")
 
-    def traced_peak_per_row(self, fn) -> float:
+    @staticmethod
+    def traced_peak(fn) -> int:
         fn()  # one run first, so one-time imports and caches are not counted
         tracemalloc.start()
         try:
             fn()
-            return tracemalloc.get_traced_memory()[1] / self.ROWS
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def traced_peak_per_row(self, fn) -> float:
+        return self.traced_peak(fn) / self.ROWS
 
     def test_release(self, wide_table, tmp_path):
         table, mapping = wide_table
@@ -583,6 +732,29 @@ class TestBoundedMemory:
             assert cli.main(argv) == 0
 
         assert self.traced_peak_per_row(release) <= 40
+
+    def test_release_peak_does_not_grow_with_the_table(self, tmp_path):
+        """The peak on 200 000 rows is that on 20 000 within 64 KiB (0.36 B per extra row).
+
+        The peak on 20 000 rows is also within 128 KiB of that on one block of
+        1000 rows; keeping a block while the next is read adds about 400 KiB.
+        """
+        peaks = []
+        for count in (1000, 20_000, 200_000):
+            rows = plain_rows(count)
+            for k in range(5000, count, 5000):  # one block in five takes the csv path
+                rows[k][4] = f" {rows[k][4]} "
+            table = write_rows(tmp_path / f"t{count}.csv", rows)
+            del rows
+            argv = ["release", "--table", table, "--data-col", "v", "--theta", "2.0",
+                    "--out", str(tmp_path / "released.csv")]
+
+            def release():
+                assert cli.main(argv) == 0
+
+            peaks.append(self.traced_peak(release))
+        assert peaks[1] <= peaks[0] + 128 * 1024
+        assert peaks[2] <= peaks[1] + 64 * 1024
 
     def test_load_table(self, wide_table):
         table, mapping = wide_table
