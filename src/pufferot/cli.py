@@ -178,7 +178,8 @@ def _recorded(src, lines: list[str]):
 
 
 #: ASCII whitespace that ``str.strip`` would take off a cell, besides the
-#: newline that ends a line. Such a character is plain only as the delimiter.
+#: line feed and carriage return that end a line. Such a character is plain
+#: only as the delimiter.
 _PADDING = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 
 
@@ -187,12 +188,14 @@ def _released_blocks(table: str, reader, lines: list[str], delimiter: str, col: 
     """The blocks of ``reader``'s rows, stripped, cell ``col`` noised, each as ``(rows, plain)``.
 
     ``lines`` holds the raw lines ``reader`` has read; the header's are
-    dropped. When a block's lines are ASCII with no quote, carriage return,
-    NUL or ``_PADDING`` other than the delimiter, ``csv.reader`` splits each
-    at the delimiter alone and no cell needs stripping. ``plain`` then says
-    that ``csv.writer`` would quote no cell either, so each row joined with
-    the delimiter gives the same bytes; it is false whatever the lines when
-    the delimiter is a quote or can occur in a noised value's ``repr``.
+    dropped. When a block's lines are ASCII with no quote, NUL or
+    ``_PADDING`` other than the delimiter, ``csv.reader`` splits each at the
+    delimiter alone and no cell needs stripping. A carriage return can only
+    end a line there, as the table is read with ``newline=""``, which splits
+    lines at every one. ``plain`` then says that ``csv.writer`` would quote
+    no cell either, so each row joined with the delimiter gives the same
+    bytes; it is false whatever the lines when the delimiter is a quote or
+    can occur in a noised value's ``repr``.
 
     Mapped labels become their indices. A block's cells are parsed straight
     into an array; only when that fails, or a value is not finite, is the
@@ -204,7 +207,7 @@ def _released_blocks(table: str, reader, lines: list[str], delimiter: str, col: 
         parse = float
     else:
         parse = {label: k for k, label in enumerate(mapping.labels, start=1)}.__getitem__
-    unplain = ['"', "\r", "\0", *_PADDING.replace(delimiter, "")]
+    unplain = ['"', "\0", *_PADDING.replace(delimiter, "")]
     joinable = delimiter not in '"+-.0123456789aefin'  # a quote, or a character of a float's repr
     lines.clear()
     rownum = 2

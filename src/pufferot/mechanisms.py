@@ -275,14 +275,15 @@ def _bisect_log_theta(
     return math.exp(0.5 * (lo + hi))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class _MomentEquations:
     """The live row and column moment equations of one plan.
 
     The entries are grouped by equation, in plan order inside each group:
     equation k holds entries starts[k] to starts[k] + sizes[k] of ``d`` and
     ``log_mass``, and its target less epsilon is ``log_marginals[k]``, the
-    log of its row or column mass. Nothing here depends on epsilon.
+    log of its row or column mass. Nothing here depends on epsilon, and
+    only ``binding`` changes after the equations are built.
     """
 
     d: np.ndarray
@@ -295,6 +296,10 @@ class _MomentEquations:
     d_max: float
     #: The epsilon-free terms of the objective's rounding bound.
     magnitude: float
+    #: The equation whose root was theta at the last call that proved its
+    #: Newton window, as (k, its d list, its log_mass list); None before.
+    #: Only replaced whole, so a thread reads the old tuple or the new one.
+    binding: tuple[int, list, list] | None = None
 
 
 def _objective(eqs: _MomentEquations, targets: np.ndarray, a: float) -> np.ndarray:
@@ -359,31 +364,36 @@ def _newton_window(
 
     G is convex and increasing in the inverse-scale rate a = 1/theta, and
     the strict rate eps / max d lies at or left of every equation's root.
-    G is evaluated there once, and Newton runs on its largest equation
-    alone. The window is the Newton root's log(theta) plus or minus a
-    margin across which |G| rises to several times ``noise``, so no
+    Newton runs from there on one equation alone: the one whose root was
+    theta at the plan's last proved window (``eqs.binding``), or, on a
+    plan's first call, the largest at the strict rate, where G is then
+    evaluated once. The window is the Newton root's log(theta) plus or
+    minus a margin across which |G| rises to several times ``noise``, so no
     rounding error flips its sign outside. G below -noise at the upper
     edge confirms that no other equation binds further left; otherwise
     Newton continues on the largest equation there, from the current a,
     right of that equation's root. The lower edge needs only the equation
     Newton solved last: G is the maximum of the equations, so that
-    equation's residual above ``noise`` puts G above it too. Returns None
-    when Newton does not settle within _NEWTON_MAX_ITER steps in all, the
-    window is a log(theta) unit or wider, or an edge lies outside
-    +-_LOG_THETA_LIMIT.
+    equation's residual above ``noise`` puts G above it too. That equation
+    becomes ``eqs.binding``. Returns None when Newton does not settle
+    within _NEWTON_MAX_ITER steps in all, the window is a log(theta) unit
+    or wider, or an edge lies outside +-_LOG_THETA_LIMIT.
     """
     a, budget = epsilon / eqs.d_max, _NEWTON_MAX_ITER
-    # Only its argmax is used: a NaN makes Newton give up, and the full
-    # bisection, which checks every value, runs instead.
-    values = _objective(eqs, targets, a)
+    equation = eqs.binding
+    if equation is None:
+        # Only its argmax is used: a NaN makes Newton give up, and the full
+        # bisection, which checks every value, runs instead.
+        values = _objective(eqs, targets, a)
     while True:
-        k = int(values.argmax())
-        start = int(eqs.starts[k])
-        stop = start + int(eqs.sizes[k])
-        equation = (
-            eqs.d[start:stop].tolist(), eqs.log_mass[start:stop].tolist(), float(targets[k])
-        )
-        found = _newton_root(*equation, a, noise, budget)
+        if equation is None:
+            k = int(values.argmax())
+            start = int(eqs.starts[k])
+            stop = start + int(eqs.sizes[k])
+            equation = (k, eqs.d[start:stop].tolist(), eqs.log_mass[start:stop].tolist())
+        k, d, log_mass = equation
+        target = float(targets[k])
+        found = _newton_root(d, log_mass, target, a, noise, budget)
         if found is None:
             return None
         a, slope, budget = found
@@ -396,7 +406,9 @@ def _newton_window(
         value, values = g(root + margin)
         if value < -noise:
             break
-    if _log_residual(*equation, 1.0 / math.exp(root - margin))[0] > noise:
+        equation = None
+    if _log_residual(d, log_mass, target, 1.0 / math.exp(root - margin))[0] > noise:
+        eqs.binding = equation
         return root - margin, root + margin
     return None
 
@@ -424,16 +436,20 @@ def _moment_equations(plan: TransportPlan) -> _MomentEquations | None:
     distances = np.abs(plan.displacements())
     # One equation per row key 0..len(p)-1 and per column key after them.
     keys = np.concatenate([plan.rows, plan.cols + plan.source.mass.size])
-    live = np.bincount(keys, weights=np.tile(distances > 0, 2))[keys] > 0
-    if not live.any():
+    marginals = np.concatenate([plan.source.mass, plan.target.mass])
+    positive = distances > 0
+    live_keys = np.bincount(keys, np.concatenate([positive, positive]), marginals.size) > 0
+    if not live_keys.any():
         return None
-    # The stable sort keeps plan order inside each equation's group.
-    order = np.flatnonzero(live)[np.argsort(keys[live], kind="stable")]
-    keys, entries = keys[order], order % len(plan)
+    # The stable sort keeps plan order inside each equation's group, and
+    # the groups follow in key order.
+    order = np.argsort(keys, kind="stable")
+    order = order[live_keys[keys[order]]]
+    entries = order % len(plan)
     d, log_mass = distances[entries], np.log(plan.mass[entries])
-    starts = np.flatnonzero(np.diff(keys, prepend=-1))
-    sizes = np.diff(starts, append=keys.size)
-    log_marginals = np.log(np.concatenate([plan.source.mass, plan.target.mass])[keys[starts]])
+    sizes = np.bincount(keys, minlength=marginals.size)[live_keys]
+    starts = sizes.cumsum() - sizes
+    log_marginals = np.log(marginals[live_keys])
     return _MomentEquations(
         d=d,
         log_mass=log_mass,
@@ -467,12 +483,15 @@ def relaxed_theta(plan: TransportPlan, epsilon: float) -> float:
     the root; that raises ``NumericError``, as does a strict rate eps / max d
     that overflows, where theorem1's scale is 0 and this one no larger.
 
-    G is convex and increasing in the rate a = 1/theta. G is evaluated once
-    at the strict rate eps / max d, and Newton's method runs on its largest
-    equation alone, in Python floats; G a margin above that root in
-    log(theta) confirms that no other equation binds (``_newton_window``),
-    or Newton moves on to the equation that does, and the binding
-    equation alone a margin below it confirms the root. One bisection,
+    G is convex and increasing in the rate a = 1/theta. Newton's method
+    runs from the strict rate eps / max d on one equation alone, in Python
+    floats: on a plan's first call the largest there, the one place G is
+    evaluated at the strict rate, and on later calls the equation whose
+    root was theta last time, kept beside the plan's equations. G a margin
+    above that root in log(theta) confirms that no other equation binds
+    (``_newton_window``), or Newton moves on to the equation that does, and
+    the binding equation alone a margin below it confirms the root. Which
+    equation Newton starts on never changes theta. One bisection,
     ``_bisect_log_theta``, then finds theta: a probe below the window is
     known to be positive, one above it is known to be nonpositive, and G
     is evaluated only inside it. Its probes do not depend on the window,

@@ -577,7 +577,9 @@ class TestPlainBlocks:
     """
 
     # sha256 of ``plain_rows()`` released, as recorded before plain blocks
-    # skipped csv.writer: every block of it is plain.
+    # skipped csv.writer: every block of it is plain. Its CRLF table, recorded
+    # while CRLF blocks still went through csv.writer, gives the same bytes:
+    # the release ends every line as csv.writer does, with "\r\n".
     PLAIN_SHA256 = "ca6f2dc8a9c397d6a09b7224c2bee71136544a6f593d59d353fd27975e4bcde7"
 
     #: Cells (data row, column, text) that each make a block or two not plain.
@@ -627,24 +629,27 @@ class TestPlainBlocks:
         assert (self.released(table, tmp_path, data_col, delimiter, mapped)
                 == self.oracle(table, data_col, delimiter, mapped))
 
-    def test_plain_table_bytes(self, tmp_path):
-        table = self.table(tmp_path)
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_plain_table_bytes(self, tmp_path, newline):
+        table = self.table(tmp_path, newline=newline)
         released = self.released(table, tmp_path)
         assert released == self.oracle(table)
         assert hashlib.sha256(released).hexdigest() == self.PLAIN_SHA256
 
-    @pytest.mark.parametrize(("edits", "delimiter", "blocks"), [
-        ("plain", ",", []),
-        ("padded-in-block-2", ",", [1024]),
-        ("multiline-at-1024", ";", [1024, 1024]),
-        ("vt-and-fs", "\t", [1024, 428]),
-        ("padded-header", ",", []),
+    @pytest.mark.parametrize(("edits", "delimiter", "newline", "blocks"), [
+        ("plain", ",", "\n", []),
+        # a carriage return only ever ends a line, so CRLF blocks are plain too
+        ("plain", ",", "\r\n", []),
+        ("padded-in-block-2", ",", "\n", [1024]),
+        ("multiline-at-1024", ";", "\n", [1024, 1024]),
+        ("vt-and-fs", "\t", "\n", [1024, 428]),
+        ("padded-header", ",", "\n", []),
         # a noised value's repr holds a "." and is quoted, so no block is plain
-        ("plain", ".", [1024, 1024, 1024, 428]),
+        ("plain", ".", "\n", [1024, 1024, 1024, 428]),
     ])
     def test_only_blocks_that_are_not_plain_go_through_csv_writer(
-            self, tmp_path, monkeypatch, edits, delimiter, blocks):
-        table = self.table(tmp_path, edits, delimiter)
+            self, tmp_path, monkeypatch, edits, delimiter, newline, blocks):
+        table = self.table(tmp_path, edits, delimiter, newline)
         written = []
         csv_writer = csv.writer
 

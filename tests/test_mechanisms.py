@@ -390,27 +390,31 @@ class TestRelaxedTheta:
             for epsilon in FIGURE4_EPS_GRID:
                 assert relaxed_theta(plan, epsilon) == reference_theta(plan, epsilon)
 
-    def test_full_objective_evaluated_about_twice_per_call(self, adult_pair, monkeypatch):
-        # once at the strict rate, once at the window's upper edge, and at
-        # the few bisection probes inside the window; the Newton steps and
-        # the lower edge's check on one equation do not evaluate it
-        objective, counts = mechanisms._objective, []
-
-        def counted(*args):
-            counts[-1] += 1
-            return objective(*args)
-
-        monkeypatch.setattr(mechanisms, "_objective", counted)
+    def test_full_objective_evaluated_twice_cold_and_about_once_warm(
+        self, adult_pair, monkeypatch
+    ):
+        # A plan's first call evaluates G at the strict rate, to pick Newton's
+        # first equation, and at the window's upper edge; later calls start
+        # Newton on the equation that bound last and evaluate G at the upper
+        # edge only. Both evaluate it at the few bisection probes inside the
+        # window; the Newton steps and the lower edge's check do not.
+        objective, calls = mechanisms._objective, []
+        monkeypatch.setattr(mechanisms, "_objective",
+                            lambda *args: calls.append(1) or objective(*args))
         rng = np.random.default_rng(20)
         shapes = [(14, 2), (100, 10)] * 4
         pairs = [adult_pair] + [random_pair(rng, n, empty) for n, empty in shapes]
+        cold, warm = [], []
         for pair in pairs:
             plan = optimal_plan(pair.p, pair.q)
-            for epsilon in FIGURE4_EPS_GRID:
-                counts.append(0)
+            for k, epsilon in enumerate(FIGURE4_EPS_GRID):
+                before = len(calls)
                 relaxed_theta(plan, epsilon)
-        assert min(counts) >= 2
-        assert sum(counts) / len(counts) <= 2.5
+                (warm if k else cold).append(len(calls) - before)
+        assert min(cold) >= 2
+        assert min(warm) >= 1
+        assert sum(warm) / len(warm) <= 1.5
+        assert sum(cold + warm) / len(cold + warm) <= 1.6
 
     def test_one_equation_never_exceeds_the_full_objective(self, adult_pair):
         # The lower edge trusts one equation's residual as a lower bound on G,
@@ -455,6 +459,45 @@ class TestRelaxedTheta:
             assert theta == reference_theta(plan, epsilon)
             assert len(set(solved)) == 2
             assert windows[-1] is not None
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_sweep_order_on_one_plan_does_not_change_theta(self, adult_pair, monkeypatch, order):
+        # Each call starts Newton on the equation that bound at the plan's
+        # previous call, whatever its epsilon was.
+        windows = record_windows(monkeypatch)
+        rng = np.random.default_rng(24)
+        grid = {"ascending": FIGURE4_EPS_GRID, "descending": FIGURE4_EPS_GRID[::-1],
+                "shuffled": rng.permutation(FIGURE4_EPS_GRID).tolist()}[order]
+        pairs = [adult_pair] + [random_pair(rng, n, empty) for n, empty in [(14, 2), (100, 10)] * 2]
+        for pair in pairs:
+            plan = optimal_plan(pair.p, pair.q)
+            for epsilon in grid:
+                fresh = relaxed_theta(optimal_plan(pair.p, pair.q), epsilon)
+                assert relaxed_theta(plan, epsilon) == fresh == reference_theta(plan, epsilon)
+        assert None not in windows
+
+    @pytest.mark.parametrize("epsilon", [1.8, 4.8])
+    def test_equation_kept_from_the_last_call_need_not_bind(self, monkeypatch, epsilon):
+        # Newton starts on a planted equation that does not bind, then moves
+        # to the one that does at the window's upper edge; that one is kept.
+        windows = record_windows(monkeypatch)
+        pair = random_pair(np.random.default_rng(4), 5, 1)
+        plan = optimal_plan(pair.p, pair.q)
+        theta = relaxed_theta(plan, epsilon)
+        assert theta == reference_theta(plan, epsilon)
+        eqs = mechanisms._EQUATIONS[plan]
+        binding = eqs.binding
+        k, d, log_mass = binding
+        # plain Python numbers, so the memo holds nothing that refers to the plan
+        assert type(k) is int and {type(x) for x in d + log_mass} == {float}
+        others = [j for j in range(eqs.starts.size) if j != k]
+        assert others
+        for j in others:
+            start, stop = eqs.starts[j], eqs.starts[j] + eqs.sizes[j]
+            eqs.binding = (j, eqs.d[start:stop].tolist(), eqs.log_mass[start:stop].tolist())
+            assert relaxed_theta(plan, epsilon) == theta
+            assert windows[-1] is not None
+            assert eqs.binding == binding
 
     def test_nan_objective_raises_numeric_error(self, adult_pair, monkeypatch):
         # NaN on a band of scales the full bisection probes: read as "g <= 0",
