@@ -67,9 +67,11 @@ def _read_json(path: str):
 
 
 def _write_json(payload, path: str) -> None:
+    """Write ``payload`` as strict JSON; a non-finite number raises ``ValueError`` (exit 2)."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True))
+        fh.write(text)
         fh.write("\n")
 
 

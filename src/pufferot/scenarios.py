@@ -5,10 +5,16 @@ separable query sums one term per user. Conditioning on a user's value
 shifts the convolution of the other users' terms; conditioning on absence
 marginalizes the user out, which equals the prior mixture of the value
 conditionals.
+
+A system weakly keeps two of its convolved laws, read-only: the all-user
+law and the latest leave-one-out law. So a user's value pairs and absence
+pairs convolve the other users once between them, and the memo goes with
+the system.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
@@ -25,6 +31,10 @@ ATOM_MERGE_TOL = 1e-9
 MAX_ATOMS = 10_000
 
 MODES = ("values", "absence")
+
+#: Per system, ``{left_out: (atoms, weights)}`` for the all-user law (key
+#: None) and the latest leave-one-out law; see :func:`_sum_law`.
+_LAWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +156,25 @@ def _merge_close(values: np.ndarray, mass: np.ndarray):
 
 
 def _sum_law(system: UserSystem, left_out: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Atoms and weights of the sum of every user's output but ``left_out``'s.
+    """Atoms and weights of the sum of every user's output but ``left_out``'s, memoised.
+
+    The arrays are read-only. Per system, ``_LAWS`` keeps the all-user law
+    and the latest leave-one-out law, as a dict replaced in one assignment.
+    """
+    laws = _LAWS.get(system, {})
+    if left_out in laws:
+        return laws[left_out]
+    law = _convolve(system, left_out)
+    for array in law:
+        array.setflags(write=False)
+    # a new all-user law keeps the leave-one-out law; a new leave-one-out law drops the old one
+    kept = {user: laws[user] for user in laws if user is None or left_out is None}
+    _LAWS[system] = {**kept, left_out: law}
+    return law
+
+
+def _convolve(system: UserSystem, left_out: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_sum_law` without the memo.
 
     Users are convolved in index order. When every output is an integer the
     outputs' laws are convolved as pmfs on the integer grid; otherwise each
@@ -211,9 +239,9 @@ def discriminative_pairs(
 ) -> list[DiscriminativePair]:
     """Secret pairs for one user: all value pairs, or each value vs absence.
 
-    The other users' terms are convolved once; each value conditional is
-    that law shifted by the user's output, exactly as
-    :func:`conditional_output_dist` computes it.
+    Each value conditional is the other users' memoised law shifted by the
+    user's output, exactly as :func:`conditional_output_dist` computes it;
+    so ``values`` then ``absence`` convolve the other users once.
     """
     system._check_user(user)
     if mode not in MODES:

@@ -8,12 +8,16 @@ For Laplace noise the check is exact: between neighbouring positive-mass
 support points the ratio is a Moebius function of exp(2y/theta), hence
 monotone, and outside their hull it is constant, so its supremum over y is
 attained at a support point. Only those points are evaluated, in O(n + m).
+Pairs with the same number of points are swept together, in chunks of a
+fixed element budget, each to the bits a sweep of that pair alone gives.
 For Gaussian noise the ratio is evaluated at every point of a grid reaching
 10 theta past the support hull at a step h = theta / 50. Its slope is
 (E_p[X|y] - E_q[X|y]) / theta^2, so between grid points it can exceed the
 grid by at most span h / (2 theta^2), and its limits as y -> +-inf are
 exact. One gap is open: beyond the grid the ratio may overshoot its limit
 before it settles, and nothing bounds that overshoot.
+
+Reports are strict JSON: an infinite figure is written as "inf" or "-inf".
 """
 
 from __future__ import annotations
@@ -54,20 +58,26 @@ class PairCheck:
     density_slack: float | None = None
 
     def to_json_dict(self) -> dict:
+        """The check as strict JSON: an infinite number is written as ``"inf"`` or ``"-inf"``."""
         payload = {
             "labels": list(self.labels),
             "pass": self.passed,
-            "worst_log_ratio": self.worst_log_ratio,
-            "argmax_y": self.argmax_y,
-            "grid": list(self.grid) if self.grid is not None else None,
+            "worst_log_ratio": _json_number(self.worst_log_ratio),
+            "argmax_y": _json_number(self.argmax_y),
+            "grid": list(map(_json_number, self.grid)) if self.grid is not None else None,
         }
         if self.note:
             payload["note"] = self.note
         if self.violation_mass is not None:
             payload["violation_mass"] = self.violation_mass
         if self.density_slack is not None:
-            payload["density_slack"] = self.density_slack
+            payload["density_slack"] = _json_number(self.density_slack)
         return payload
+
+
+def _json_number(value: float | None) -> float | str | None:
+    """``value``, or where it is not finite its ``repr`` (``"inf"``, ``"-inf"``) for ``float``."""
+    return value if value is None or math.isfinite(value) else repr(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,28 +253,52 @@ def _decayed_prefix(y: np.ndarray, log_w: np.ndarray, theta: float) -> np.ndarra
     return v.reshape(v.shape[:-2] + (rows * width,))[..., :n]
 
 
-def _laplace_log_ratio(pair: DiscriminativePair, theta: float):
-    """|log P(y|s_i) - log P(y|s_j)| under Laplace noise at every positive-mass support point.
+def _laplace_log_ratios(pairs: Sequence[DiscriminativePair], theta: float):
+    """Each pair's |log P(y|s_i) - log P(y|s_j)| under Laplace noise, at its points.
 
-    Each density is the sum of a left sweep (atoms at or below y) and a
-    right sweep (atoms strictly above y). Returns the points and the ratios.
+    A pair's points are the union of its positive-mass support points.
+    Yields ``(index, points, ratios)`` for every pair, in chunks rather
+    than in input order. Each density is the sum of a left sweep (atoms at
+    or below y) and a right sweep (atoms strictly above y). Pairs with
+    the same number of points share one :func:`_decayed_prefix` call over
+    stacked ``(pairs, 2, 2, points)`` arrays, in chunks of at most
+    _BLOCK_ELEMENTS elements (or one pair). Every element gets the float
+    operations a call for its pair alone would give it, so the ratios
+    are the same bits. Only the point counts are kept across chunks, so
+    memory stays within one chunk whatever the pair count.
     """
-    dists = (pair.p, pair.q)
-    ys = np.union1d(*(d.support[d.mass > 0] for d in dists))
-    log_w = np.full((2, ys.size), -np.inf)
-    for row, d in enumerate(dists):
-        keep = d.mass > 0
-        log_w[row, np.searchsorted(ys, d.support[keep])] = np.log(d.mass[keep])
-    # left sweep on ys and right sweep on -ys reversed, in one call
-    sweeps = _decayed_prefix(
-        np.stack([ys, -ys[::-1]])[:, None, :], np.stack([log_w, log_w[:, ::-1]]), theta
-    )
-    left, right = sweeps[0], sweeps[1][:, ::-1]
-    above = np.concatenate(
-        [right[:, 1:] - np.diff(ys) / theta, np.full((2, 1), -np.inf)], axis=1
-    )
-    log_density = np.logaddexp(left, above)  # up to the common -log(2 theta)
-    return ys, np.abs(log_density[0] - log_density[1])
+    groups: dict[int, list[int]] = {}
+    for index, pair in enumerate(pairs):
+        n = np.union1d(pair.p.support[pair.p.mass > 0], pair.q.support[pair.q.mass > 0]).size
+        groups.setdefault(n, []).append(index)
+    for n, indices in groups.items():
+        size = max(1, _BLOCK_ELEMENTS // (4 * n))
+        for start in range(0, len(indices), size):
+            chunk = indices[start : start + size]
+            ys = np.empty((len(chunk), n))
+            log_w = np.full((len(chunk), 2, n), -np.inf)
+            for points, weights, index in zip(ys, log_w, chunk):
+                dists = (pairs[index].p, pairs[index].q)
+                keeps = [d.mass > 0 for d in dists]
+                points[:] = np.union1d(*(d.support[keep] for d, keep in zip(dists, keeps)))
+                for row, d, keep in zip(weights, dists, keeps):
+                    row[np.searchsorted(points, d.support[keep])] = np.log(d.mass[keep])
+            # left sweep on ys and right sweep on -ys reversed, in one call
+            sweeps = _decayed_prefix(
+                np.stack([ys, -ys[:, ::-1]], axis=1)[:, :, None, :],
+                np.stack([log_w, log_w[..., ::-1]], axis=1),
+                theta,
+            )
+            left, right = sweeps[:, 0], sweeps[:, 1, :, ::-1]
+            above = np.concatenate(
+                [right[..., 1:] - (np.diff(ys) / theta)[:, None, :],
+                 np.full((len(chunk), 2, 1), -np.inf)],
+                axis=-1,
+            )
+            log_density = np.logaddexp(left, above)  # up to the common -log(2 theta)
+            ratios = np.abs(log_density[:, 0] - log_density[:, 1])
+            for index, pair_points, pair_ratios in zip(chunk, ys, ratios):
+                yield index, pair_points, pair_ratios
 
 
 def verify_pufferfish(
@@ -286,8 +320,13 @@ def verify_pufferfish(
     if not pairs:
         raise ValidationError("at least one discriminative pair is required")
     _check_epsilon(epsilon)
+    laplace = [None] * len(pairs)
+    if spec.theta > 0 and spec.family == "laplace":
+        for index, ys, ratios in _laplace_log_ratios(pairs, spec.theta):
+            k = int(np.argmax(ratios))
+            laplace[index] = (float(ratios[k]), float(ys[k]), ys.size)
     checks = []
-    for pair in pairs:
+    for pair, exact in zip(pairs, laplace):
         if spec.theta == 0:
             same = _identical(pair.p, pair.q)
             worst, argmax_y, grid = (0.0 if same else math.inf), None, None
@@ -298,11 +337,10 @@ def verify_pufferfish(
             )
             bound = worst
         elif spec.family == "laplace":
-            ys, ratios = _laplace_log_ratio(pair, spec.theta)
-            k = int(np.argmax(ratios))
-            worst, argmax_y, grid = float(ratios[k]), float(ys[k]), None
+            worst, argmax_y, points = exact
+            grid = None
             note = (
-                f"laplace: exact, evaluated at the {ys.size} positive-mass support "
+                f"laplace: exact, evaluated at the {points} positive-mass support "
                 "points, where the log-ratio attains its supremum"
             )
             bound = worst

@@ -5,13 +5,14 @@ cost comes from a linear program, probability laws from exhaustive
 enumeration, W1 from the CDF-difference identity, tail masses from
 scipy's normal distribution, the Theorem-2 scale from one bracket and
 bisection per moment equation, the Laplace log-ratio from an O(n m)
-log-sum-exp, the noised output density from one unblocked (y, atom)
-matrix, scenario conditionals from one dict-merged pushforward and one
-freshly scattered grid (or one pairwise merge scan) per user, CSV tallies from
-``csv.DictReader`` rows, released tables from whole-table ``csv.reader``
-rows stripped cell by cell and one ``csv.writer``, and the comonotone plan
-from a sweep on numpy scalars and from a sweep that writes each remainder
-back into its list.
+log-sum-exp (and, to pin the batched certificate's bits, from the sweep
+kernel run one pair at a time), the noised output density from one
+unblocked (y, atom) matrix, scenario conditionals from one dict-merged
+pushforward and one freshly scattered grid (or one pairwise merge scan)
+per user, CSV tallies from ``csv.DictReader`` rows, released tables from
+whole-table ``csv.reader`` rows stripped cell by cell and one
+``csv.writer``, and the comonotone plan from a sweep on numpy scalars and
+from a sweep that writes each remainder back into its list.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from scipy.stats import norm
 from pufferot import ValidationError, release
 from pufferot.scenarios import ATOM_MERGE_TOL
 from pufferot.transport import ENTRY_DROP_TOL
+from pufferot.verify import _decayed_prefix
 
 
 def lp_transport_cost(p, q) -> float:
@@ -102,6 +104,31 @@ def direct_laplace_log_ratio(p, q, theta: float, ys) -> np.ndarray:
         return peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
 
     return np.abs(log_density(p) - log_density(q))
+
+
+def per_pair_laplace_log_ratio(pair, theta: float):
+    """The Laplace log-ratio at one pair's positive-mass support points, as (points, ratios).
+
+    The library's own sweep kernel, ``verify._decayed_prefix``, run on this
+    pair alone: the per-pair form that the batched certificate replaced,
+    against which its stacked chunks must agree bit for bit.
+    """
+    dists = (pair.p, pair.q)
+    ys = np.union1d(*(d.support[d.mass > 0] for d in dists))
+    log_w = np.full((2, ys.size), -np.inf)
+    for row, d in enumerate(dists):
+        keep = d.mass > 0
+        log_w[row, np.searchsorted(ys, d.support[keep])] = np.log(d.mass[keep])
+    # left sweep on ys and right sweep on -ys reversed, in one call
+    sweeps = _decayed_prefix(
+        np.stack([ys, -ys[::-1]])[:, None, :], np.stack([log_w, log_w[:, ::-1]]), theta
+    )
+    left, right = sweeps[0], sweeps[1][:, ::-1]
+    above = np.concatenate(
+        [right[:, 1:] - np.diff(ys) / theta, np.full((2, 1), -np.inf)], axis=1
+    )
+    log_density = np.logaddexp(left, above)
+    return ys, np.abs(log_density[0] - log_density[1])
 
 
 def per_step_conditional(system, user, value=None):

@@ -23,6 +23,8 @@ DATA = Path(__file__).parent / "data"
 GOLDEN_TABLES = DATA / "tables_golden.json"
 GOLDEN_SCENARIO = DATA / "scenario_golden.json"
 GOLDEN_PLAN = DATA / "plan_golden.json"
+GOLDEN_VERIFY = DATA / "verify_golden.json"
+GOLDEN_SCENARIO_COUNTING = DATA / "scenario_counting_golden.json"
 README = Path(__file__).parent.parent / "README.md"
 
 
@@ -793,7 +795,78 @@ class TestVerifyCommand:
         assert "violation_mass" in payload["pairs"][0]
 
 
+    def test_mixed_sizes_match_golden(self, tmp_path):
+        # the adult conditionals with worked examples 1 and 2 and a point mass:
+        # 21 pairs of 4, 5, 14 and 15 positive-mass points, some failing
+        out = tmp_path / "verify.json"
+        code = cli.main([
+            "verify", "--pairs", str(DATA / "verify_pairs.json"), "--family", "laplace",
+            "--theta", "4", "--epsilon", "1", "--out", str(out),
+        ])
+        assert code == 0
+        assert out.read_bytes() == GOLDEN_VERIFY.read_bytes()
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+class TestStrictJson:
+    """Every JSON artefact parses under RFC 8259: no NaN, Infinity or -Infinity."""
+
+    @pytest.mark.parametrize("family, theta, delta", [
+        ("gaussian", "1", "1e-5"),  # worst inf at y -> -inf: the extremes differ
+        ("gaussian", "0", "1e-5"),
+        ("gaussian", "1", None),
+        ("laplace", "0", None),
+        ("laplace", "1", None),
+    ])
+    def test_verify_writes_infinities_as_strings(self, pairs_file, tmp_path,
+                                                 family, theta, delta):
+        out = tmp_path / "verify.json"
+        argv = ["verify", "--pairs", pairs_file, "--family", family, "--theta", theta,
+                "--epsilon", "1", "--out", str(out)]
+        assert cli.main(argv + (["--delta", delta] if delta else [])) == 0
+        (entry,) = json.loads(out.read_text(encoding="utf-8"),
+                              parse_constant=_reject_constant)["pairs"]
+        if family == "gaussian" or theta == "0":
+            assert entry["worst_log_ratio"] == "inf"
+            assert float(entry["worst_log_ratio"]) == math.inf
+        if family == "gaussian" and theta == "1":
+            assert entry["argmax_y"] == "-inf"
+
+    def test_every_command_writes_strict_json(self, pairs_file, tmp_path):
+        scen = write_json({"priors": [[0.5, 0.5]] * 3, "query": "counting"},
+                          tmp_path / "scen.json")
+        p = write_json({"support": [1, 2], "mass": [0.5, 0.5]}, tmp_path / "p.json")
+        commands = {
+            "plan": ["--p", p, "--q", p],
+            "calibrate": ["--pairs", pairs_file, "--epsilon", "1"],
+            "verify": ["--pairs", pairs_file, "--family", "gaussian", "--theta", "1",
+                       "--epsilon", "1", "--delta", "1e-5"],
+            "scenario": ["--scenario", scen, "--mode", "absence"],
+            "tables": [],
+        }
+        for command, argv in commands.items():
+            out = tmp_path / f"{command}.json"
+            assert cli.main([command, *argv, "--out", str(out)]) == 0, command
+            json.loads(out.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+
+    def test_a_non_finite_number_fails_before_the_file_is_written(self, tmp_path):
+        out = tmp_path / "out.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli._write_json({"x": math.nan}, str(out))
+        assert not out.exists()
+
+
 class TestScenarioCommand:
+    def test_counting_absence_matches_golden(self, tmp_path):
+        # integer outputs: the all-user law and user 1's leave-one-out law on the grid
+        out = tmp_path / "out.json"
+        assert cli.main(["scenario", "--scenario", str(DATA / "scenario_counting.json"),
+                         "--user", "1", "--mode", "absence", "--out", str(out)]) == 0
+        assert out.read_bytes() == GOLDEN_SCENARIO_COUNTING.read_bytes()
+
     def test_counting_scenario(self, tmp_path):
         scen = write_json({"V": 3, "priors": [[0.5, 0.5]] * 3, "query": "counting"},
                           tmp_path / "scen.json")

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from pufferot import (
     plan_sensitivity,
     query_sensitivity,
 )
+from pufferot import scenarios
 from pufferot.scenarios import ATOM_MERGE_TOL, _merge_close
 
 from oracles import _merge_close_scan, brute_force_counting_conditional, per_step_conditional
@@ -266,10 +269,10 @@ def fractional_system(seed, users=6):
     return UserSystem(priors=tuple(priors), outputs=tuple(outputs))
 
 
-def bernoulli_system(seed):
+def bernoulli_system(seed, users=60):
     rng = np.random.default_rng(seed)
-    ps = rng.random(60)
-    ps[rng.integers(60, size=4)] = [0.0, 1.0, 0.0, 1.0]
+    ps = rng.random(users)
+    ps[rng.integers(users, size=4)] = [0.0, 1.0, 0.0, 1.0]
     return bernoulli_counting(ps)
 
 
@@ -308,6 +311,81 @@ class TestPairsConvolveOnce:
         assert seen == []
         scenarios.discriminative_pairs(system, 2, "absence")
         assert seen == [(2, None)]
+
+
+def small_bernoulli_system(seed):
+    return bernoulli_system(seed, users=12)
+
+
+class TestLawMemo:
+    """Each system keeps its all-user law and its latest leave-one-out law."""
+
+    @pytest.mark.parametrize("make", [small_bernoulli_system, ternary_system, fractional_system])
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("modes", [("values", "absence"), ("absence", "values")])
+    def test_every_user_equals_the_reference_and_a_fresh_system(self, make, seed, modes):
+        system = make(seed)
+        for user in range(system.user_count):
+            expected = {
+                f"S{user}={a:g}": per_step_conditional(system, user, a)
+                for a in system.priors[user].support.tolist()
+            }
+            expected[f"S{user}=absent"] = per_step_conditional(system, user)
+            for mode in modes:
+                pairs = discriminative_pairs(system, user, mode)
+                fresh = discriminative_pairs(make(seed), user, mode)
+                assert [pair.labels for pair in pairs] == [pair.labels for pair in fresh]
+                for pair, other in zip(pairs, fresh):
+                    sides = zip(pair.labels, (pair.p, pair.q), (other.p, other.q))
+                    for label, dist, alone in sides:
+                        support, mass = expected[label]
+                        assert np.array_equal(dist.support, support), label
+                        assert np.array_equal(dist.mass, mass), label
+                        assert np.array_equal(dist.support, alone.support), label
+                        assert np.array_equal(dist.mass, alone.mass), label
+            for value in system.priors[user].support.tolist() + [None]:
+                dist = conditional_output_dist(system, user, value)
+                alone = conditional_output_dist(make(seed), user, value)
+                assert np.array_equal(dist.support, alone.support)
+                assert np.array_equal(dist.mass, alone.mass)
+            assert set(scenarios._LAWS[system]) == {None, user}
+
+    def test_holds_at_most_two_read_only_laws(self):
+        system = bernoulli_counting(HETERO_PS)
+        conditional_output_dist(system, 0)
+        assert set(scenarios._LAWS[system]) == {None}
+        for user in (3, 5, 3):
+            discriminative_pairs(system, user, "absence")
+            laws = scenarios._LAWS[system]
+            assert set(laws) == {None, user}
+            for law in laws.values():
+                assert not any(array.flags.writeable for array in law)
+        conditional_output_dist(system, 1, 1.0)
+        assert set(scenarios._LAWS[system]) == {None, 1}
+
+    def test_values_then_absence_convolve_the_other_users_once(self, monkeypatch):
+        calls = []
+        convolve = scenarios._convolve
+
+        def spy(system, left_out):
+            calls.append(left_out)
+            return convolve(system, left_out)
+
+        monkeypatch.setattr(scenarios, "_convolve", spy)
+        system = bernoulli_counting(HETERO_PS)
+        discriminative_pairs(system, 2, "values")
+        discriminative_pairs(system, 2, "absence")
+        assert calls == [2, None]
+
+    def test_entry_goes_with_the_system(self):
+        system = bernoulli_counting(HETERO_PS)
+        discriminative_pairs(system, 1, "absence")
+        entries = len(scenarios._LAWS)
+        ref = weakref.ref(system)
+        del system
+        gc.collect()
+        assert ref() is None
+        assert len(scenarios._LAWS) == entries - 1
 
 
 class TestMergeClose:

@@ -22,6 +22,7 @@ from oracles import (
     direct_laplace_log_ratio,
     laplace_mixture_density,
     normal_two_sided_tail,
+    per_pair_laplace_log_ratio,
     unblocked_log_output_density,
 )
 
@@ -188,6 +189,18 @@ class TestVerifyPufferfish:
         for key in ("worst_log_ratio", "argmax_y", "pass", "grid"):
             assert key in entry
 
+    def test_infinite_numbers_are_strict_json_strings(self, example2_pair):
+        # the extreme atoms differ, so the worst is inf, found as y -> -inf
+        report = verify_delta_approx([example2_pair], gaussian_spec(1.0), 1.0, 1e-5)
+        (entry,) = report.to_json_dict()["pairs"]
+        assert (entry["worst_log_ratio"], entry["argmax_y"]) == ("inf", "-inf")
+        assert float(entry["worst_log_ratio"]) == math.inf
+        assert float(entry["argmax_y"]) == -math.inf
+        distinct = verify_delta_approx([example2_pair], gaussian_spec(0.0), 1.0, 1e-5)
+        (entry,) = distinct.to_json_dict()["pairs"]
+        assert (entry["worst_log_ratio"], entry["density_slack"]) == ("inf", "inf")
+        json.dumps(distinct.to_json_dict(), allow_nan=False)
+
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValidationError, match="at least one"):
             verify_pufferfish([], laplace_spec(1.0), epsilon=1.0)
@@ -274,6 +287,83 @@ class TestLaplaceExactness:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+
+def mixed_batch(rng, count):
+    """Seeded pairs of 1 to 60 atoms: one-atom, zero-mass, identical, swapped and repeated pairs."""
+    pairs = []
+    while len(pairs) < count:
+        n, m = (int(k) for k in rng.integers(1, 61, size=2))
+        if rng.random() < 0.15:
+            n = m = 1
+        p = seeded_dist(rng, n)
+        q = p if rng.random() < 0.1 else seeded_dist(rng, m)
+        pair = DiscriminativePair(labels=(f"p{len(pairs)}", f"q{len(pairs)}"), p=p, q=q)
+        pairs.append(pair.swapped() if rng.random() < 0.3 else pair)
+        if rng.random() < 0.2:
+            pairs.append(pairs[-1].swapped())
+    return pairs
+
+
+class TestBatchedLaplace:
+    """The pairs of one certificate share sweeps; every bit stays that of a lone pair."""
+
+    def assert_batch_equals_oracle(self, pairs, theta):
+        batch = {index: rest for index, *rest in verify._laplace_log_ratios(pairs, theta)}
+        assert sorted(batch) == list(range(len(pairs)))
+        checks = verify_pufferfish(pairs, laplace_spec(theta), epsilon=1.0).checks
+        for index, (pair, check) in enumerate(zip(pairs, checks)):
+            ys, ratios = per_pair_laplace_log_ratio(pair, theta)
+            assert np.array_equal(batch[index][0], ys)
+            assert np.array_equal(batch[index][1], ratios)
+            k = int(np.argmax(ratios))
+            assert check.labels == pair.labels
+            assert np.array_equal(check.worst_log_ratio, ratios[k])
+            assert np.array_equal(check.argmax_y, ys[k])
+            assert f"the {ys.size} positive-mass" in check.note
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_mixed_batches_equal_the_per_pair_oracle(self, seed):
+        rng = np.random.default_rng([7, seed])
+        pairs = mixed_batch(rng, int(rng.integers(1, 40)))
+        self.assert_batch_equals_oracle(pairs, float(10.0 ** rng.uniform(-2, 2)))
+
+    def test_batch_spanning_several_chunks(self):
+        # a chunk takes 4 pairs of 2000 points
+        pairs = full_union_pairs(np.random.default_rng(11), 30, 2000)
+        assert len(pairs) > 3 * (verify._BLOCK_ELEMENTS // (4 * 2000))
+        self.assert_batch_equals_oracle(pairs, 0.37)
+
+    def test_memory_stays_within_the_chunk_budget(self):
+        # 200 pairs of 2000 points: stacked in one chunk, a single (200, 2, 2, 2000)
+        # float array would take 12.8 MB, and the sweep holds several (68 MB at
+        # peak); chunks of _BLOCK_ELEMENTS elements peak at about 2 MB
+        pairs = full_union_pairs(np.random.default_rng(5), 200, 2000)
+        tracemalloc.start()
+        try:
+            report = verify_pufferfish(pairs, laplace_spec(3.0), epsilon=1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(report.checks) == 200
+        assert peak < 4_000_000
+
+
+def full_union_pairs(rng, count, atoms):
+    """Pairs on one support, each atom empty in at most one side, so each has ``atoms`` points."""
+    support = np.arange(float(atoms)) * 0.7
+    pairs = []
+    for k in range(count):
+        empty = rng.random(atoms) < 0.2
+        side = rng.random(atoms) < 0.5
+        w_p = (rng.random(atoms) + 0.01) * ~(empty & side)
+        w_q = (rng.random(atoms) + 0.01) * ~(empty & ~side)
+        pairs.append(DiscriminativePair(
+            labels=(str(k), "b"),
+            p=DiscreteDistribution.from_weights(support, w_p),
+            q=DiscreteDistribution.from_weights(support, w_q),
+        ))
+    return pairs
 
 
 class TestVerifyDeltaApprox:
