@@ -17,10 +17,9 @@ import math
 import os
 import sys
 from contextlib import suppress
-from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import NoReturn
+from typing import Iterable, NoReturn, Sequence
 
 # No command calls BLAS, and each thread OpenBLAS starts when numpy loads costs start-up time.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -32,15 +31,16 @@ from .errors import NumericError, ValidationError
 from .mechanisms import MechanismSpec, calibrate_pufferfish
 from .mechanisms import release as release_values
 from .pairs import DiscriminativePair
-from .tabular import (
+from .tabular import (  # _BLOCK_ROWS: ``release`` noises and writes this many rows at a time
+    _BLOCK_ROWS,
     AttributeMapping,
     adult_education_pair,
-    csv_rows,
     empirical_conditionals,
     enumerate_pairs,
     header_column,
     load_conditionals_json,
     load_table,
+    table_blocks,
 )
 from .transport import joint_cdf_table, optimal_plan, plan_sensitivity, w1_distance
 
@@ -53,9 +53,6 @@ DEFAULT_SEED = 7
 _EXIT_OK = 0
 _EXIT_VALIDATION = 2
 _EXIT_NUMERIC = 3
-
-#: ``release`` reads, noises and writes the table this many rows at a time.
-_BLOCK_ROWS = 1024
 
 #: The Figure-4 epsilon grid: 0.8 to 5.8 in steps of 0.5.
 _FIGURE4_EPSILONS = [0.8 + k * 0.5 for k in range(11)]
@@ -99,8 +96,14 @@ def cmd_plan(args: argparse.Namespace) -> int:
     q = DiscreteDistribution.from_json_dict(_read_json(args.q))
     plan = optimal_plan(p, q)
     payload = plan.to_json_dict()
-    payload["sensitivity"] = plan_sensitivity(plan)
-    payload["w1_cost"] = w1_distance(p, q)
+    with np.errstate(over="ignore"):  # a distance past the float range is rejected below
+        payload["sensitivity"] = plan_sensitivity(plan)
+        payload["w1_cost"] = w1_distance(p, q)
+    for field in ("sensitivity", "w1_cost"):
+        if not math.isfinite(payload[field]):
+            raise ValidationError(
+                f"{field} overflows a float: the plan moves mass further than {sys.float_info.max!r}"
+            )
     _write_json(payload, args.out)
     return _EXIT_OK
 
@@ -140,7 +143,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _raise_first_bad_row(
-    table: str, rows: list[list[str]], rownum: int, col: int, column: str,
+    table: str, rows: Iterable[Sequence[str]], rownum: int, col: int, column: str,
     mapping: AttributeMapping | None,
 ) -> NoReturn:
     """Raise for the first of the stripped ``rows`` whose cell ``col`` does not parse.
@@ -172,32 +175,19 @@ def _raise_first_bad_row(
     raise AssertionError(f"{table}: a block failed to parse, but none of its rows is bad")
 
 
-def _recorded(src, lines: list[str]):
-    """The lines of ``src``, each also appended to ``lines``."""
-    for line in src:
-        lines.append(line)
-        yield line
+def _rows(cells: list, width: int):
+    """The rows of a ``table_blocks`` block: tuples of its flat cells, or its rows."""
+    return zip(*[iter(cells)] * width) if width else cells
 
 
-#: ASCII whitespace that ``str.strip`` would take off a cell, besides the
-#: line feed and carriage return that end a line. Such a character is plain
-#: only as the delimiter.
-_PADDING = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+def _released_blocks(table: str, blocks, delimiter: str, col: int, column: str,
+                     mapping: AttributeMapping | None, spec: MechanismSpec, rng):
+    """The ``table_blocks`` blocks with cell ``col`` noised, each as ``(rows, plain)``.
 
-
-def _released_blocks(table: str, reader, lines: list[str], delimiter: str, col: int,
-                     column: str, mapping: AttributeMapping | None, spec: MechanismSpec, rng):
-    """The blocks of ``reader``'s rows, stripped, cell ``col`` noised, each as ``(rows, plain)``.
-
-    ``lines`` holds the raw lines ``reader`` has read; the header's are
-    dropped. When a block's lines are ASCII with no quote, NUL or
-    ``_PADDING`` other than the delimiter, ``csv.reader`` splits each at the
-    delimiter alone and no cell needs stripping. A carriage return can only
-    end a line there, as the table is read with ``newline=""``, which splits
-    lines at every one. ``plain`` then says that ``csv.writer`` would quote
-    no cell either, so each row joined with the delimiter gives the same
-    bytes; it is false whatever the lines when the delimiter is a quote or
-    can occur in a noised value's ``repr``.
+    ``plain`` says that the block is plain and that ``csv.writer`` would
+    quote no cell either, so each row joined with the delimiter gives the
+    same bytes; it is false whatever the lines when the delimiter is a quote
+    or can occur in a noised value's ``repr``.
 
     Mapped labels become their indices. A block's cells are parsed straight
     into an array; only when that fails, or a value is not finite, is the
@@ -209,28 +199,26 @@ def _released_blocks(table: str, reader, lines: list[str], delimiter: str, col: 
         parse = float
     else:
         parse = {label: k for k, label in enumerate(mapping.labels, start=1)}.__getitem__
-    unplain = ['"', "\0", *_PADDING.replace(delimiter, "")]
     joinable = delimiter not in '"+-.0123456789aefin'  # a quote, or a character of a float's repr
-    lines.clear()
     rownum = 2
-    while rows := list(islice(reader, _BLOCK_ROWS)):
-        raw = "".join(lines)
-        lines.clear()
-        plain = raw.isascii() and not any(map(raw.__contains__, unplain))
-        del raw
-        if not plain:
-            rows = [list(map(str.strip, row)) for row in rows]
-        try:
-            values = np.fromiter(map(parse, map(itemgetter(col), rows)), float, len(rows))
+    for cells, width, plain in blocks:
+        count = len(cells) // width if width else len(cells)
+        try:  # rows without cell ``col`` raise IndexError: all of a narrower flat block, or some
+            texts = cells[col::width] if col < width else map(itemgetter(col), _rows(cells, width))
+            values = np.fromiter(map(parse, texts), float, count)
         except (IndexError, KeyError, ValueError):
-            _raise_first_bad_row(table, rows, rownum, col, column, mapping)
+            _raise_first_bad_row(table, _rows(cells, width), rownum, col, column, mapping)
         if not np.isfinite(values).all():
-            _raise_first_bad_row(table, rows, rownum, col, column, mapping)
-        for row, text in zip(rows, map(repr, release_values(values, spec, rng).tolist())):
-            row[col] = text
-        rownum += len(rows)
-        yield rows, plain and joinable
-        del rows  # so that no more than one block is held while the next is read
+            _raise_first_bad_row(table, _rows(cells, width), rownum, col, column, mapping)
+        texts = map(repr, release_values(values, spec, rng).tolist())
+        if width:
+            cells[col::width] = texts
+        else:
+            for row, text in zip(cells, texts):
+                row[col] = text
+        rownum += count
+        yield _rows(cells, width), plain and joinable
+        del cells  # so that no more than one block is held while the next is read
 
 
 def _absent_dirs(directory: Path) -> list[Path]:
@@ -262,11 +250,8 @@ def cmd_release(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
     out = Path(args.out)
     with open(table, newline="", encoding="utf-8") as src:
-        lines: list[str] = []
-        reader = csv_rows(table, _recorded(src, lines), delimiter)
-        header = next(reader, None)
-        if header is None:
-            raise ValidationError(f"{table}: empty file (no header row)")
+        blocks = table_blocks(table, src, delimiter)
+        header = next(blocks)
         col = header_column(table, header, column)
         if col is None:
             raise ValidationError(f"{table}: an unnamed column cannot be released")
@@ -279,8 +264,8 @@ def cmd_release(args: argparse.Namespace) -> int:
             with dst:
                 writer = csv.writer(dst, delimiter=delimiter)
                 writer.writerow([name.strip() for name in header])
-                for rows, plain in _released_blocks(table, reader, lines, delimiter, col,
-                                                    column, mapping, spec, rng):
+                for rows, plain in _released_blocks(table, blocks, delimiter, col, column,
+                                                    mapping, spec, rng):
                     if plain:
                         dst.write("\r\n".join(map(delimiter.join, rows)) + "\r\n")
                     else:

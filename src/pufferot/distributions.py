@@ -65,8 +65,8 @@ class DiscreteDistribution:
             raise ValidationError(
                 f"support and mass lengths differ: {support.size} != {mass.size}"
             )
-        steps = np.diff(support)
-        bad = np.flatnonzero(steps <= 0)
+        # compared, not subtracted: a step past the float range would overflow
+        bad = np.flatnonzero(support[1:] <= support[:-1])
         if bad.size:
             i = int(bad[0]) + 1
             raise ValidationError(
@@ -107,7 +107,7 @@ class DiscreteDistribution:
         order = np.argsort(sup, kind="stable")
         sup = sup[order]
         w = w[order]
-        dup = np.flatnonzero(np.diff(sup) == 0)
+        dup = np.flatnonzero(sup[1:] == sup[:-1])
         if dup.size:
             i = int(order[dup[0] + 1])
             raise ValidationError(

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, islice, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -86,13 +86,98 @@ def header_column(path: str, header: Sequence[str], column: str) -> int | None:
     return found[0] if header[found[0]] else None
 
 
-def csv_rows(path: str, fh, delimiter: str):
-    """The rows of ``csv.reader(fh)``; a ``csv.Error`` is re-raised naming ``path`` and the line."""
-    reader = csv.reader(fh, delimiter=delimiter)
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise ValidationError(f"{path}: line {reader.line_num}: {exc}") from None
+#: ``table_blocks`` yields a table's data rows this many csv rows at a time.
+_BLOCK_ROWS = 1024
+
+#: ASCII whitespace that ``str.strip`` would take off a cell, besides the
+#: line feed and carriage return that end a line. Such a character is plain
+#: only as the delimiter.
+_PADDING = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+def table_blocks(path: str, fh, delimiter: str):
+    """The header row of the table ``fh``, then its data rows as blocks of ``_BLOCK_ROWS`` csv rows.
+
+    Each block is ``(cells, width, plain)``. A block is plain when its raw
+    lines are ASCII with no quote, NUL or ``_PADDING`` other than the
+    delimiter: ``csv.reader`` then splits each line at the delimiter alone
+    and no cell needs stripping. A carriage return can only end a line
+    there, as ``fh`` is opened with ``newline=""``, which splits lines at
+    every one. When the lines of a plain block are also regular (none blank,
+    all with the same number of cells, none longer than
+    ``csv.field_size_limit()``), they are split without ``csv.reader``:
+    ``cells`` is one flat list of their cells, row k being
+    ``cells[k * width:(k + 1) * width]``. Every other block has ``width`` 0
+    and ``cells`` holds ``csv.reader``'s rows, stripped unless the block is
+    plain; a quoted record takes the block past its first ``_BLOCK_ROWS``
+    lines. The header is read as a block of one row, and never stripped. A
+    ``csv.Error`` is a ``ValidationError`` naming ``path`` and the line.
+    """
+    unplain = ['"', "\0", *_PADDING.replace(delimiter, "")]
+    # deleting every byte but the delimiter and the line feed leaves the shape of each line
+    not_shape = bytes(b for b in range(256) if chr(b) not in (delimiter, "\n"))
+    line = 0  # lines read before the block
+
+    def block(count: int):
+        """The next ``count`` csv rows as ``(cells, width, plain)``; None at the end of ``fh``."""
+        nonlocal line
+        lines = list(islice(fh, count))
+        if not lines:
+            return None
+        raw = "".join(lines)
+        plain = raw.isascii() and not any(map(raw.__contains__, unplain))
+        if plain and (split := _split_regular(raw, lines, delimiter, not_shape)):
+            line += len(lines)
+            return *split, True
+        del raw
+        reader = csv.reader(chain(lines, fh), delimiter=delimiter)
+        try:
+            rows = list(islice(reader, count))
+        except csv.Error as exc:
+            raise ValidationError(f"{path}: line {line + reader.line_num}: {exc}") from None
+        line += reader.line_num
+        return rows, 0, plain
+
+    header = block(1)
+    if header is None:
+        raise ValidationError(f"{path}: empty file (no header row)")
+    cells, width, _ = header
+    del header
+    yield cells if width else cells[0]
+    while (data := block(_BLOCK_ROWS)) is not None:
+        cells, width, plain = data
+        del data
+        if not plain:
+            cells = [list(map(str.strip, row)) for row in cells]
+        yield cells, width, plain
+        del cells  # so that no more than one block is held while the next is read
+
+
+def _split_regular(raw: str, lines: list[str], delimiter: str, not_shape: bytes):
+    """The cells of the plain ``lines`` (joined, ``raw``) as one flat list, and their width.
+
+    None when the lines are not regular: when one is blank, has a cell count
+    other than the first's, or is longer than ``csv.field_size_limit()``.
+    ``not_shape`` holds every byte but the delimiter and the line feed.
+    """
+    if "\r" in raw:
+        raw = raw.replace("\r\n", "\n").replace("\r", "\n")
+    if not raw.endswith("\n"):
+        raw += "\n"
+    shape = raw.encode("ascii").translate(None, not_shape)
+    width = shape.index(b"\n") + 1
+    limit = csv.field_size_limit()
+    if (shape != shape[:width] * len(lines) or "\n\n" in raw or raw[0] == "\n"
+            or len(raw) > limit and max(map(len, lines)) > limit):
+        return None
+    return raw[:-1].replace("\n", delimiter).split(delimiter), width
+
+
+def _column(cells: list, width: int, k: int | None) -> list[str]:
+    """Cell ``k`` of each row of a ``table_blocks`` block, ``""`` where a row has none."""
+    if width:
+        return cells[k::width] if k is not None and k < width else [""] * (len(cells) // width)
+    return [row[k] if k is not None and k < len(row) else "" for row in cells]
 
 
 def load_table(
@@ -109,39 +194,41 @@ def load_table(
     cells read as empty (``csv.DictReader``'s rules). Rows whose data label
     is not in the mapping are rejected; the error reports how many rows
     were rejected and names the first offending label with its row number.
-    Secrets appear in the result in the order of their first row.
+    Secrets appear in the result in the order of their first row. The table
+    is read and tallied one ``table_blocks`` block at a time, so memory is
+    bounded by one block and the tally, whatever the table's length.
     """
+    labels = mapping._positions
+    n_labels = len(mapping)
+    # a new secret is numbered by its first appearance, as the count of secrets before it
+    secrets: defaultdict[str, int] = defaultdict()
+    secrets.default_factory = secrets.__len__
+    tally = np.zeros(0, dtype=np.int64)
+    rejected = 0
+    first_rejected: tuple[int, str] | None = None
+    rows = 0
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv_rows(path, fh, delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty file (no header row)") from None
-        s_col, d_col = (
-            math.inf if k is None else k
-            for k in (header_column(path, header, c) for c in (secret_column, data_column))
-        )
-        labels = mapping._positions
-        n_labels = len(mapping)
-        secrets: dict[str, int] = {}
-        codes = array("q")
-        rejected = 0
-        first_rejected: tuple[int, str] | None = None
-        rows = 0
-        for row in reader:
-            if not row:
-                continue
-            rows += 1
-            width = len(row)
-            label = row[d_col].strip() if d_col < width else ""
-            code = labels.get(label)
-            if code is None:
-                rejected += 1
-                if first_rejected is None:
-                    first_rejected = (rows + 1, label)
-                continue
-            secret = row[s_col].strip() if s_col < width else ""
-            codes.append(secrets.setdefault(secret, len(secrets)) * n_labels + code)
+        blocks = table_blocks(path, fh, delimiter)
+        header = next(blocks)
+        s_col, d_col = (header_column(path, header, c) for c in (secret_column, data_column))
+        for cells, width, _ in blocks:
+            if not width:
+                cells = [row for row in cells if row]
+            count = len(cells) // width if width else len(cells)
+            data = _column(cells, width, d_col)
+            codes = np.fromiter(map(labels.get, data, repeat(-1)), np.int64, count)
+            bad = np.flatnonzero(codes < 0)
+            if bad.size and first_rejected is None:
+                first_rejected = (rows + int(bad[0]) + 2, data[bad[0]])
+            rejected += bad.size
+            rows += count
+            if not rejected:  # a refused table needs no tally
+                secret = np.fromiter(map(secrets.__getitem__, _column(cells, width, s_col)),
+                                     np.int64, count)
+                block = np.bincount(secret * n_labels + codes, minlength=len(secrets) * n_labels)
+                block[:tally.size] += tally
+                tally = block
+            del cells, data  # so that no more than one block is held while the next is read
     if first_rejected is not None:
         rownum, label = first_rejected
         raise ValidationError(
@@ -150,7 +237,6 @@ def load_table(
         )
     if rows == 0:
         raise ValidationError(f"{path}: no data rows")
-    tally = np.bincount(np.frombuffer(codes, dtype=np.int64), minlength=len(secrets) * n_labels)
     return dict(zip(secrets, tally.astype(float).reshape(len(secrets), n_labels)))
 
 

@@ -15,9 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from pufferot import AttributeMapping, MechanismSpec, NumericError, cli, load_table
+from pufferot import (
+    AttributeMapping, MechanismSpec, NumericError, ValidationError, cli, load_table,
+)
 
-from oracles import stripping_release
+from oracles import dictreader_load_table, stripping_release
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_TABLES = DATA / "tables_golden.json"
@@ -88,6 +90,28 @@ class TestPlan:
         args = ["plan", "--p", str(DATA / "plan_p.json"), "--q", str(DATA / "plan_q.json")]
         assert cli.main([*args, "--out", str(out)]) == 0
         assert out.read_bytes() == GOLDEN_PLAN.read_bytes()
+
+    @pytest.mark.parametrize(("p", "q"), [
+        (([-1.7e308, 1.7e308], [0.5, 0.5]), ([-1.7e308, 1.7e308], [0.25, 0.75])),
+        (([-1.7e308], [1.0]), ([1.7e308], [1.0])),
+        (([1.7e308], [1.0]), ([-1.7e308], [1.0])),
+    ])
+    def test_distance_past_the_float_range_is_a_validation_error(self, tmp_path, capsys, p, q):
+        # a RuntimeWarning is an error under this suite's settings, so none may be issued
+        paths = [write_json({"support": s, "mass": m}, tmp_path / f"{name}.json")
+                 for name, (s, m) in (("p", p), ("q", q))]
+        out = tmp_path / "plan.json"
+        assert cli.main(["plan", "--p", paths[0], "--q", paths[1], "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "ValidationError",
+            "message": f"sensitivity overflows a float: the plan moves mass further than "
+                       f"{sys.float_info.max!r}",
+        }
+        assert not out.exists()
+        # the same supports with equal masses move no mass, so nothing overflows
+        assert cli.main(["plan", "--p", paths[0], "--q", paths[0], "--out", str(out)]) == 0
+        assert read_json(out)["sensitivity"] == read_json(out)["w1_cost"] == 0.0
+        assert capsys.readouterr().err == ""
 
 
 class TestCalibrate:
@@ -694,6 +718,146 @@ class TestPlainBlocks:
         assert not out.exists()
 
 
+def mixed_table(path, seed, delimiter, blank_lines=True, oversized=False):
+    """A seeded table of 3 to 5 blocks of ``plain_rows`` that mixes every kind of block.
+
+    The first block holds a few ragged rows, blank lines, rows ending in
+    ``\r`` and in ``\r\n`` and cells padded with spaces; data rows 1023 to
+    1025 hold quoted cells with a line feed and the delimiter. The third
+    block is regular and plain, its lines ending in ``\n``, ``\r\n`` or a
+    mix of ``\r`` and ``\n`` (with ``oversized``, one of its cells is longer
+    than ``csv.field_size_limit()``). A fourth and fifth block, if any, each
+    have a few rows with one of those features.
+    """
+    rng = random.Random(seed)
+    blocks = rng.choice([3, 4, 5])
+    rows = plain_rows((blocks - 1) * 1024 + rng.randint(100, 1024), seed)
+    ends = ["\n"] * len(rows)
+    blank = set()
+
+    def scatter(feature, span):
+        for k in rng.sample(span, 6):
+            if feature == "ragged":
+                rows[k] = rows[k][:4] if rng.random() < 0.5 else rows[k] + ["extra"]
+            elif feature == "blank":
+                if blank_lines:
+                    blank.add(k)
+            elif feature == "padded":
+                cell = rng.choice([1, 2, 3])
+                rows[k][cell] = f" {rows[k][cell]} "
+            else:
+                ends[k] = feature
+
+    features = ["ragged", "blank", "\r", "\r\n", "padded"]
+    for feature in features:
+        scatter(feature, range(1, 1000))
+    for k in (1023, 1024, 1025):
+        rows[k][4] = f'"q{k}\n{delimiter}r"'
+    third = range(2 * 1024 + 1, min(3 * 1024 + 1, len(rows)))
+    for k in third:
+        ends[k] = rng.choice({0: ["\n"], 1: ["\r\n"], 2: ["\r", "\n"]}[seed % 3])
+    if oversized:
+        rows[third[len(third) // 2]][4] = "x" * (csv.field_size_limit() + 1)
+    for b, feature in zip(range(3, blocks), rng.sample(features, 2)):
+        scatter(feature, range(b * 1024 + 1, min((b + 1) * 1024, len(rows))))
+    text = "".join(("\n" if k in blank else "") + delimiter.join(row) + end
+                   for k, (row, end) in enumerate(zip(rows, ends)))
+    path.write_bytes(text.encode("utf-8"))
+    return str(path)
+
+
+class TestSharedBlockReader:
+    """``load_table`` and ``release`` read tables through ``tabular.table_blocks``.
+
+    Its regular plain blocks are split without ``csv.reader``; every other
+    block goes through it. Both commands give their oracles' results on
+    tables that mix every kind of block.
+    """
+
+    MAPPING = AttributeMapping(EDU_LABELS)
+
+    @classmethod
+    def counts_or_error(cls, load, table, delimiter):
+        try:
+            counts = load(table, "group", "edu", cls.MAPPING, delimiter=delimiter)
+        except ValidationError as exc:
+            return str(exc)
+        return list(counts), [counts[k].tolist() for k in counts]
+
+    @staticmethod
+    def release(table, tmp_path, delimiter, mapped):
+        mapping = ["--mapping", write_json(EDU_LABELS, tmp_path / "edu.json")] if mapped else []
+        out = tmp_path / "released.csv"
+        code = cli.main([
+            "release", "--table", table, "--data-col", "edu" if mapped else "v",
+            "--delimiter", delimiter, "--theta", "2.5", "--seed", "3", "--out", str(out), *mapping,
+        ])
+        return code, out.read_bytes() if code == 0 else None
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("delimiter", [",", ";", "\t"])
+    def test_load_table_matches_dictreader(self, tmp_path, seed, delimiter):
+        table = mixed_table(tmp_path / "t.csv", seed, delimiter)
+        new = self.counts_or_error(load_table, table, delimiter)
+        assert new == self.counts_or_error(dictreader_load_table, table, delimiter)
+        assert not isinstance(new, str)  # ragged rows keep their labels, so no row is rejected
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(("delimiter", "mapped"), [(",", False), (";", True), ("\t", False)])
+    def test_release_matches_the_stripping_oracle(self, tmp_path, seed, delimiter, mapped):
+        table = mixed_table(tmp_path / "t.csv", seed, delimiter, blank_lines=False)
+        oracle = stripping_release(table, "edu" if mapped else "v",
+                                   MechanismSpec("laplace", 2.5, 1.0), 3,
+                                   mapping=self.MAPPING if mapped else None, delimiter=delimiter)
+        assert self.release(table, tmp_path, delimiter, mapped) == (0, oracle)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_column_with_blank_lines(self, tmp_path, seed):
+        """With one cell a line, only the blank lines tell a blank block from a regular one."""
+        rng = random.Random(seed)
+        lines = ["edu"] + [rng.choice(EDU_LABELS) for _ in range(3000)]
+        for k in rng.sample(range(1, len(lines)), 5):
+            lines[k] = ""
+        table = write_rows(tmp_path / "t.csv", [[line] for line in lines])
+        new, old = (load(table, "edu", "edu", self.MAPPING)
+                    for load in (load_table, dictreader_load_table))
+        assert list(new) == list(old)
+        assert [v.tolist() for v in new.values()] == [v.tolist() for v in old.values()]
+
+    @pytest.mark.parametrize("delimiter", [",", ";", "\t"])
+    def test_oversized_cell_in_a_plain_block(self, tmp_path, capsys, delimiter):
+        table = mixed_table(tmp_path / "t.csv", 1, delimiter, blank_lines=False, oversized=True)
+        with open(table, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh, delimiter=delimiter)
+            with pytest.raises(csv.Error) as exc:
+                for _ in reader:
+                    pass
+        message = f"{table}: line {reader.line_num}: {exc.value}"
+        assert self.counts_or_error(load_table, table, delimiter) == message
+        assert self.release(table, tmp_path, delimiter, False) == (2, None)
+        assert json.loads(capsys.readouterr().err)["error"]["message"] == message
+
+    @pytest.mark.parametrize(("edits", "readers"), [("plain", 0), ("padded-header", 1),
+                                                    ("padded-in-block-2", 1)])
+    def test_regular_plain_blocks_build_no_csv_reader(self, tmp_path, monkeypatch, edits,
+                                                      readers):
+        table = TestPlainBlocks.table(tmp_path, edits)
+        built = []
+        csv_reader = csv.reader
+
+        def counting_reader(*args, **kwargs):
+            built.append(1)
+            return csv_reader(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(csv, "reader", counting_reader)
+            counts = self.counts_or_error(load_table, table, ",")
+            released = self.release(table, tmp_path, ",", False)
+        assert len(built) == 2 * readers
+        assert counts == self.counts_or_error(dictreader_load_table, table, ",")
+        assert released == (0, TestPlainBlocks.oracle(table))
+
+
 class TestBoundedMemory:
     """Peak traced memory of the census publish path, per row of a 50 000-row table.
 
@@ -762,6 +926,19 @@ class TestBoundedMemory:
             peaks.append(self.traced_peak(release))
         assert peaks[1] <= peaks[0] + 128 * 1024
         assert peaks[2] <= peaks[1] + 64 * 1024
+
+    def test_load_table_peak_does_not_grow_with_the_table(self, tmp_path):
+        """The peak on 200 000 rows is that on 20 000 within 64 KiB, as for ``release``."""
+        mapping = AttributeMapping(EDU_LABELS)
+        peaks = []
+        for count in (20_000, 200_000):
+            rows = plain_rows(count)
+            for k in range(5000, count, 5000):  # one block in five takes the csv path
+                rows[k][4] = f" {rows[k][4]} "
+            table = write_rows(tmp_path / f"t{count}.csv", rows)
+            del rows
+            peaks.append(self.traced_peak(lambda: load_table(table, "group", "edu", mapping)))
+        assert peaks[1] <= peaks[0] + 64 * 1024
 
     def test_load_table(self, wide_table):
         table, mapping = wide_table
