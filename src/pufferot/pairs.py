@@ -8,6 +8,7 @@ consume.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .distributions import DiscreteDistribution
@@ -25,6 +26,14 @@ class DiscriminativePair:
         left, right = self.labels
         if left == right:
             raise ValidationError(f"pair labels must be distinct, got {left!r} twice")
+        # Python floats overflow to inf without the RuntimeWarning numpy would issue
+        lo = min(float(self.p.support[0]), float(self.q.support[0]))
+        hi = max(float(self.p.support[-1]), float(self.q.support[-1]))
+        if not math.isfinite(hi - lo):
+            raise ValidationError(
+                f"pair ({left!r}, {right!r}): the supports span {lo!r} to {hi!r}, "
+                "a distance past the float range"
+            )
 
     def swapped(self) -> "DiscriminativePair":
         return DiscriminativePair(

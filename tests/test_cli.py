@@ -26,6 +26,7 @@ GOLDEN_TABLES = DATA / "tables_golden.json"
 GOLDEN_SCENARIO = DATA / "scenario_golden.json"
 GOLDEN_PLAN = DATA / "plan_golden.json"
 GOLDEN_VERIFY = DATA / "verify_golden.json"
+GOLDEN_VERIFY_DELTA = DATA / "verify_delta_golden.json"
 GOLDEN_SCENARIO_COUNTING = DATA / "scenario_counting_golden.json"
 README = Path(__file__).parent.parent / "README.md"
 
@@ -983,6 +984,28 @@ class TestVerifyCommand:
         assert code == 0
         assert out.read_bytes() == GOLDEN_VERIFY.read_bytes()
 
+    def test_delta_report_matches_golden(self, tmp_path):
+        # the same 21 pairs at about the gaussian-a scale: 3 pass on their tail mass
+        out = tmp_path / "verify.json"
+        code = cli.main([
+            "verify", "--pairs", str(DATA / "verify_pairs.json"), "--family", "gaussian",
+            "--theta", "4.85", "--epsilon", "1", "--delta", "1e-5", "--out", str(out),
+        ])
+        assert code == 0
+        assert out.read_bytes() == GOLDEN_VERIFY_DELTA.read_bytes()
+
+    def test_underflowing_delta_scale_fails_every_pair(self, tmp_path):
+        # theta * eps / sensitivity underflows to 0: the whole noise mass violates
+        out = tmp_path / "verify.json"
+        code = cli.main([
+            "verify", "--pairs", str(DATA / "verify_pairs.json"), "--family", "gaussian",
+            "--theta", "1e-170", "--epsilon", "1e-170", "--delta", "1e-5", "--out", str(out),
+        ])
+        assert code == 0
+        payload = read_json(out)
+        assert payload["pass"] is False
+        assert [entry["violation_mass"] for entry in payload["pairs"]] == [1.0] * 21
+
 
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
@@ -1281,6 +1304,34 @@ class TestExitDiscipline:
                          "--epsilon", "1e-20", "--method", "theorem1", "--out", str(out)])
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "NumericError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["calibrate", "--method", "theorem1"],
+        ["calibrate", "--method", "gaussian-a", "--delta", "1e-5"],
+        ["calibrate", "--method", "theorem2"],
+        ["verify", "--family", "laplace", "--theta", "1e300"],
+        ["verify", "--family", "gaussian", "--theta", "1", "--delta", "1e-5"],
+    ])
+    def test_pair_spanning_past_the_float_range(self, tmp_path, capsys, command):
+        # a RuntimeWarning is an error under this suite's settings, so none may be issued
+        payload = {
+            "prior": "span",
+            "conditionals": {
+                "a": {"support": [-1.7e308, 1.7e308], "mass": [0.5, 0.5]},
+                "b": {"support": [-1.7e308, 1.7e308], "mass": [0.25, 0.75]},
+            },
+            "pairs": [["a", "b"]],
+        }
+        out = tmp_path / "report.json"
+        code = cli.main([*command, "--pairs", write_json(payload, tmp_path / "span.json"),
+                         "--epsilon", "1", "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == {
+            "type": "ValidationError",
+            "message": "pair ('a', 'b'): the supports span -1.7e+308 to 1.7e+308, "
+                       "a distance past the float range",
+        }
         assert not out.exists()
 
     def test_malformed_json_input(self, tmp_path):

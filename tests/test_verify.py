@@ -13,6 +13,8 @@ from pufferot import (
     calibrate_gaussian,
     calibrate_pufferfish,
     gaussian_violation_mass,
+    optimal_plan,
+    plan_sensitivity,
     verify_delta_approx,
     verify_pufferfish,
 )
@@ -198,7 +200,7 @@ class TestVerifyPufferfish:
         assert float(entry["argmax_y"]) == -math.inf
         distinct = verify_delta_approx([example2_pair], gaussian_spec(0.0), 1.0, 1e-5)
         (entry,) = distinct.to_json_dict()["pairs"]
-        assert (entry["worst_log_ratio"], entry["density_slack"]) == ("inf", "inf")
+        assert entry["worst_log_ratio"] == "inf"
         json.dumps(distinct.to_json_dict(), allow_nan=False)
 
     def test_empty_pairs_rejected(self):
@@ -392,11 +394,6 @@ class TestVerifyDeltaApprox:
         assert report.checks[0].violation_mass == 0.0
         assert report.passed
 
-    def test_density_slack_reported(self, example1_pair):
-        theta = calibrate_gaussian(1.0, 1.0, 1e-5, "a")
-        report = verify_delta_approx([example1_pair], gaussian_spec(theta), 1.0, 1e-5)
-        assert report.checks[0].density_slack is not None
-
     def test_laplace_rejected(self, example1_pair):
         with pytest.raises(ValidationError, match="Gaussian-only"):
             verify_delta_approx([example1_pair], laplace_spec(1.0), 1.0, 1e-5)
@@ -413,6 +410,48 @@ class TestVerifyDeltaApprox:
             t = c - 1.0 / (2 * c)
             expected = 1.0 if t <= 0 else normal_two_sided_tail(t)
             assert got == pytest.approx(expected, rel=1e-9)
+
+    def test_underflowing_scale_violates_everywhere(self):
+        # c = theta * eps / sensitivity underflows to 0, so t = c - eps / (2c) -> -inf
+        assert gaussian_violation_mass(1e-170, 1e-170, 1.0) == 1.0
+
+
+class TestDeltaDecisionRule:
+    """A delta check passes exactly when the plan's Gaussian tail mass is within delta."""
+
+    def test_pass_is_the_tail_mass_alone(self):
+        outcomes = set()
+        for seed in range(20):
+            rng = np.random.default_rng([24, seed])
+            pairs = mixed_batch(rng, int(rng.integers(1, 30)))
+            # theta = 0, tiny (every grid with a positive span is over the cap) and large
+            for theta in (0.0, 1e-7 * 10.0 ** rng.uniform(0, 2), 10.0 ** rng.uniform(0.5, 3)):
+                epsilon, delta = 10.0 ** rng.uniform(-1, 0.5), 10.0 ** rng.uniform(-8, -2)
+                report = verify_delta_approx(pairs, gaussian_spec(theta), epsilon, delta)
+                for pair, check in zip(pairs, report.checks):
+                    sens = plan_sensitivity(optimal_plan(pair.p, pair.q))
+                    mass = gaussian_violation_mass(theta, epsilon, sens)
+                    assert check.passed == (mass <= delta)
+                    outcomes.add((check.passed, check.argmax_y is None and theta > 0))
+                assert report.passed == all(check.passed for check in report.checks)
+        # passing and failing pairs on the grid, and both over the cap
+        assert outcomes == {(True, False), (False, False), (True, True), (False, True)}
+
+    def test_wide_pair_over_the_grid_cap_passes(self):
+        # a plan sensitivity of 1 on supports a million apart: the grid needs 10.3 M points
+        pair = DiscriminativePair(
+            labels=("a", "b"),
+            p=DiscreteDistribution.from_weights([0.0, 1e6], [1, 1]),
+            q=DiscreteDistribution.from_weights([1.0, 1e6 + 1], [1, 1]),
+        )
+        theta = calibrate_gaussian(1.0, 1.0, 1e-5, "a")
+        report = verify_delta_approx([pair], gaussian_spec(theta), 1.0, 1e-5)
+        (entry,) = report.to_json_dict()["pairs"]
+        assert report.passed and entry["pass"] is True
+        assert entry["violation_mass"] == pytest.approx(2.12e-6, rel=1e-3)
+        assert "density_slack" not in entry
+        assert f"cap of {verify.MAX_GRID_POINTS:,}" in entry["note"]
+        assert "needs up to 10,321,348 points" in entry["note"]
 
 
 def seeded_dist(rng, atoms):
@@ -482,7 +521,7 @@ class TestGaussianLipschitzSlack:
             pair, span = random_pair(rng)
             spec = gaussian_spec(span * 10.0 ** rng.uniform(-1.5, 1.0))
             ev = verify._gaussian_grid(pair, spec)
-            assert np.isfinite(ev.log_p).all() and np.isfinite(ev.log_q).all()
+            assert math.isfinite(ev.grid_max)
             lo, hi, _ = ev.grid
             ys = rng.uniform(lo, hi, 2000)
             ratio = np.abs(
@@ -515,7 +554,6 @@ class TestGaussianGridCap:
         assert f"cap of {verify.MAX_GRID_POINTS:,}" in pair_check.note
         # (13 + 20 theta) / (theta / 50) sweep points plus the 28 support points
         assert "needs up to 6,501,029 points" in pair_check.note
-        assert pair_check.density_slack is None
 
     def test_largest_suite_grid_is_under_the_cap(self):
         # delta_0 vs delta_5000 at theta = 1 needs 251 k points, the largest grid in use
