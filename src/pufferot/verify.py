@@ -10,14 +10,22 @@ monotone, and outside their hull it is constant, so its supremum over y is
 attained at a support point. Only those points are evaluated, in O(n + m).
 Pairs with the same number of points are swept together, in chunks of a
 fixed element budget, each to the bits a sweep of that pair alone gives.
-For Gaussian noise the ratio is evaluated at every point of a grid reaching
+For Gaussian noise the ratio's maximum is taken over a grid reaching
 10 theta past the support hull at a step h = theta / 50. Its slope is
-(E_p[X|y] - E_q[X|y]) / theta^2, so between grid points it can exceed the
-grid by at most span h / (2 theta^2), and its limits as y -> +-inf are
-exact. One gap is open: beyond the grid the ratio may overshoot its limit
-before it settles, and nothing bounds that overshoot.
+(E_p[X|y] - E_q[X|y]) / theta^2 by Tweedie's formula, so between grid
+points it can exceed the grid by at most span h / (2 theta^2), and its
+limits as y -> +-inf are exact. The maximum is found without evaluating
+every grid point: a coarse pass evaluates the densities and both
+posterior means at every 16th point; the posterior means are
+nondecreasing, which bounds the ratio on each cell between coarse points
+from its two ends; and only the cells whose bound, plus a rounding
+margin, reaches the coarse maximum are evaluated in full. The maximum
+and its first grid index are those of an all-points pass. One gap is
+open: beyond the grid the ratio may overshoot its limit before it
+settles, and nothing bounds that overshoot.
 
-Reports are strict JSON: an infinite figure is written as "inf" or "-inf".
+Reports are strict JSON: an infinite figure is written as "inf" or "-inf",
+and a figure that was not evaluated (a grid over its cap) as null.
 """
 
 from __future__ import annotations
@@ -44,13 +52,15 @@ _BLOCK_ELEMENTS = 1 << 15
 _GRID_PAD_SCALES = 10.0
 #: with this many points per theta.
 _GRID_POINTS_PER_SCALE = 50
+#: The grid's maximum is searched from every this-many-th point.
+_COARSE_STRIDE = 16
 
 
 @dataclass(frozen=True, eq=False)
 class PairCheck:
     labels: tuple[str, str]
     passed: bool
-    worst_log_ratio: float
+    worst_log_ratio: float | None
     argmax_y: float | None
     grid: tuple[float, float, float] | None
     note: str = ""
@@ -125,6 +135,17 @@ def log_output_density(
     atom count. Each row's max and sum do not depend on the rows beside
     it, so the result is the same as one pass over the whole grid.
     """
+    return _log_density_and_mean(dist, spec, ys)[0]
+
+
+def _log_density_and_mean(
+    dist: DiscreteDistribution, spec: MechanismSpec, ys: Sequence[float], with_mean: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`log_output_density`'s blocked loop; ``with_mean`` adds E[X | y] at each y.
+
+    The posterior mean is the block's weights summed against the atoms,
+    over the same sum the log density takes its log of.
+    """
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     keep = dist.mass > 0
     xs = dist.support[keep]
@@ -132,16 +153,21 @@ def log_output_density(
     rows = max(1, _BLOCK_ELEMENTS // xs.size)
     buf = np.empty((min(rows, ys.size), xs.size))
     out = np.empty(ys.size)
+    mean = np.empty(ys.size) if with_mean else None
     for start in range(0, ys.size, rows):
         block = ys[start : start + rows]
+        stop = start + block.size
         terms = np.subtract(block[:, None], xs[None, :], out=buf[: block.size])
         _log_noise_density(spec, terms)
         terms += log_mass
         peak = terms.max(axis=1)
         terms -= peak[:, None]
         np.exp(terms, out=terms)
-        out[start : start + block.size] = peak + np.log(terms.sum(axis=1))
-    return out
+        total = terms.sum(axis=1)
+        out[start:stop] = peak + np.log(total)
+        if mean is not None:
+            mean[start:stop] = terms @ xs / total
+    return out, mean
 
 
 def _identical(p: DiscreteDistribution, q: DiscreteDistribution) -> bool:
@@ -153,14 +179,15 @@ class _GaussianGrid:
     """One pair on the Gaussian grid; over the cap nothing is evaluated.
 
     ``worst`` is the largest of the grid maximum and both limits, found at
-    ``argmax_y`` (-inf or inf for a limit). Between grid points the
-    log-ratio stays within ``grid_max + slack``.
+    ``argmax_y`` (-inf or inf for a limit); over the cap both are None and
+    ``grid_max`` is inf. Between grid points the log-ratio stays within
+    ``grid_max + slack``.
     """
 
     grid: tuple[float, float, float]
     grid_max: float
     slack: float
-    worst: float
+    worst: float | None
     argmax_y: float | None
     note: str
 
@@ -169,12 +196,16 @@ def _gaussian_grid(pair: DiscriminativePair, spec: MechanismSpec) -> _GaussianGr
     """The log-ratio's maximum on the grid, its limits and its slack.
 
     The point count is computed before anything is allocated; past
-    MAX_GRID_POINTS no grid is built and the worst is inf. The slope of
-    the log-ratio is (E_p[X|y] - E_q[X|y]) / theta^2: at most span / theta^2
-    for the hull of both positive supports (0 for identical conditionals),
-    and tending to (x_p - x_q) / theta^2 as y -> +-inf, for the extreme
-    positive-mass points at that end. So the limit at an end is inf where
-    they differ and the log mass ratio of the shared atom where they agree.
+    MAX_GRID_POINTS no grid is built and the worst is not evaluated. The
+    maximum over the grid is found by :func:`_grid_maximum`, which
+    evaluates every _COARSE_STRIDE-th point and only the cells whose
+    Tweedie bound can reach the coarse maximum; it equals the maximum
+    over every grid point. The slope of the log-ratio is
+    (E_p[X|y] - E_q[X|y]) / theta^2: at most span / theta^2 for the hull of
+    both positive supports (0 for identical conditionals), and tending to
+    (x_p - x_q) / theta^2 as y -> +-inf, for the extreme positive-mass
+    points at that end. So the limit at an end is inf where they differ
+    and the log mass ratio of the shared atom where they agree.
     """
     points = np.concatenate([pair.p.support, pair.q.support])
     lo = float(points.min() - _GRID_PAD_SCALES * spec.theta)
@@ -185,15 +216,15 @@ def _gaussian_grid(pair: DiscriminativePair, spec: MechanismSpec) -> _GaussianGr
     length = (hi + 0.5 * step - lo) / step if step > 0 else math.inf
     count = (math.ceil(length) if length < math.inf else length) + points.size
     if count > MAX_GRID_POINTS:
+        needed = f"{count:,}" if count < 10**15 else f"{count:.3g}"
         note = (
-            f"the Gaussian grid needs up to {count:,} points, more than the cap of "
+            f"the Gaussian grid needs up to {needed} points, more than the cap of "
             f"{MAX_GRID_POINTS:,}; the log-ratio was not evaluated"
         )
-        return _GaussianGrid(grid, math.inf, 0.0, math.inf, None, note)
+        return _GaussianGrid(grid, math.inf, 0.0, None, None, note)
     ys = np.unique(np.concatenate([np.arange(lo, hi + 0.5 * step, step), points]))
-    ratios = np.abs(log_output_density(pair.p, spec, ys) - log_output_density(pair.q, spec, ys))
-    k = int(np.argmax(ratios))
-    worst = grid_max = float(ratios[k])
+    grid_max, k = _grid_maximum(pair, spec, ys)
+    worst = grid_max
     argmax_y = float(ys[k])
     # the extreme positive-mass points, low and high, and their log masses
     (x_p, m_p), (x_q, m_q) = (
@@ -212,6 +243,88 @@ def _gaussian_grid(pair: DiscriminativePair, spec: MechanismSpec) -> _GaussianGr
         "as y -> inf; an overshoot of a limit beyond the grid is not bounded"
     )
     return _GaussianGrid(grid, grid_max, slack, worst, argmax_y, note)
+
+
+def _grid_maximum(
+    pair: DiscriminativePair, spec: MechanismSpec, ys: np.ndarray
+) -> tuple[float, int]:
+    """max |log P(y|s_i) - log P(y|s_j)| over the grid ``ys``, and its first index.
+
+    Both are the same as ``np.argmax`` over every point gives, from a
+    fraction of the density evaluations. Every _COARSE_STRIDE-th point and
+    the last are evaluated first, with both posterior means. On the cell
+    [y0, y1] between two such points the log-ratio r has slope
+    (m_p(y) - m_q(y)) / theta^2 (Tweedie's formula), and each posterior
+    mean m is nondecreasing in y, so the slope lies in
+    [(m_p(y0) - m_q(y1)) / theta^2, (m_p(y1) - m_q(y0)) / theta^2]. Rising
+    at most ``up`` and falling at most ``down`` across the cell, r stays
+    under the tent a + lam (b - a) + lam down from its ends a = r(y0) and
+    b = r(y1), with lam = up / (up + down); -r likewise. Only the cells
+    whose tent, plus a bound on the rounding of every figure in it,
+    reaches the coarse maximum have their interior evaluated. A skipped
+    cell holds no point whose computed ratio is at or above that maximum,
+    so the maximum and its first index are the all-points ones. Each row
+    of the blocked loop is independent of the rows beside it, so every
+    evaluated point has the bits the all-points pass gives it.
+
+    Rounding, to first order in the unit roundoff u: a computed log density
+    l is within 12u (|l| + K) of the exact one, where K = |log normaliser|
+    + max |log mass| + n for n positive atoms. That counts the rounding of
+    each term, weighted by the posterior (whose entropy is at most log n),
+    and of the n-term sum; 16u leaves room for the second order. On a cell
+    |l| is at most A: its largest value at the ends, plus the cell width
+    times max(|m(y0) - y1|, |m(y1) - y0|) / theta^2, which bounds the slope
+    (m(y) - y) / theta^2 of l. A computed mean is within
+    32u S (A + K) + (2n + 1) u X, for the span S and largest magnitude X
+    of the positive atoms. The tent moves by at most the error of a or b
+    plus the errors of ``up`` and ``down``, and its own arithmetic adds
+    8u (|a| + |b| + tent height) and 5u (up + down). The margin sums
+    these for r at the cell's ends and at any point inside it.
+    """
+    theta = spec.theta
+    coarse = np.minimum(np.arange(0, ys.size + _COARSE_STRIDE - 1, _COARSE_STRIDE), ys.size - 1)
+    (l_p, mean_p), (l_q, mean_q) = (
+        _log_density_and_mean(d, spec, ys[coarse], with_mean=True) for d in (pair.p, pair.q)
+    )
+    r = l_p - l_q
+    ratio = np.abs(r)
+    top = ratio.max()
+    y0, y1 = ys[coarse[:-1]], ys[coarse[1:]]
+    width = (y1 - y0) / theta  # in units of theta
+    a, b = r[:-1], r[1:]
+    up = np.maximum(mean_p[1:] - mean_q[:-1], 0.0) / theta * width
+    down = np.maximum(mean_q[1:] - mean_p[:-1], 0.0) / theta * width
+    lam = np.divide(up, up + down, out=np.zeros_like(up), where=up + down > 0)
+    height = lam * down  # the tent's peak above its chord
+    tent = np.maximum(lam * b + (1.0 - lam) * a, -(lam * a + (1.0 - lam) * b)) + height
+    # the rounding margin derived above
+    u = np.finfo(float).eps / 2.0
+    keeps = [d.mass > 0 for d in (pair.p, pair.q)]
+    atoms = np.concatenate([d.support[keep] for d, keep in zip((pair.p, pair.q), keeps)])
+    log_mass = np.log(np.concatenate([d.mass[keep] for d, keep in zip((pair.p, pair.q), keeps)]))
+    n = max(np.count_nonzero(keep) for keep in keeps)
+    k = abs(0.5 * math.log(2.0 * math.pi) + math.log(theta)) + np.abs(log_mass).max() + n
+    logs = np.maximum(np.abs(l_p), np.abs(l_q))
+    means = np.stack([mean_p, mean_q])
+    drift = np.maximum(np.abs(means[:, :-1] - y1), np.abs(means[:, 1:] - y0)).max(axis=0)
+    magnitude = np.maximum(logs[:-1], logs[1:]) + drift / theta * width + k
+    span, size = atoms.max() - atoms.min(), np.abs(atoms).max()
+    margin = u * (
+        64.0 * magnitude
+        + (128.0 * span * magnitude + (8.0 * n + 12.0) * size) / theta * width
+        + 5.0 * (up + down)
+        + 8.0 * (np.abs(a) + np.abs(b) + height)
+    )
+    # NaN bounds (or a NaN maximum) refine their cells
+    refine = ~(tent + margin < top)
+    fine = coarse[:-1][refine, None] + np.arange(1, _COARSE_STRIDE)
+    fine = fine[fine < coarse[1:][refine, None]]
+    fine_p, fine_q = (log_output_density(d, spec, ys[fine]) for d in (pair.p, pair.q))
+    index = np.concatenate([coarse, fine])
+    ratio = np.concatenate([ratio, np.abs(fine_p - fine_q)])
+    order = np.argsort(index)
+    best = order[np.argmax(ratio[order])]
+    return float(ratio[best]), int(index[best])
 
 
 def _decayed_prefix(y: np.ndarray, log_w: np.ndarray, theta: float) -> np.ndarray:
@@ -340,7 +453,8 @@ def verify_pufferfish(
         else:
             ev = _gaussian_grid(pair, spec)
             worst, argmax_y, grid, note = ev.worst, ev.argmax_y, ev.grid, ev.note
-            bound = max(worst, ev.grid_max + ev.slack)
+            # over the cap worst is None and grid_max inf: the pair fails closed
+            bound = ev.grid_max + ev.slack if worst is None else max(worst, ev.grid_max + ev.slack)
         checks.append(
             PairCheck(
                 labels=pair.labels,

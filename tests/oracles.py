@@ -7,7 +7,8 @@ scipy's normal distribution, the Theorem-2 scale from one bracket and
 bisection per moment equation, the Laplace log-ratio from an O(n m)
 log-sum-exp (and, to pin the batched certificate's bits, from the sweep
 kernel run one pair at a time), the noised output density from one
-unblocked (y, atom) matrix, scenario conditionals from one dict-merged
+unblocked (y, atom) matrix, the Gaussian grid's maximum from the density
+at every grid point, scenario conditionals from one dict-merged
 pushforward and one freshly scattered grid (or one pairwise merge scan)
 per user, CSV tallies from ``csv.DictReader`` rows, released tables from
 whole-table ``csv.reader`` rows stripped cell by cell and one
@@ -30,7 +31,7 @@ from scipy.stats import norm
 from pufferot import ValidationError, release
 from pufferot.scenarios import ATOM_MERGE_TOL
 from pufferot.transport import ENTRY_DROP_TOL
-from pufferot.verify import _decayed_prefix
+from pufferot.verify import _decayed_prefix, log_output_density
 
 
 def lp_transport_cost(p, q) -> float:
@@ -210,6 +211,17 @@ def unblocked_log_output_density(dist, spec, ys) -> np.ndarray:
     terms = noise + log_mass[None, :]
     peak = terms.max(axis=1)
     return peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))
+
+
+def all_points_grid_maximum(pair, spec, ys) -> tuple[float, int]:
+    """The Gaussian log-ratio's maximum over every grid point, and its first index.
+
+    The densities come from the blocked ``log_output_density``, whose bits
+    TestBlockedDensity pins to the unblocked matrix above.
+    """
+    ratios = np.abs(log_output_density(pair.p, spec, ys) - log_output_density(pair.q, spec, ys))
+    k = int(np.argmax(ratios))
+    return float(ratios[k]), k
 
 
 def normal_two_sided_tail(t: float) -> float:

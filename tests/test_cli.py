@@ -27,6 +27,7 @@ GOLDEN_SCENARIO = DATA / "scenario_golden.json"
 GOLDEN_PLAN = DATA / "plan_golden.json"
 GOLDEN_VERIFY = DATA / "verify_golden.json"
 GOLDEN_VERIFY_DELTA = DATA / "verify_delta_golden.json"
+GOLDEN_VERIFY_GAUSSIAN = DATA / "verify_gaussian_golden.json"
 GOLDEN_SCENARIO_COUNTING = DATA / "scenario_counting_golden.json"
 README = Path(__file__).parent.parent / "README.md"
 
@@ -993,6 +994,32 @@ class TestVerifyCommand:
         ])
         assert code == 0
         assert out.read_bytes() == GOLDEN_VERIFY_DELTA.read_bytes()
+
+    def test_gaussian_log_ratio_report_matches_golden(self, tmp_path):
+        # the same 21 pairs, each passing or failing on its grid maximum, slack and limits
+        out = tmp_path / "verify.json"
+        code = cli.main([
+            "verify", "--pairs", str(DATA / "verify_pairs.json"), "--family", "gaussian",
+            "--theta", "4.85", "--epsilon", "1", "--out", str(out),
+        ])
+        assert code == 0
+        assert out.read_bytes() == GOLDEN_VERIFY_GAUSSIAN.read_bytes()
+
+    def test_huge_grid_counts_are_short_and_never_evaluated(self, tmp_path):
+        # at theta = 1e-170 every grid needs about 1e172 points: none is built
+        out = tmp_path / "verify.json"
+        code = cli.main([
+            "verify", "--pairs", str(DATA / "verify_pairs.json"), "--family", "gaussian",
+            "--theta", "1e-170", "--epsilon", "1", "--out", str(out),
+        ])
+        assert code == 0
+        payload = read_json(out)
+        assert payload["pass"] is False
+        entries = payload["pairs"]
+        assert [entry["worst_log_ratio"] for entry in entries] == [None] * 21
+        assert [entry["argmax_y"] for entry in entries] == [None] * 21
+        assert "needs up to 6.5e+172 points" in entries[0]["note"]
+        assert all(len(entry["note"]) < 120 for entry in entries)
 
     def test_underflowing_delta_scale_fails_every_pair(self, tmp_path):
         # theta * eps / sensitivity underflows to 0: the whole noise mass violates

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +11,12 @@ from pufferot import (
     DiscriminativePair,
     MechanismSpec,
     ValidationError,
+    adult_education_pair,
+    bernoulli_counting,
     calibrate_gaussian,
     calibrate_pufferfish,
+    discriminative_pairs,
+    enumerate_pairs,
     gaussian_violation_mass,
     optimal_plan,
     plan_sensitivity,
@@ -19,14 +24,18 @@ from pufferot import (
     verify_pufferfish,
 )
 from pufferot import verify
+from pufferot.tabular import load_conditionals_json
 
 from oracles import (
+    all_points_grid_maximum,
     direct_laplace_log_ratio,
     laplace_mixture_density,
     normal_two_sided_tail,
     per_pair_laplace_log_ratio,
     unblocked_log_output_density,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def laplace_spec(theta, epsilon=1.0):
@@ -531,6 +540,130 @@ class TestGaussianLipschitzSlack:
             assert ratio.max() <= ev.grid_max + ev.slack + 1e-9
 
 
+def counting_pairs(seed):
+    """A seeded 100-user counting system's value pair, then its two absence pairs."""
+    system = bernoulli_counting(np.random.default_rng([25, seed]).uniform(0.05, 0.95, 100))
+    return discriminative_pairs(system, 0, "values") + discriminative_pairs(system, 0, "absence")
+
+
+def gaussian_a_theta(pair):
+    return calibrate_pufferfish([pair], 1.0, "gaussian-a", delta=1e-5).theta
+
+
+def suite_pairs():
+    with open(DATA / "verify_pairs.json", encoding="utf-8") as fh:
+        payload = json.load(fh)
+    # the file lists "all" its pairs
+    return enumerate_pairs(load_conditionals_json(payload["conditionals"]))
+
+
+def grid_fields(ev):
+    return (ev.grid, ev.grid_max, ev.slack, ev.worst, ev.argmax_y, ev.note)
+
+
+GRID_FAMILIES = ["counting", "suite", "wide", "mirror", "rounding"]
+
+
+def grid_cases(family):
+    """Seeded (pair, spec) cases of one family for the coarse grid search."""
+    rng = np.random.default_rng([2025, GRID_FAMILIES.index(family)])
+    if family == "counting":  # value and absence pairs at 1/3, 1 and 3 times the gaussian-a scale
+        cases = []
+        for seed in range(50):
+            pairs = counting_pairs(seed)
+            theta = gaussian_a_theta(pairs[0])
+            cases += [(pair, gaussian_spec(theta * f)) for pair in pairs for f in (1 / 3, 1.0, 3.0)]
+        return cases
+    if family == "suite":  # some random pairs need grids near the cap at theta = 0.4
+        pairs = suite_pairs() + [adult_education_pair()] + [random_pair(rng)[0] for _ in range(60)]
+        thetas = (0.4, 1.0, 4.85, 20.0, 60.0)
+        return [(pair, gaussian_spec(theta)) for pair in pairs for theta in thetas]
+    if family == "wide":  # wide supports at small theta: grids of 10^4 to 5 * 10^5 points
+        cases = []
+        for _ in range(8):
+            span = 10.0 ** rng.uniform(2, 3)
+            p, q = (DiscreteDistribution.from_weights(rng.uniform(0, span, 3), rng.random(3) + 0.1)
+                    for _ in range(2))
+            theta = span / 10.0 ** rng.uniform(2, 4)
+            cases.append((DiscriminativePair(("a", "b"), p, q), gaussian_spec(theta)))
+        return cases
+    if family == "mirror":  # |log-ratio| peaks at y and -y; a dyadic step keeps the grid symmetric
+        cases = []
+        for _ in range(30):
+            xs = rng.choice(np.arange(-8.0, 9.0), size=int(rng.integers(2, 7)), replace=False)
+            w = rng.random(xs.size) + 0.05
+            p, q = (DiscreteDistribution.from_weights(sign * xs, w) for sign in (1.0, -1.0))
+            theta = 50.0 * 2.0 ** -rng.integers(2, 7)
+            cases.append((DiscriminativePair(("a", "b"), p, q), gaussian_spec(theta)))
+        return cases
+    # identical conditionals, and masses a rounding error apart: the ratio is all rounding,
+    # so only the rounding margin keeps a skipped cell below the maximum
+    cases = []
+    for _ in range(120):
+        xs = np.sort(rng.choice(1000, int(rng.integers(2, 30)), replace=False))
+        xs = xs / rng.uniform(1, 100)
+        w = rng.random(xs.size) + 0.1
+        scale = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-15, -8)
+        p = DiscreteDistribution.from_weights(xs, w)
+        q = DiscreteDistribution.from_weights(xs, w * (1.0 + scale * rng.standard_normal(xs.size)))
+        theta = (xs[-1] - xs[0] + 1.0) * 10.0 ** rng.uniform(-2, 1)
+        cases.append((DiscriminativePair(("a", "b"), p, q), gaussian_spec(theta)))
+    return cases
+
+
+class TestCoarseGridMaximum:
+    """The coarse pass and per-cell Tweedie bounds find the all-points maximum."""
+
+    @pytest.mark.parametrize("family", GRID_FAMILIES)
+    def test_every_field_equals_the_all_points_oracle(self, monkeypatch, family):
+        cases = grid_cases(family)
+        got = [grid_fields(verify._gaussian_grid(pair, spec)) for pair, spec in cases]
+        monkeypatch.setattr(verify, "_grid_maximum", all_points_grid_maximum)
+        want = [grid_fields(verify._gaussian_grid(pair, spec)) for pair, spec in cases]
+        for case, (g, w) in enumerate(zip(got, want)):
+            assert g == w, case
+
+    def test_the_families_hold_over_a_thousand_cases(self):
+        assert sum(len(grid_cases(family)) for family in GRID_FAMILIES) >= 1000
+
+    def test_counting_value_pair_evaluates_a_tenth_of_its_grid(self, monkeypatch):
+        evaluated, grids = [], []
+        density, maximum = verify._log_density_and_mean, verify._grid_maximum
+
+        def counted_density(dist, spec, ys, with_mean=False):
+            evaluated.append(np.atleast_1d(ys).size)
+            return density(dist, spec, ys, with_mean)
+
+        def counted_maximum(pair, spec, ys):
+            grids.append(ys.size)
+            return maximum(pair, spec, ys)
+
+        monkeypatch.setattr(verify, "_log_density_and_mean", counted_density)
+        monkeypatch.setattr(verify, "_grid_maximum", counted_maximum)
+        for seed in range(5):
+            pair = counting_pairs(seed)[0]
+            evaluated.clear()
+            verify._gaussian_grid(pair, gaussian_spec(gaussian_a_theta(pair)))
+            # both conditionals are evaluated at each chosen point
+            assert sum(evaluated) <= 0.1 * 2 * grids[-1], (sum(evaluated), grids[-1])
+
+    def test_memory_stays_under_the_blocked_density_bound(self):
+        rng = np.random.default_rng(4)
+        p, q = (DiscreteDistribution.from_weights(np.arange(100.0) + shift, rng.random(100) + 0.01)
+                for shift in (0.0, 0.5))
+        pair = DiscriminativePair(("a", "b"), p, q)
+        spec = gaussian_spec(0.025)
+        tracemalloc.start()
+        try:
+            ev = verify._gaussian_grid(pair, spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        lo, hi, step = ev.grid
+        assert (hi - lo) / step >= 200_000 and math.isfinite(ev.grid_max)
+        assert peak < 8_000_000
+
+
 class TestGaussianGridCap:
     @pytest.mark.parametrize("check", ["log-ratio", "delta"])
     def test_oversized_grid_fails_closed_without_allocating(self, adult_pair, check):
@@ -548,7 +681,7 @@ class TestGaussianGridCap:
         assert peak < 1_000_000
         (pair_check,) = report.checks
         assert not report.passed
-        assert math.isinf(pair_check.worst_log_ratio)
+        assert pair_check.worst_log_ratio is None
         assert pair_check.argmax_y is None
         assert pair_check.grid is not None
         assert f"cap of {verify.MAX_GRID_POINTS:,}" in pair_check.note
