@@ -44,6 +44,12 @@ def _as_vector(values: Sequence[float], name: str) -> np.ndarray:
     return arr
 
 
+def _check_total(mass: np.ndarray) -> None:
+    total = float(mass.sum())
+    if abs(total - 1.0) > MASS_TOL:
+        raise ValidationError(f"mass must sum to 1 within {MASS_TOL}, got {total!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class DiscreteDistribution:
     """Probability mass on a strictly increasing finite support.
@@ -77,9 +83,7 @@ class DiscreteDistribution:
         if neg.size:
             i = int(neg[0])
             raise ValidationError(f"mass[{i}] is negative: {float(mass[i])!r}")
-        total = float(mass.sum())
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValidationError(f"mass must sum to 1 within {MASS_TOL}, got {total!r}")
+        _check_total(mass)
         support.setflags(write=False)
         mass.setflags(write=False)
         object.__setattr__(self, "support", support)
@@ -113,10 +117,14 @@ class DiscreteDistribution:
             raise ValidationError(
                 f"duplicate support value {float(sup[dup[0]])!r} (input index {i})"
             )
-        total = float(w.sum())
+        with np.errstate(over="ignore"):
+            total = float(w.sum())
         if total <= 0:
             raise ValidationError("weights must have a positive sum")
-        return cls(sup, w / total)
+        # a total past the float range scales every weight to zero, which the check rejects
+        mass = w / total
+        _check_total(mass)
+        return cls._from_checked(sup, mass)
 
     @classmethod
     def _from_checked(cls, support: np.ndarray, mass: np.ndarray) -> "DiscreteDistribution":
@@ -164,19 +172,21 @@ def integer_convolution(factors) -> tuple[int, np.ndarray]:
     """Law of a sum of independent integer-valued terms, as ``(offset, pmf)``.
 
     Each factor is an ``(offset, pmf)`` pair putting mass ``pmf[k]`` on the
-    integer ``offset + k``. Factors are convolved in the given order with
+    integer ``offset + k``. The first factor starts the running pmf, and
+    the others are convolved into it in the given order with
     ``np.convolve``; mass that underflows to zero at either end of the
-    running pmf is trimmed, so its ends stay positive.
+    running pmf is trimmed, so its ends stay positive. No factors give the
+    point mass at 0; one factor gives that factor's own array, or a slice.
     """
-    offset, pmf = 0, np.ones(1)
+    offset, pmf = 0, None
     for lo, factor in factors:
-        pmf = np.convolve(pmf, factor)
+        pmf = factor if pmf is None else np.convolve(pmf, factor)
         offset += lo
         if not (pmf[0] > 0 and pmf[-1] > 0):
             nonzero = np.flatnonzero(pmf > 0)
             offset += int(nonzero[0])
             pmf = pmf[nonzero[0] : nonzero[-1] + 1]
-    return offset, pmf
+    return (0, np.ones(1)) if pmf is None else (offset, pmf)
 
 
 def poisson_binomial(p_values: Sequence[float]) -> DiscreteDistribution:

@@ -2,14 +2,15 @@
 
 Each of V users independently draws a value from a per-user alphabet; a
 separable query sums one term per user. Conditioning on a user's value
-shifts the convolution of the other users' terms; conditioning on absence
-marginalizes the user out, which equals the prior mixture of the value
-conditionals.
+shifts the convolution of the other users' terms (the leave-one-out law);
+conditioning on absence marginalizes the user out, which equals the prior
+mixture of the value conditionals: the leave-one-out law convolved with
+the user's own term.
 
-A system weakly keeps two of its convolved laws, read-only: the all-user
-law and the latest leave-one-out law. So a user's value pairs and absence
-pairs convolve the other users once between them, and the memo goes with
-the system.
+A system weakly keeps the latest user's leave-one-out law, read-only, and
+the conditionals built from it. So a user's value pairs and absence pairs
+cost V convolution steps between them, each conditional is built once,
+and the memo goes with the system.
 """
 
 from __future__ import annotations
@@ -32,8 +33,10 @@ MAX_ATOMS = 10_000
 
 MODES = ("values", "absence")
 
-#: Per system, ``{left_out: (atoms, weights)}`` for the all-user law (key
-#: None) and the latest leave-one-out law; see :func:`_sum_law`.
+#: Per system, ``(user, law, built)`` for the latest user: the other users'
+#: law as read-only ``(atoms, weights)``, and the conditionals built from it
+#: so far, keyed by alphabet index or None for absence; see
+#: :func:`_conditional`.
 _LAWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -42,7 +45,8 @@ class UserSystem:
     """V independent users: per-user priors and the query's per-user outputs.
 
     ``outputs[i][k]`` is user i's term of the query when the user reports
-    ``priors[i].support[k]``. The outputs are stored as read-only copies.
+    ``priors[i].support[k]``. The outputs are stored as read-only copies, one
+    per distinct array given, so users given one array share one copy.
     """
 
     priors: tuple[DiscreteDistribution, ...]
@@ -55,10 +59,15 @@ class UserSystem:
         priors = tuple(self.priors)
         if not priors:
             raise ValidationError("a user system needs at least one user")
+        given = tuple(self.outputs)
+        copies: dict[int, np.ndarray] = {}
         try:
-            outputs = tuple(np.array(out, dtype=float) for out in self.outputs)
+            for out in given:
+                if id(out) not in copies:
+                    copies[id(out)] = np.array(out, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"query outputs must be numbers: {exc}") from None
+        outputs = tuple(copies[id(out)] for out in given)
         if len(outputs) != len(priors):
             raise ValidationError(f"outputs holds {len(outputs)} arrays for {len(priors)} users")
         for user, (prior, out) in enumerate(zip(priors, outputs)):
@@ -128,9 +137,12 @@ def _grid_terms(users: np.ndarray, outputs: np.ndarray, mass: np.ndarray):
     dense = width <= MAX_ATOMS
     size = np.where(dense, width, 0).astype(np.intp)
     ends = np.cumsum(size)
-    flat = np.zeros(int(ends[-1]))
     at = dense[users]
-    np.add.at(flat, (ends - size)[users[at]] + (out - lo[users])[at].astype(np.intp), mass[at])
+    # bincount adds in index order, as a sequential scatter does
+    flat = np.bincount(
+        (ends - size)[users[at]] + (out - lo[users])[at].astype(np.intp),
+        weights=mass[at], minlength=int(ends[-1]),
+    )
     # size is 0 only for the users past MAX_ATOMS.
     return tuple(
         (int(offset), flat[stop - n:stop] if n else None)
@@ -155,26 +167,33 @@ def _merge_close(values: np.ndarray, mass: np.ndarray):
     return run_moment / run_mass, run_mass
 
 
-def _sum_law(system: UserSystem, left_out: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Atoms and weights of the sum of every user's output but ``left_out``'s, memoised.
+def _conditional(system: UserSystem, user: int, index: int | None) -> DiscreteDistribution:
+    """The memoised law of the output given ``user``'s alphabet ``index``, or absence (None).
 
-    The arrays are read-only. Per system, ``_LAWS`` keeps the all-user law
-    and the latest leave-one-out law, as a dict replaced in one assignment.
+    A value conditional is the other users' law shifted by the user's
+    output; the absence conditional is that law convolved with the user's
+    term. A new user's entry replaces the system's old one in one
+    assignment.
     """
-    laws = _LAWS.get(system, {})
-    if left_out in laws:
-        return laws[left_out]
-    law = _convolve(system, left_out)
-    for array in law:
-        array.setflags(write=False)
-    # a new all-user law keeps the leave-one-out law; a new leave-one-out law drops the old one
-    kept = {user: laws[user] for user in laws if user is None or left_out is None}
-    _LAWS[system] = {**kept, left_out: law}
-    return law
+    entry = _LAWS.get(system)
+    if entry is None or entry[0] != user:
+        law = _convolve(system, user)
+        for array in law:
+            array.setflags(write=False)
+        entry = (user, law, {})
+        _LAWS[system] = entry
+    _, (vals, mass), built = entry
+    if index not in built:
+        if index is None:
+            vals, mass = _add_user(system, vals, mass, user)
+        else:
+            vals = vals + system.outputs[user][index]
+        built[index] = DiscreteDistribution.from_weights(vals, mass)
+    return built[index]
 
 
-def _convolve(system: UserSystem, left_out: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_sum_law` without the memo.
+def _convolve(system: UserSystem, left_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms and weights of the sum of every user's output but ``left_out``'s.
 
     Users are convolved in index order. When every output is an integer the
     outputs' laws are convolved as pmfs on the integer grid; otherwise each
@@ -183,27 +202,59 @@ def _convolve(system: UserSystem, left_out: int | None) -> tuple[np.ndarray, np.
     """
     users = [i for i in range(system.user_count) if i != left_out]
     if system._grid_terms is not None:
-        terms = [system._grid_terms[i] for i in users]
-        if any(pmf is None for _, pmf in terms) or (
-            1 + sum(pmf.size - 1 for _, pmf in terms) > MAX_ATOMS
-        ):
-            raise ValidationError(f"convolution grid would hold more than {MAX_ATOMS} atoms")
-        offset, mass = integer_convolution(terms)
-        keep = mass > 0
-        return np.arange(offset, offset + mass.size, dtype=float)[keep], mass[keep]
+        return _grid_atoms(*integer_convolution(_grid_factors(system, users)))
     vals = np.array([0.0])
     mass = np.array([1.0])
     for i in users:
-        keep = system.priors[i].mass > 0
-        out, inverse = np.unique(system.outputs[i][keep], return_inverse=True)
-        out_mass = np.bincount(inverse, weights=system.priors[i].mass[keep])
-        vals, mass = _merge_close(
-            np.add.outer(vals, out).ravel(), np.multiply.outer(mass, out_mass).ravel()
-        )
-        if vals.size > MAX_ATOMS:
-            raise ValidationError(
-                f"convolution support grew to {vals.size} atoms (cap {MAX_ATOMS})"
-            )
+        vals, mass = _merge_step(system, vals, mass, i)
+    return vals, mass
+
+
+def _add_user(
+    system: UserSystem, vals: np.ndarray, mass: np.ndarray, user: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(vals, mass)`` convolved with ``user``'s output, one more step of :func:`_convolve`.
+
+    On the grid, the atoms are scattered back onto their span first, and
+    the cap is checked on the grid of every user's terms, as for a law
+    convolved from scratch.
+    """
+    if system._grid_terms is None:
+        return _merge_step(system, vals, mass, user)
+    term = _grid_factors(system, range(system.user_count))[user]
+    start = np.zeros(int(vals[-1] - vals[0]) + 1)
+    start[(vals - vals[0]).astype(np.intp)] = mass
+    return _grid_atoms(*integer_convolution([(int(vals[0]), start), term]))
+
+
+def _grid_factors(system: UserSystem, users) -> list:
+    """The grid terms of ``users``, once their sum's grid is known to fit MAX_ATOMS."""
+    terms = [system._grid_terms[i] for i in users]
+    if any(pmf is None for _, pmf in terms) or (
+        1 + sum(pmf.size - 1 for _, pmf in terms) > MAX_ATOMS
+    ):
+        raise ValidationError(f"convolution grid would hold more than {MAX_ATOMS} atoms")
+    return terms
+
+
+def _grid_atoms(offset: int, pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positive-mass atoms of a pmf on the integers from ``offset``."""
+    keep = pmf > 0
+    return np.arange(offset, offset + pmf.size, dtype=float)[keep], pmf[keep]
+
+
+def _merge_step(
+    system: UserSystem, vals: np.ndarray, mass: np.ndarray, user: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Atoms ``(vals, mass)`` summed pairwise with ``user``'s outputs, near-equal sums merged."""
+    keep = system.priors[user].mass > 0
+    out, inverse = np.unique(system.outputs[user][keep], return_inverse=True)
+    out_mass = np.bincount(inverse, weights=system.priors[user].mass[keep])
+    vals, mass = _merge_close(
+        np.add.outer(vals, out).ravel(), np.multiply.outer(mass, out_mass).ravel()
+    )
+    if vals.size > MAX_ATOMS:
+        raise ValidationError(f"convolution support grew to {vals.size} atoms (cap {MAX_ATOMS})")
     return vals, mass
 
 
@@ -213,19 +264,18 @@ def conditional_output_dist(
     """Law of the query output given that ``user`` reported ``value``, or is absent (None).
 
     Given a value, the other users' outputs are convolved and shifted by
-    the user's output; given absence, all users are convolved, which
-    equals the prior mixture over the user's values.
+    the user's output; given absence, the other users' law is convolved
+    with the user's output law, which equals the prior mixture over the
+    user's values.
     """
     system._check_user(user)
     if value is None:
-        vals, mass = _sum_law(system)
-        return DiscreteDistribution.from_weights(vals, mass)
+        return _conditional(system, user, None)
     value = float(value)
     hit = np.flatnonzero(system.priors[user].support == value)
     if not hit.size:
         raise ValidationError(f"value {value!r} is not in the alphabet of user {user}")
-    vals, mass = _sum_law(system, user)
-    return DiscreteDistribution.from_weights(vals + system.outputs[user][hit[0]], mass)
+    return _conditional(system, user, int(hit[0]))
 
 
 def _label(user: int, value: float) -> str:
@@ -239,18 +289,14 @@ def discriminative_pairs(
 ) -> list[DiscriminativePair]:
     """Secret pairs for one user: all value pairs, or each value vs absence.
 
-    Each value conditional is the other users' memoised law shifted by the
-    user's output, exactly as :func:`conditional_output_dist` computes it;
-    so ``values`` then ``absence`` convolve the other users once.
+    The conditionals are the memoised ones :func:`conditional_output_dist`
+    returns, so ``values`` then ``absence`` convolve the other users once,
+    extend their law by the user once, and build each conditional once.
     """
     system._check_user(user)
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    vals, mass = _sum_law(system, user)
-    conditionals = [
-        DiscreteDistribution.from_weights(vals + out, mass)
-        for out in system.outputs[user].tolist()
-    ]
+    conditionals = [_conditional(system, user, k) for k in range(system.outputs[user].size)]
     labels = [_label(user, a) for a in system.priors[user].support.tolist()]
     if mode == "values":
         return [

@@ -141,7 +141,8 @@ def per_step_conditional(system, user, value=None):
     fresh zero arrays spanning their positive atoms before every
     convolution; otherwise atoms are summed pairwise and sums within
     ``ATOM_MERGE_TOL`` merged by a sequential scan. ``value=None``
-    conditions on absence.
+    conditions on absence: the other users are convolved in index order,
+    then the user.
     """
     tables = [
         dict(zip(prior.support.tolist(), outputs.tolist()))
@@ -157,9 +158,11 @@ def per_step_conditional(system, user, value=None):
         laws.append((np.array(sorted(agg)), np.array([agg[v] for v in sorted(agg)])))
     integer = all(np.all(v == np.round(v)) for v, _ in laws)
     vals, mass = np.array([0.0]), np.array([1.0])
-    for i, (b_vals, b_mass) in enumerate(laws):
-        if value is not None and i == user:
-            continue
+    order = [i for i in range(len(laws)) if i != user]
+    if value is None:
+        order.append(user)
+    for i in order:
+        b_vals, b_mass = laws[i]
         if integer:
             a_pmf = np.zeros(int(vals[-1] - vals[0]) + 1)
             a_pmf[(vals - vals[0]).astype(int)] = mass

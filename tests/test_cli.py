@@ -1088,7 +1088,8 @@ class TestStrictJson:
 
 class TestScenarioCommand:
     def test_counting_absence_matches_golden(self, tmp_path):
-        # integer outputs: the all-user law and user 1's leave-one-out law on the grid
+        # integer outputs, on the grid: user 1's leave-one-out law, and the absence law
+        # extended from it by user 1's term
         out = tmp_path / "out.json"
         assert cli.main(["scenario", "--scenario", str(DATA / "scenario_counting.json"),
                          "--user", "1", "--mode", "absence", "--out", str(out)]) == 0

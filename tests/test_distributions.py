@@ -62,6 +62,43 @@ class TestFromWeights:
         assert dist.support.tolist() == [0.0, 1.0]
         assert dist.mass.tolist() == [0.0, 1.0]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_checked_constructor(self, seed):
+        # the sorted support and normalised weights, checked again by __init__
+        rng = np.random.default_rng(seed)
+        for size in (1, 2, 7, 100, 1000):
+            support = rng.permutation(rng.choice(10 * size, size, replace=False) / 7.0 - size)
+            weights = rng.random(size) * (rng.random(size) > 0.2) * 10.0 ** rng.integers(-300, 300)
+            weights[rng.integers(size)] += 1e-3
+            given = (support.copy(), weights.copy())
+            dist = DiscreteDistribution.from_weights(*given)
+            order = np.argsort(support, kind="stable")
+            checked = DiscreteDistribution(support[order], weights[order] / weights[order].sum())
+            assert np.array_equal(dist.support, checked.support)
+            assert np.array_equal(dist.mass, checked.mass)
+            assert not dist.support.flags.writeable and not dist.mass.flags.writeable
+            given[0][0] += 1.0
+            given[1][0] += 1.0
+            assert np.array_equal(dist.support, checked.support)
+            assert np.array_equal(dist.mass, checked.mass)
+
+    @pytest.mark.parametrize("support,weights,message", [
+        ([], [], "support must not be empty"),
+        ([[1.0]], [1.0], "support must be one-dimensional, got shape (1, 1)"),
+        ([1, 2], [1], "support and weights lengths differ: 2 != 1"),
+        ([1, math.nan], [1, 1], "support[1] is not finite: nan"),
+        ([1, 2], [1, math.inf], "weights[1] is not finite: inf"),
+        ([1, 2], [1, -2], "weights[1] is negative: -2.0"),
+        ([3, 1, 3], [1, 1, 1], "duplicate support value 3.0 (input index 2)"),
+        ([1, 2], [0, 0], "weights must have a positive sum"),
+        # the total overflows, so every normalised weight is 0
+        ([0, 1], [1e308, 1e308], "mass must sum to 1 within 1e-12, got 0.0"),
+    ])
+    def test_messages(self, support, weights, message):
+        with pytest.raises(ValidationError) as info:
+            DiscreteDistribution.from_weights(support, weights)
+        assert str(info.value) == message
+
     @given(dist_strategy())
     @settings(max_examples=60, deadline=None)
     def test_normalization_invariant(self, raw):

@@ -65,6 +65,26 @@ class TestConditionalOutputDist:
         for k, expected in oracle.items():
             assert math.isclose(got.get(float(k), 0.0), expected, abs_tol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_users_absence_law_equals_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        users = int(rng.integers(1, 13))
+        ps = rng.random(users)
+        ps[rng.random(users) < 0.15] = 0.0
+        ps[rng.random(users) < 0.15] = 1.0
+        system = bernoulli_counting(ps)
+        oracle = brute_force_counting_conditional(ps)
+        laws = [as_mass_map(conditional_output_dist(system, user)) for user in range(users)]
+        for law in laws:
+            assert set(law) <= {float(k) for k in oracle}
+            for k, expected in oracle.items():
+                assert math.isclose(law.get(float(k), 0.0), expected, abs_tol=1e-12)
+        # each user's law is convolved in another order, so only its last bits may differ
+        for law in laws[1:]:
+            assert set(law) == set(laws[0])
+            for x, m in law.items():
+                assert math.isclose(m, laws[0][x], abs_tol=1e-12)
+
     def test_absence_equals_prior_mixture(self):
         system = bernoulli_counting(HETERO_PS)
         absent = as_mass_map(conditional_output_dist(system, 2))
@@ -93,6 +113,8 @@ class TestConditionalOutputDist:
         prior = DiscreteDistribution.from_weights(support, np.ones(101))
         # irrational-looking spacing defeats the integer grid and the merge
         system = UserSystem(priors=(prior, prior), outputs=(support, support * 1.6180339887))
+        # user 0's leave-one-out law fits; convolving user 0 into it does not
+        assert len(conditional_output_dist(system, 0, 0.0)) == 101
         with pytest.raises(ValidationError, match="atoms"):
             conditional_output_dist(system, 0)
 
@@ -318,7 +340,7 @@ def small_bernoulli_system(seed):
 
 
 class TestLawMemo:
-    """Each system keeps its all-user law and its latest leave-one-out law."""
+    """Each system keeps its latest user's leave-one-out law and conditionals."""
 
     @pytest.mark.parametrize("make", [small_bernoulli_system, ternary_system, fractional_system])
     @pytest.mark.parametrize("seed", range(2))
@@ -348,20 +370,23 @@ class TestLawMemo:
                 alone = conditional_output_dist(make(seed), user, value)
                 assert np.array_equal(dist.support, alone.support)
                 assert np.array_equal(dist.mass, alone.mass)
-            assert set(scenarios._LAWS[system]) == {None, user}
+            user_, _, built = scenarios._LAWS[system]
+            assert user_ == user
+            assert set(built) == set(range(system.outputs[user].size)) | {None}
 
-    def test_holds_at_most_two_read_only_laws(self):
+    def test_holds_one_users_read_only_law(self):
         system = bernoulli_counting(HETERO_PS)
         conditional_output_dist(system, 0)
-        assert set(scenarios._LAWS[system]) == {None}
+        user, _, built = scenarios._LAWS[system]
+        assert (user, set(built)) == (0, {None})
         for user in (3, 5, 3):
             discriminative_pairs(system, user, "absence")
-            laws = scenarios._LAWS[system]
-            assert set(laws) == {None, user}
-            for law in laws.values():
-                assert not any(array.flags.writeable for array in law)
+            memo_user, law, built = scenarios._LAWS[system]
+            assert (memo_user, set(built)) == (user, {0, 1, None})
+            assert not any(array.flags.writeable for array in law)
         conditional_output_dist(system, 1, 1.0)
-        assert set(scenarios._LAWS[system]) == {None, 1}
+        user, _, built = scenarios._LAWS[system]
+        assert (user, set(built)) == (1, {1})
 
     def test_values_then_absence_convolve_the_other_users_once(self, monkeypatch):
         calls = []
@@ -372,10 +397,24 @@ class TestLawMemo:
             return convolve(system, left_out)
 
         monkeypatch.setattr(scenarios, "_convolve", spy)
+        convolutions = []
+        np_convolve = np.convolve
+
+        def counted(a, v):
+            convolutions.append(a.size)
+            return np_convolve(a, v)
+
+        monkeypatch.setattr(np, "convolve", counted)
         system = bernoulli_counting(HETERO_PS)
-        discriminative_pairs(system, 2, "values")
-        discriminative_pairs(system, 2, "absence")
-        assert calls == [2, None]
+        values = discriminative_pairs(system, 2, "values")
+        absence = discriminative_pairs(system, 2, "absence")
+        assert calls == [2]
+        # the first of the other users starts the law, and the user's own term ends it
+        assert len(convolutions) == system.user_count - 1
+        # the absence pairs reuse the value conditionals, and a second call the absence law
+        assert [pair.p for pair in absence] == [values[0].p, values[0].q]
+        assert discriminative_pairs(system, 2, "absence")[0].q is absence[0].q
+        assert calls == [2] and len(convolutions) == system.user_count - 1
 
     def test_entry_goes_with_the_system(self):
         system = bernoulli_counting(HETERO_PS)
