@@ -28,7 +28,7 @@ import numpy as np
 
 from .distributions import DiscreteDistribution, number_list
 from .errors import NumericError, ValidationError
-from .mechanisms import MechanismSpec, calibrate_pufferfish
+from .mechanisms import FAMILIES, METHODS, MechanismSpec, calibrate_pufferfish
 from .mechanisms import release as release_values
 from .pairs import DiscriminativePair
 from .tabular import (  # _BLOCK_ROWS: ``release`` noises and writes this many rows at a time
@@ -413,17 +413,13 @@ def build_parser() -> argparse.ArgumentParser:
     calibrate.add_argument("--delimiter", default=",")
     calibrate.add_argument("--epsilon", type=float, required=True)
     calibrate.add_argument("--delta", type=float, default=None)
-    calibrate.add_argument(
-        "--method",
-        choices=("theorem1", "theorem2", "gaussian-a", "gaussian-b"),
-        default="theorem1",
-    )
+    calibrate.add_argument("--method", choices=tuple(METHODS), default="theorem1")
 
     rel = sub.add_parser("release", help="write a noised copy of one CSV column")
     rel.add_argument("--table", required=True, help="input CSV with a header row")
     rel.add_argument("--data-col", required=True, help="column to noise")
     rel.add_argument("--mapping", default=None, help="JSON array of labels in index order")
-    rel.add_argument("--family", choices=("laplace", "gaussian"), default="laplace")
+    rel.add_argument("--family", choices=FAMILIES, default="laplace")
     rel.add_argument("--theta", type=float, required=True)
     rel.add_argument("--epsilon", type=float, default=1.0)
     rel.add_argument("--delimiter", default=",")
@@ -432,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="certify the log-ratio bound for a pairs file")
     ver.add_argument("--pairs", required=True)
-    ver.add_argument("--family", choices=("laplace", "gaussian"), default="laplace")
+    ver.add_argument("--family", choices=FAMILIES, default="laplace")
     ver.add_argument("--theta", type=float, required=True)
     ver.add_argument("--epsilon", type=float, required=True)
     ver.add_argument("--delta", type=float, default=None,

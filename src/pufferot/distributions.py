@@ -55,10 +55,9 @@ class DiscreteDistribution:
     """Probability mass on a strictly increasing finite support.
 
     Masses may be zero: a zero atom records a declared support point
-    (which matters for support-based sensitivity bounds) and is only
-    removed by an explicit :meth:`prune`. Duplicate support values are
-    always an error, never merged silently. Instances are immutable and
-    safe for concurrent reads.
+    (which matters for support-based sensitivity bounds) and is kept.
+    Duplicate support values are always an error, never merged silently.
+    Instances are immutable and safe for concurrent reads.
     """
 
     support: np.ndarray
@@ -141,18 +140,6 @@ class DiscreteDistribution:
 
     def __len__(self) -> int:
         return int(self.support.size)
-
-    def cdf(self, x: float) -> float:
-        """Right-continuous cumulative mass: sum of mass at support <= x."""
-        k = int(np.searchsorted(self.support, x, side="right"))
-        return float(self.mass[:k].sum())
-
-    def prune(self) -> "DiscreteDistribution":
-        """Drop zero-mass atoms, leaving the strictly positive support."""
-        keep = self.mass > 0
-        if keep.all():
-            return self
-        return DiscreteDistribution(self.support[keep], self.mass[keep])
 
     def to_json_dict(self) -> dict:
         return {"support": self.support.tolist(), "mass": self.mass.tolist()}

@@ -64,6 +64,17 @@ def _check_epsilon(epsilon: float) -> None:
         raise ValidationError(f"epsilon must be finite and > 0, got {epsilon!r}")
 
 
+def _pairs_and_epsilon(
+    pairs: Sequence[DiscriminativePair], epsilon: float
+) -> list[DiscriminativePair]:
+    """``pairs`` as a list, once it holds a pair and ``epsilon`` is finite and > 0."""
+    pairs = list(pairs)
+    if not pairs:
+        raise ValidationError("at least one discriminative pair is required")
+    _check_epsilon(epsilon)
+    return pairs
+
+
 def _check_sensitivity(sensitivity: float) -> None:
     if not 0 <= sensitivity < math.inf:
         raise ValidationError(f"sensitivity must be finite and >= 0, got {sensitivity!r}")
@@ -143,7 +154,6 @@ class PrivacyReport:
     theta: float
     variance: float
     pairs: tuple[PairCalibration, ...]
-    verification: dict | None = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -161,7 +171,6 @@ class PrivacyReport:
                 }
                 for rec in self.pairs
             ],
-            "verification": self.verification,
         }
 
 
@@ -540,10 +549,7 @@ def calibrate_pufferfish(
     """
     if method not in METHODS:
         raise ValidationError(f"unknown method {method!r}; expected one of {sorted(METHODS)}")
-    pairs = list(pairs)
-    if not pairs:
-        raise ValidationError("at least one discriminative pair is required")
-    _check_epsilon(epsilon)
+    pairs = _pairs_and_epsilon(pairs, epsilon)
     gaussian = method in _GAUSSIAN_METHODS
     if gaussian and delta is None:
         raise ValidationError(f"method {method!r} requires delta")

@@ -2,27 +2,31 @@
 
 The output density under each secret is the noise density convolved with
 the conditional data distribution; verification bounds the absolute
-log-ratio of the two output densities.
+log-ratio of the two output densities. Both certificates take each pair's
+figures (worst log-ratio, its argmax, the grid and a note) from one
+per-pair evaluation: the log-ratio check passes a pair on them, and the
+Gaussian delta check reports them and decides on the noise tail mass.
 
 For Laplace noise the check is exact: between neighbouring positive-mass
 support points the ratio is a Moebius function of exp(2y/theta), hence
 monotone, and outside their hull it is constant, so its supremum over y is
-attained at a support point. Only those points are evaluated, in O(n + m).
-Pairs with the same number of points are swept together, in chunks of a
-fixed element budget, each to the bits a sweep of that pair alone gives.
-For Gaussian noise the ratio's maximum is taken over a grid reaching
-10 theta past the support hull at a step h = theta / 50. Its slope is
-(E_p[X|y] - E_q[X|y]) / theta^2 by Tweedie's formula, so between grid
-points it can exceed the grid by at most span h / (2 theta^2), and its
-limits as y -> +-inf are exact. The maximum is found without evaluating
-every grid point: a coarse pass evaluates the densities and both
-posterior means at every 16th point; the posterior means are
-nondecreasing, which bounds the ratio on each cell between coarse points
-from its two ends; and only the cells whose bound, plus a rounding
-margin, reaches the coarse maximum are evaluated in full. The maximum
-and its first grid index are those of an all-points pass. One gap is
-open: beyond the grid the ratio may overshoot its limit before it
-settles, and nothing bounds that overshoot.
+attained at a support point. Only those points are evaluated, in O(n + m),
+by prefix sweeps rather than from the density. Pairs with the same number
+of points are swept together, in chunks of a fixed element budget, each to
+the bits a sweep of that pair alone gives.
+For Gaussian noise, the only family :func:`log_output_density` takes, the
+ratio's maximum is taken over a grid reaching 10 theta past the support
+hull at a step h = theta / 50. Its slope is (E_p[X|y] - E_q[X|y]) /
+theta^2 by Tweedie's formula, so between grid points it can exceed the
+grid by at most span h / (2 theta^2), and its limits as y -> +-inf are
+exact. The maximum is found without evaluating every grid point: a coarse
+pass evaluates the densities and both posterior means at every 16th
+point; the posterior means are nondecreasing, which bounds the ratio on
+each cell between coarse points from its two ends; and only the cells
+whose bound, plus a rounding margin, reaches the coarse maximum are
+evaluated in full. The maximum and its first grid index are those of an
+all-points pass. One gap is open: beyond the grid the ratio may overshoot
+its limit before it settles, and nothing bounds that overshoot.
 
 Reports are strict JSON: an infinite figure is written as "inf" or "-inf",
 and a figure that was not evaluated (a grid over its cap) as null.
@@ -38,7 +42,7 @@ import numpy as np
 
 from .distributions import DiscreteDistribution
 from .errors import ValidationError
-from .mechanisms import MechanismSpec, _check_delta, _check_epsilon
+from .mechanisms import MechanismSpec, _check_delta, _pairs_and_epsilon
 from .pairs import DiscriminativePair
 from .transport import optimal_plan, plan_sensitivity
 
@@ -111,62 +115,55 @@ class VerificationReport:
         }
 
 
-def _log_noise_density(spec: MechanismSpec, z: np.ndarray) -> np.ndarray:
-    """log of the noise density at each displacement, computed in place in ``z``."""
-    if spec.theta <= 0:
-        raise ValidationError("noise density requires theta > 0 (theta = 0 is atomic)")
-    if spec.family == "laplace":
-        np.abs(z, out=z)
-        z /= spec.theta
-        return np.subtract(-math.log(2.0 * spec.theta), z, out=z)
-    z /= spec.theta
-    np.square(z, out=z)
-    z *= 0.5
-    return np.subtract(-0.5 * math.log(2.0 * math.pi) - math.log(spec.theta), z, out=z)
-
-
 def log_output_density(
     dist: DiscreteDistribution, spec: MechanismSpec, ys: Sequence[float]
 ) -> np.ndarray:
-    """log of the noised output density at each y, via log-sum-exp.
+    """log of the Gaussian-noised output density at each y, via log-sum-exp.
 
     The (y, atom) terms are evaluated in blocks of rows holding about
     _BLOCK_ELEMENTS terms, so memory is O(len(ys) + block) whatever the
     atom count. Each row's max and sum do not depend on the rows beside
     it, so the result is the same as one pass over the whole grid.
+    Laplace noise needs no density here: its certificate is exact at the
+    support points (:func:`_laplace_log_ratios`).
     """
     return _log_density_and_mean(dist, spec, ys)[0]
 
 
 def _log_density_and_mean(
-    dist: DiscreteDistribution, spec: MechanismSpec, ys: Sequence[float], with_mean: bool = False
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """:func:`log_output_density`'s blocked loop; ``with_mean`` adds E[X | y] at each y.
+    dist: DiscreteDistribution, spec: MechanismSpec, ys: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`log_output_density`'s blocked loop, with E[X | y] at each y.
 
     The posterior mean is the block's weights summed against the atoms,
     over the same sum the log density takes its log of.
     """
+    if spec.family != "gaussian" or spec.theta <= 0:
+        raise ValidationError(f"the output density is Gaussian-only with theta > 0, got {spec!r}")
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     keep = dist.mass > 0
     xs = dist.support[keep]
     log_mass = np.log(dist.mass[keep])
+    log_normaliser = -0.5 * math.log(2.0 * math.pi) - math.log(spec.theta)
     rows = max(1, _BLOCK_ELEMENTS // xs.size)
     buf = np.empty((min(rows, ys.size), xs.size))
     out = np.empty(ys.size)
-    mean = np.empty(ys.size) if with_mean else None
+    mean = np.empty(ys.size)
     for start in range(0, ys.size, rows):
         block = ys[start : start + rows]
         stop = start + block.size
         terms = np.subtract(block[:, None], xs[None, :], out=buf[: block.size])
-        _log_noise_density(spec, terms)
+        terms /= spec.theta
+        np.square(terms, out=terms)
+        terms *= 0.5
+        np.subtract(log_normaliser, terms, out=terms)
         terms += log_mass
         peak = terms.max(axis=1)
         terms -= peak[:, None]
         np.exp(terms, out=terms)
         total = terms.sum(axis=1)
         out[start:stop] = peak + np.log(total)
-        if mean is not None:
-            mean[start:stop] = terms @ xs / total
+        mean[start:stop] = terms @ xs / total
     return out, mean
 
 
@@ -284,7 +281,7 @@ def _grid_maximum(
     theta = spec.theta
     coarse = np.minimum(np.arange(0, ys.size + _COARSE_STRIDE - 1, _COARSE_STRIDE), ys.size - 1)
     (l_p, mean_p), (l_q, mean_q) = (
-        _log_density_and_mean(d, spec, ys[coarse], with_mean=True) for d in (pair.p, pair.q)
+        _log_density_and_mean(d, spec, ys[coarse]) for d in (pair.p, pair.q)
     )
     r = l_p - l_q
     ratio = np.abs(r)
@@ -407,6 +404,46 @@ def _laplace_log_ratios(pairs: Sequence[DiscriminativePair], theta: float):
                 yield index, pair_points, pair_ratios
 
 
+def _pair_log_ratio(
+    pair: DiscriminativePair, spec: MechanismSpec, exact: tuple[float, float, int] | None = None
+) -> tuple[float | None, float | None, tuple[float, float, float] | None, str, float]:
+    """One pair's figures (worst, argmax_y, grid, note) and the bound its log-ratio check tests.
+
+    ``exact`` is a Laplace pair's (worst, argmax_y, point count) from the
+    :func:`_laplace_log_ratios` sweep. At theta = 0 the release is the
+    data: the worst is 0 for identical conditionals and inf otherwise. A
+    Gaussian pair's bound is the largest of both limits and its grid
+    maximum plus the Lipschitz slack; over the cap it is inf.
+    """
+    if spec.theta == 0:
+        worst = 0.0 if _identical(pair.p, pair.q) else math.inf
+        note = (
+            "theta = 0: identical conditionals compared exactly"
+            if worst == 0
+            else "theta = 0 releases the data unchanged while the conditionals differ"
+        )
+        return worst, None, None, note, worst
+    if spec.family == "laplace":
+        worst, argmax_y, points = exact
+        note = (
+            f"laplace: exact, evaluated at the {points} positive-mass support "
+            "points, where the log-ratio attains its supremum"
+        )
+        return worst, argmax_y, None, note, worst
+    ev = _gaussian_grid(pair, spec)
+    bound = ev.grid_max + ev.slack if ev.worst is None else max(ev.worst, ev.grid_max + ev.slack)
+    return ev.worst, ev.argmax_y, ev.grid, ev.note, bound
+
+
+def _report(
+    kind: str, spec: MechanismSpec, epsilon: float, checks: list, delta: float | None = None
+) -> VerificationReport:
+    passed = all(check.passed for check in checks)
+    return VerificationReport(
+        kind, spec.family, spec.theta, epsilon, VERIFY_TOL, passed, tuple(checks), delta
+    )
+
+
 def verify_pufferfish(
     pairs: Sequence[DiscriminativePair],
     spec: MechanismSpec,
@@ -422,10 +459,7 @@ def verify_pufferfish(
     the support hull, where it may overshoot its limit unchecked. A pair
     whose grid would exceed MAX_GRID_POINTS fails without being evaluated.
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValidationError("at least one discriminative pair is required")
-    _check_epsilon(epsilon)
+    pairs = _pairs_and_epsilon(pairs, epsilon)
     laplace = [None] * len(pairs)
     if spec.theta > 0 and spec.family == "laplace":
         for index, ys, ratios in _laplace_log_ratios(pairs, spec.theta):
@@ -433,47 +467,9 @@ def verify_pufferfish(
             laplace[index] = (float(ratios[k]), float(ys[k]), ys.size)
     checks = []
     for pair, exact in zip(pairs, laplace):
-        if spec.theta == 0:
-            same = _identical(pair.p, pair.q)
-            worst, argmax_y, grid = (0.0 if same else math.inf), None, None
-            note = (
-                "theta = 0: identical conditionals compared exactly"
-                if same
-                else "theta = 0 releases the data unchanged while the conditionals differ"
-            )
-            bound = worst
-        elif spec.family == "laplace":
-            worst, argmax_y, points = exact
-            grid = None
-            note = (
-                f"laplace: exact, evaluated at the {points} positive-mass support "
-                "points, where the log-ratio attains its supremum"
-            )
-            bound = worst
-        else:
-            ev = _gaussian_grid(pair, spec)
-            worst, argmax_y, grid, note = ev.worst, ev.argmax_y, ev.grid, ev.note
-            # over the cap worst is None and grid_max inf: the pair fails closed
-            bound = ev.grid_max + ev.slack if worst is None else max(worst, ev.grid_max + ev.slack)
-        checks.append(
-            PairCheck(
-                labels=pair.labels,
-                passed=bound <= epsilon + VERIFY_TOL,
-                worst_log_ratio=worst,
-                argmax_y=argmax_y,
-                grid=grid,
-                note=note,
-            )
-        )
-    return VerificationReport(
-        kind="log-ratio",
-        family=spec.family,
-        theta=spec.theta,
-        epsilon=epsilon,
-        tolerance=VERIFY_TOL,
-        passed=all(check.passed for check in checks),
-        checks=tuple(checks),
-    )
+        *figures, bound = _pair_log_ratio(pair, spec, exact)
+        checks.append(PairCheck(pair.labels, bound <= epsilon + VERIFY_TOL, *figures))
+    return _report("log-ratio", spec, epsilon, checks)
 
 
 def gaussian_violation_mass(theta: float, epsilon: float, sensitivity: float) -> float:
@@ -503,47 +499,21 @@ def verify_delta_approx(
     """Check the Gaussian delta-approximate guarantee on every pair.
 
     A pair passes when the probability that the noise lands where the
-    log-ratio bound can fail is at most delta, and on nothing else. The
-    Gaussian grid of :func:`verify_pufferfish` only reports the log-ratio
-    figures; over MAX_GRID_POINTS it is not evaluated, and the note says so.
+    log-ratio bound can fail is at most delta, and on nothing else. Its
+    other figures and its note are those of :func:`verify_pufferfish`,
+    behind a note that names the pass criterion; over MAX_GRID_POINTS the
+    grid is not evaluated, and the note says so.
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValidationError("at least one discriminative pair is required")
+    pairs = _pairs_and_epsilon(pairs, epsilon)
     if spec.family != "gaussian":
         raise ValidationError(f"the delta-approximation check is Gaussian-only, got {spec.family!r}")
-    _check_epsilon(epsilon)
     _check_delta(delta)
     checks = []
     for pair in pairs:
-        sens = plan_sensitivity(optimal_plan(pair.p, pair.q))
-        mass = gaussian_violation_mass(spec.theta, epsilon, sens)
-        note = "pass criterion is the noise tail mass"
-        grid_desc = argmax_y = None
-        if spec.theta == 0:
-            worst = 0.0 if _identical(pair.p, pair.q) else math.inf
-        else:
-            ev = _gaussian_grid(pair, spec)
-            grid_desc, worst, argmax_y = ev.grid, ev.worst, ev.argmax_y
-            note = f"{note}; {ev.note}"
-        checks.append(
-            PairCheck(
-                labels=pair.labels,
-                passed=mass <= delta,
-                worst_log_ratio=worst,
-                argmax_y=argmax_y,
-                grid=grid_desc,
-                violation_mass=mass,
-                note=note,
-            )
+        mass = gaussian_violation_mass(
+            spec.theta, epsilon, plan_sensitivity(optimal_plan(pair.p, pair.q))
         )
-    return VerificationReport(
-        kind="delta-tail",
-        family=spec.family,
-        theta=spec.theta,
-        epsilon=epsilon,
-        tolerance=VERIFY_TOL,
-        passed=all(check.passed for check in checks),
-        checks=tuple(checks),
-        delta=delta,
-    )
+        worst, argmax_y, grid, note, _ = _pair_log_ratio(pair, spec)
+        note = f"pass criterion is the noise tail mass; {note}"
+        checks.append(PairCheck(pair.labels, mass <= delta, worst, argmax_y, grid, note, mass))
+    return _report("delta-tail", spec, epsilon, checks, delta)

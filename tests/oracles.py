@@ -2,18 +2,19 @@
 
 Everything here deliberately avoids the code paths under test: transport
 cost comes from a linear program, probability laws from exhaustive
-enumeration, W1 from the CDF-difference identity, tail masses from
-scipy's normal distribution, the Theorem-2 scale from one bracket and
-bisection per moment equation, the Laplace log-ratio from an O(n m)
-log-sum-exp (and, to pin the batched certificate's bits, from the sweep
-kernel run one pair at a time), the noised output density from one
-unblocked (y, atom) matrix, the Gaussian grid's maximum from the density
-at every grid point, scenario conditionals from one dict-merged
-pushforward and one freshly scattered grid (or one pairwise merge scan)
-per user, CSV tallies from ``csv.DictReader`` rows, released tables from
+enumeration, W1 from the CDF-difference identity (each CDF its own
+cumulative sum), tail masses from scipy's normal distribution, the
+Theorem-2 scale from one bracket and bisection per moment equation, the
+Laplace log-ratio from an O(n m) log-sum-exp (and, to pin the batched
+certificate's bits, from the sweep kernel run one pair at a time), the
+Gaussian-noised output density from one unblocked (y, atom) matrix and
+from a per-atom sum, the Gaussian grid's maximum from the density at
+every grid point, scenario conditionals from one dict-merged pushforward
+and one freshly scattered grid (or one pairwise merge scan) per user,
+CSV tallies from ``csv.DictReader`` rows, released tables from
 whole-table ``csv.reader`` rows stripped cell by cell and one
-``csv.writer``, and the comonotone plan from a sweep on numpy scalars and
-from a sweep that writes each remainder back into its list.
+``csv.writer``, and the comonotone plan from a sweep on numpy scalars
+and from a sweep that writes each remainder back into its list.
 """
 
 from __future__ import annotations
@@ -52,8 +53,11 @@ def lp_transport_cost(p, q) -> float:
 def cdf_area_w1(p, q) -> float:
     """W1 for d = |z| as the area between the two CDFs."""
     grid = np.unique(np.concatenate([p.support, q.support]))
-    fp = np.array([p.cdf(x) for x in grid])
-    fq = np.array([q.cdf(x) for x in grid])
+    # each CDF at the grid points: the cumulative mass of the atoms at or below each
+    fp, fq = (
+        np.concatenate([[0.0], np.cumsum(d.mass)])[np.searchsorted(d.support, grid, side="right")]
+        for d in (p, q)
+    )
     return float(np.sum(np.abs(fp[:-1] - fq[:-1]) * np.diff(grid)))
 
 
@@ -84,11 +88,11 @@ def brute_force_counting_conditional(ps, user=None, value=None) -> dict[int, flo
     return {k: v / total for k, v in pmf.items()}
 
 
-def laplace_mixture_density(dist, theta: float, y: float) -> float:
-    """Direct floating-point summation of the noised output density."""
+def gaussian_mixture_density(dist, theta: float, y: float) -> float:
+    """Direct floating-point summation of the Gaussian-noised output density."""
     dens = 0.0
     for x, m in zip(dist.support, dist.mass):
-        dens += m / (2.0 * theta) * np.exp(-abs(y - x) / theta)
+        dens += m / (math.sqrt(2.0 * math.pi) * theta) * math.exp(-0.5 * ((y - x) / theta) ** 2)
     return float(dens)
 
 
@@ -201,16 +205,13 @@ def _merge_close_scan(values, mass):
 
 
 def unblocked_log_output_density(dist, spec, ys) -> np.ndarray:
-    """log of the noised output density with every (y, atom) term in one matrix."""
+    """log of the Gaussian-noised output density with every (y, atom) term in one matrix."""
     ys = np.atleast_1d(np.asarray(ys, dtype=float))
     keep = dist.mass > 0
     xs = dist.support[keep]
     log_mass = np.log(dist.mass[keep])
     z = ys[:, None] - xs[None, :]
-    if spec.family == "laplace":
-        noise = -math.log(2.0 * spec.theta) - np.abs(z) / spec.theta
-    else:
-        noise = -0.5 * math.log(2.0 * math.pi) - math.log(spec.theta) - 0.5 * (z / spec.theta) ** 2
+    noise = -0.5 * math.log(2.0 * math.pi) - math.log(spec.theta) - 0.5 * (z / spec.theta) ** 2
     terms = noise + log_mass[None, :]
     peak = terms.max(axis=1)
     return peak + np.log(np.exp(terms - peak[:, None]).sum(axis=1))

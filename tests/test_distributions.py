@@ -142,36 +142,6 @@ class TestConstructorInvariants:
             dist.mass[0] = 0.9
 
 
-class TestCdf:
-    def test_worked_example_midpoint(self):
-        dist = DiscreteDistribution.from_weights(EXAMPLE1["support"], EXAMPLE1["p"])
-        assert math.isclose(dist.cdf(2), 0.5, abs_tol=1e-12)
-
-    def test_total_mass_at_max_support(self):
-        dist = DiscreteDistribution.from_weights([1, 5, 9], [2, 3, 4])
-        assert math.isclose(dist.cdf(9), 1.0, abs_tol=1e-12)
-
-    def test_partial_sum_oracle(self):
-        dist = DiscreteDistribution.from_weights(EXAMPLE1["support"], EXAMPLE1["q"])
-        assert math.isclose(dist.cdf(3), 1 / 4 + 1 / 4 + 1 / 6, abs_tol=1e-12)
-
-    def test_zero_below_support(self):
-        dist = DiscreteDistribution.from_weights([1, 2], [1, 1])
-        assert dist.cdf(0.999) == 0.0
-
-    def test_right_continuity(self):
-        dist = DiscreteDistribution.from_weights([0, 1], [1, 1])
-        assert dist.cdf(0) == 0.5
-        assert dist.cdf(0.5) == 0.5
-
-    @given(dist_strategy(), st.lists(st.floats(-60, 60), min_size=2, max_size=10))
-    @settings(max_examples=60, deadline=None)
-    def test_monotone(self, raw, xs):
-        dist = DiscreteDistribution.from_weights(*raw)
-        values = [dist.cdf(x) for x in sorted(xs)]
-        assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
-
-
 class TestPoissonBinomial:
     def test_homogeneous_matches_published_series(self):
         dist = poisson_binomial([0.7] * 25)
@@ -215,18 +185,6 @@ class TestPoissonBinomial:
     def test_probability_out_of_range(self):
         with pytest.raises(ValidationError, match=r"p_values\[1\]"):
             poisson_binomial([0.5, 1.2])
-
-
-class TestPrune:
-    def test_removes_zero_atoms(self):
-        dist = DiscreteDistribution([0, 1, 2], [0.5, 0.0, 0.5])
-        pruned = dist.prune()
-        assert pruned.support.tolist() == [0.0, 2.0]
-        assert pruned.mass.tolist() == [0.5, 0.5]
-
-    def test_noop_returns_self(self):
-        dist = DiscreteDistribution.from_weights([1, 2], [1, 1])
-        assert dist.prune() is dist
 
 
 class TestJson:

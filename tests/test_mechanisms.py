@@ -647,9 +647,7 @@ class TestCalibratePufferfish:
     def test_json_fields(self, example1_pair):
         report = calibrate_pufferfish([example1_pair], epsilon=1.0)
         payload = report.to_json_dict()
-        assert set(payload) == {
-            "method", "epsilon", "delta", "theta", "variance", "pairs", "verification",
-        }
+        assert set(payload) == {"method", "epsilon", "delta", "theta", "variance", "pairs"}
         assert payload["pairs"][0]["sensitivity"] == 1.0
 
     @pytest.mark.parametrize(

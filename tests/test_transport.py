@@ -152,7 +152,8 @@ class TestSupportSensitivity:
         p = DiscreteDistribution([0, 10], [1.0, 0.0])
         q = DiscreteDistribution([0, 10], [0.0, 1.0])
         assert support_sensitivity(p, q) == 10.0
-        assert support_sensitivity(p, p.prune()) == 0.0
+        # p against its positive-mass atoms alone: the empty atom at 10 does not count
+        assert support_sensitivity(p, DiscreteDistribution(p.support[:1], p.mass[:1])) == 0.0
 
 
 class TestOracleAgreement:

@@ -29,7 +29,7 @@ from pufferot.tabular import load_conditionals_json
 from oracles import (
     all_points_grid_maximum,
     direct_laplace_log_ratio,
-    laplace_mixture_density,
+    gaussian_mixture_density,
     normal_two_sided_tail,
     per_pair_laplace_log_ratio,
     unblocked_log_output_density,
@@ -51,27 +51,28 @@ def dirac(x):
 
 
 class TestOutputDensity:
-    def test_laplace_peak_at_atom(self):
-        got = verify.log_output_density(dirac(0), laplace_spec(1.0), [0.0])
-        assert got[0] == pytest.approx(math.log(0.5))
-
     def test_gaussian_peak_at_atom(self):
         expected = -0.5 * math.log(2.0 * math.pi)
         got = verify.log_output_density(dirac(0), gaussian_spec(1.0), [0.0])
         assert got[0] == pytest.approx(expected, abs=1e-12)
 
     def test_matches_direct_summation(self, example1_pair):
-        spec = laplace_spec(1.0)
+        spec = gaussian_spec(1.0)
         ys = [-2.0, 0.0, 2.0, 2.5, 4.0, 9.0]
         got = np.exp(verify.log_output_density(example1_pair.p, spec, ys))
         for y, density in zip(ys, got):
             assert density == pytest.approx(
-                laplace_mixture_density(example1_pair.p, 1.0, y), abs=1e-10
+                gaussian_mixture_density(example1_pair.p, 1.0, y), rel=1e-12, abs=1e-300
             )
 
     def test_atomic_scale_rejected(self):
         with pytest.raises(ValidationError, match="theta"):
-            verify.log_output_density(dirac(0), laplace_spec(0.0), [0.0])
+            verify.log_output_density(dirac(0), gaussian_spec(0.0), [0.0])
+
+    def test_laplace_spec_rejected(self):
+        # the Laplace certificate sweeps the support points and needs no density
+        with pytest.raises(ValidationError, match="Gaussian-only"):
+            verify.log_output_density(dirac(0), laplace_spec(1.0), [0.0])
 
 
 class TestVerifyPufferfish:
@@ -463,6 +464,26 @@ class TestDeltaDecisionRule:
         assert "needs up to 10,321,348 points" in entry["note"]
 
 
+class TestOneLogRatioPath:
+    """The delta check reports each pair's log-ratio figures, behind its pass criterion."""
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-170, 0.4, 4.85, 60.0])
+    def test_delta_checks_carry_the_log_ratio_figures(self, theta):
+        # theta = 0 compares the conditionals, 1e-170 puts every grid over the cap
+        pairs = suite_pairs() + mixed_batch(np.random.default_rng(27), 12)
+        spec = gaussian_spec(theta)
+        ratio = verify_pufferfish(pairs, spec, epsilon=1.0)
+        tail = verify_delta_approx(pairs, spec, 1.0, 1e-5)
+        assert len(tail.checks) == len(ratio.checks) == len(pairs)
+        for pair, r, d in zip(pairs, ratio.checks, tail.checks):
+            assert r.labels == d.labels == pair.labels
+            assert (d.worst_log_ratio, d.argmax_y, d.grid) == (
+                r.worst_log_ratio, r.argmax_y, r.grid
+            )
+            assert d.note == "pass criterion is the noise tail mass; " + r.note
+            assert r.violation_mass is None and d.violation_mass is not None
+
+
 def seeded_dist(rng, atoms):
     """Atoms on a wide grid, about 30 % of them with zero mass."""
     support = np.sort(rng.choice(50 * atoms + 10, size=atoms, replace=False)) / 3.0 - 40.0
@@ -473,12 +494,11 @@ def seeded_dist(rng, atoms):
 
 class TestBlockedDensity:
     @pytest.mark.parametrize("atoms", [1, 2, 7, 100, 333, 2000])
-    @pytest.mark.parametrize("family", ["gaussian", "laplace"])
-    def test_equals_the_unblocked_oracle(self, atoms, family):
+    def test_equals_the_unblocked_oracle(self, atoms):
         rng = np.random.default_rng(atoms)
         for _ in range(3):
             dist = seeded_dist(rng, atoms)
-            spec = MechanismSpec(family=family, theta=10.0 ** rng.uniform(-1, 2), epsilon=1.0)
+            spec = gaussian_spec(10.0 ** rng.uniform(-1, 2))
             rows = max(1, verify._BLOCK_ELEMENTS // int(np.count_nonzero(dist.mass > 0)))
             for size in sorted({1, max(1, rows - 1), rows, rows + 1, 2 * rows + 3}):
                 ys = rng.uniform(-200.0, 200.0 + 20.0 * atoms, size)
@@ -630,9 +650,9 @@ class TestCoarseGridMaximum:
         evaluated, grids = [], []
         density, maximum = verify._log_density_and_mean, verify._grid_maximum
 
-        def counted_density(dist, spec, ys, with_mean=False):
+        def counted_density(dist, spec, ys):
             evaluated.append(np.atleast_1d(ys).size)
-            return density(dist, spec, ys, with_mean)
+            return density(dist, spec, ys)
 
         def counted_maximum(pair, spec, ys):
             grids.append(ys.size)
