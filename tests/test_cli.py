@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import inspect
@@ -18,6 +19,7 @@ import pytest
 from pufferot import (
     AttributeMapping, MechanismSpec, NumericError, ValidationError, cli, load_table,
 )
+from pufferot.mechanisms import FAMILIES, METHODS
 
 from oracles import dictreader_load_table, stripping_release
 
@@ -183,6 +185,16 @@ class TestCalibrate:
         assert payload["pairs"][0]["labels"] == ["A", "B"]
         assert payload["pairs"][0]["prior"] == "survey"
         assert payload["theta"] == 2.0  # mass moves between indices 1 and 3
+
+    @pytest.mark.parametrize("method,delta", [("theorem1", []), ("gaussian-a", ["--delta", "1e-5"])])
+    def test_report_keys(self, pairs_file, tmp_path, method, delta):
+        out = tmp_path / "report.json"
+        code = cli.main([
+            "calibrate", "--pairs", pairs_file, "--epsilon", "1.0",
+            "--method", method, *delta, "--out", str(out),
+        ])
+        assert code == 0
+        assert set(read_json(out)) == {"method", "epsilon", "delta", "theta", "variance", "pairs"}
 
     def test_pairs_and_table_are_exclusive(self, pairs_file, tmp_path):
         code = cli.main([
@@ -1376,6 +1388,21 @@ def readme_commands():
     block = section.split("```sh\n", 1)[1].split("```", 1)[0]
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(line, comments=True) for line in lines if line.startswith("pufferot ")]
+
+
+class TestChoices:
+    """The method and family lists are mechanisms' own, in their order."""
+
+    @pytest.mark.parametrize(
+        "command,flag,names",
+        [("calibrate", "--method", tuple(METHODS)), ("release", "--family", FAMILIES),
+         ("verify", "--family", FAMILIES)],
+    )
+    def test_choices_come_from_mechanisms(self, command, flag, names):
+        parser = cli.build_parser()
+        (sub,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        (action,) = (a for a in sub.choices[command]._actions if flag in a.option_strings)
+        assert tuple(action.choices) == names
 
 
 class TestReadmeCommands:

@@ -270,6 +270,27 @@ class TestLaplaceExactness:
                 check.worst_log_ratio, rel=1e-9, abs=1e-9
             )
 
+    @pytest.mark.parametrize("atoms", [1, 2, 7, 100, 333, 2000])
+    def test_seeded_atoms_match_direct_log_sum_exp(self, atoms):
+        rng = np.random.default_rng(atoms)
+        for _ in range(3):
+            pair = DiscriminativePair(
+                labels=("a", "b"), p=seeded_dist(rng, atoms), q=seeded_dist(rng, atoms)
+            )
+            theta = 10.0 ** rng.uniform(-1, 2)
+            check = verify_pufferfish([pair], laplace_spec(theta), epsilon=1.0).checks[0]
+            ys = np.union1d(pair.p.support[pair.p.mass > 0], pair.q.support[pair.q.mass > 0])
+            # the oracle's (y, atom) matrix taken 500 rows at a time
+            direct = np.concatenate([
+                direct_laplace_log_ratio(pair.p, pair.q, theta, ys[k : k + 500])
+                for k in range(0, ys.size, 500)
+            ])
+            assert f"the {ys.size} positive-mass" in check.note
+            assert check.worst_log_ratio == pytest.approx(direct.max(), rel=1e-9, abs=1e-9)
+            assert direct[ys == check.argmax_y][0] == pytest.approx(
+                check.worst_log_ratio, rel=1e-9, abs=1e-9
+            )
+
     def test_dense_grid_never_beats_support_points(self):
         rng = np.random.default_rng(20261)
         for _ in range(300):
@@ -403,6 +424,10 @@ class TestVerifyDeltaApprox:
         report = verify_delta_approx([pair], gaussian_spec(1.0), 1.0, 1e-5)
         assert report.checks[0].violation_mass == 0.0
         assert report.passed
+
+    def test_empty_pairs_rejected(self):
+        with pytest.raises(ValidationError, match="at least one"):
+            verify_delta_approx([], gaussian_spec(1.0), 1.0, 1e-5)
 
     def test_laplace_rejected(self, example1_pair):
         with pytest.raises(ValidationError, match="Gaussian-only"):
