@@ -31,8 +31,7 @@ from .errors import NumericError, ValidationError
 from .mechanisms import FAMILIES, METHODS, MechanismSpec, calibrate_pufferfish
 from .mechanisms import release as release_values
 from .pairs import DiscriminativePair
-from .tabular import (  # _BLOCK_ROWS: ``release`` noises and writes this many rows at a time
-    _BLOCK_ROWS,
+from .tabular import (
     AttributeMapping,
     adult_education_pair,
     empirical_conditionals,

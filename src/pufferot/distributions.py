@@ -44,6 +44,22 @@ def _as_vector(values: Sequence[float], name: str) -> np.ndarray:
     return arr
 
 
+def _support_and_weights(support, weights, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """``support`` and ``weights`` as float vectors of one length; ``name`` names the weights.
+
+    Negative weights are rejected.
+    """
+    sup = _as_vector(support, "support")
+    w = _as_vector(weights, name)
+    if sup.size != w.size:
+        raise ValidationError(f"support and {name} lengths differ: {sup.size} != {w.size}")
+    neg = np.flatnonzero(w < 0)
+    if neg.size:
+        i = int(neg[0])
+        raise ValidationError(f"{name}[{i}] is negative: {float(w[i])!r}")
+    return sup, w
+
+
 def _check_total(mass: np.ndarray) -> None:
     total = float(mass.sum())
     if abs(total - 1.0) > MASS_TOL:
@@ -64,12 +80,7 @@ class DiscreteDistribution:
     mass: np.ndarray
 
     def __post_init__(self) -> None:
-        support = _as_vector(self.support, "support")
-        mass = _as_vector(self.mass, "mass")
-        if support.size != mass.size:
-            raise ValidationError(
-                f"support and mass lengths differ: {support.size} != {mass.size}"
-            )
+        support, mass = _support_and_weights(self.support, self.mass, "mass")
         # compared, not subtracted: a step past the float range would overflow
         bad = np.flatnonzero(support[1:] <= support[:-1])
         if bad.size:
@@ -78,10 +89,6 @@ class DiscreteDistribution:
                 f"support must be strictly increasing; support[{i}]={float(support[i])!r} "
                 f"does not exceed support[{i - 1}]={float(support[i - 1])!r}"
             )
-        neg = np.flatnonzero(mass < 0)
-        if neg.size:
-            i = int(neg[0])
-            raise ValidationError(f"mass[{i}] is negative: {float(mass[i])!r}")
         _check_total(mass)
         support.setflags(write=False)
         mass.setflags(write=False)
@@ -97,16 +104,7 @@ class DiscreteDistribution:
         The support is sorted ascending (weights permuted accordingly) and
         the weights are normalized to sum to one.
         """
-        sup = _as_vector(support, "support")
-        w = _as_vector(weights, "weights")
-        if sup.size != w.size:
-            raise ValidationError(
-                f"support and weights lengths differ: {sup.size} != {w.size}"
-            )
-        neg = np.flatnonzero(w < 0)
-        if neg.size:
-            i = int(neg[0])
-            raise ValidationError(f"weights[{i}] is negative: {float(w[i])!r}")
+        sup, w = _support_and_weights(support, weights, "weights")
         order = np.argsort(sup, kind="stable")
         sup = sup[order]
         w = w[order]
@@ -161,18 +159,13 @@ def integer_convolution(factors) -> tuple[int, np.ndarray]:
     Each factor is an ``(offset, pmf)`` pair putting mass ``pmf[k]`` on the
     integer ``offset + k``. The first factor starts the running pmf, and
     the others are convolved into it in the given order with
-    ``np.convolve``; mass that underflows to zero at either end of the
-    running pmf is trimmed, so its ends stay positive. No factors give the
-    point mass at 0; one factor gives that factor's own array, or a slice.
+    ``np.convolve``. No factors give the point mass at 0; one factor gives
+    that factor's own array.
     """
     offset, pmf = 0, None
     for lo, factor in factors:
         pmf = factor if pmf is None else np.convolve(pmf, factor)
         offset += lo
-        if not (pmf[0] > 0 and pmf[-1] > 0):
-            nonzero = np.flatnonzero(pmf > 0)
-            offset += int(nonzero[0])
-            pmf = pmf[nonzero[0] : nonzero[-1] + 1]
     return (0, np.ones(1)) if pmf is None else (offset, pmf)
 
 

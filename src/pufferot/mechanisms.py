@@ -47,6 +47,8 @@ _REPLAY_MARGIN = 1e-11
 #: and group size: 128 float64 unit roundoffs, where seeded sweeps (float64
 #: against long double) stay under 2.
 _REPLAY_NOISE = 2.0**-46
+#: What Theorem 2's root-search errors call the system they solve.
+_EQUATIONS_NAME = "the row and column moment equations"
 
 FAMILIES = ("laplace", "gaussian")
 
@@ -218,64 +220,37 @@ def calibrate_gaussian(
     return _check_scale(theta, sensitivity, epsilon)
 
 
-def _checked(
-    residuals: Callable[[float], np.ndarray], context: str
-) -> Callable[[float], tuple[float, np.ndarray]]:
-    """G = max(``residuals``) with the residuals; failures and a NaN G raised as ``NumericError``.
-
-    A NaN must not compare as "not positive" and steer a bisection to a
-    wrong root.
-    """
-
-    def safe_g(log_theta: float) -> tuple[float, np.ndarray]:
-        try:
-            values = residuals(log_theta)
-            value = float(values.max())
-        except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
-            raise NumericError(
-                f"objective for {context} failed at log(theta)={log_theta!r}: {exc}"
-            ) from exc
-        if math.isnan(value):
-            raise NumericError(f"objective for {context} is NaN at log(theta)={log_theta!r}")
-        return value, values
-
-    return safe_g
-
-
 def _bisect_log_theta(
-    g: Callable[[float], tuple[float, np.ndarray]],
-    context: str,
-    lo_edge: float,
-    hi_edge: float,
+    eqs: _MomentEquations, targets: np.ndarray, lo_edge: float, hi_edge: float
 ) -> float:
-    """theta where the decreasing G (first item of ``g``) turns nonpositive on the log(theta) axis.
+    """theta where the decreasing G of ``_checked_objective`` turns nonpositive in log(theta).
 
     The bracket is grown by repeated doubling of theta (steps of log 2)
     from theta = 1, as far as theta and 1/theta stay floats, and then
     bisected to ROOT_LOG_TOL; theta is exp of the final bracket's
     midpoint. The result depends on nothing but the sign of G at these
     fixed probe points. A probe below ``lo_edge`` is taken as positive and
-    one above ``hi_edge`` as nonpositive without calling ``g``: the caller
+    one above ``hi_edge`` as nonpositive without evaluating G: the caller
     has established G's sign beyond both edges.
     """
     step = math.log(2.0)
     hi = 0.0
-    while hi <= hi_edge and (hi < lo_edge or g(hi)[0] > 0.0):
+    while hi <= hi_edge and (hi < lo_edge or _checked_objective(eqs, targets, hi)[0] > 0.0):
         if hi + step > _LOG_THETA_LIMIT:
             raise NumericError(
-                f"no upper bracket for {context}: g still positive at log(theta)={hi!r}"
+                f"no upper bracket for {_EQUATIONS_NAME}: g still positive at log(theta)={hi!r}"
             )
         hi += step
     lo = 0.0
-    while lo >= lo_edge and (lo > hi_edge or g(lo)[0] <= 0.0):
+    while lo >= lo_edge and (lo > hi_edge or _checked_objective(eqs, targets, lo)[0] <= 0.0):
         if lo - step < -_LOG_THETA_LIMIT:
             raise NumericError(
-                f"no lower bracket for {context}: g still nonpositive at log(theta)={lo!r}"
+                f"no lower bracket for {_EQUATIONS_NAME}: g still nonpositive at log(theta)={lo!r}"
             )
         lo -= step
     for _ in range(_ROOT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if mid < lo_edge or (mid <= hi_edge and g(mid)[0] > 0.0):
+        if mid < lo_edge or (mid <= hi_edge and _checked_objective(eqs, targets, mid)[0] > 0.0):
             lo = mid
         else:
             hi = mid
@@ -317,6 +292,26 @@ def _objective(eqs: _MomentEquations, targets: np.ndarray, a: float) -> np.ndarr
     peak = np.maximum.reduceat(terms, eqs.starts)
     sums = np.add.reduceat(np.exp(terms - peak.repeat(eqs.sizes)), eqs.starts)
     return peak + np.log(sums) - targets
+
+
+def _checked_objective(
+    eqs: _MomentEquations, targets: np.ndarray, log_theta: float
+) -> tuple[float, np.ndarray]:
+    """G at theta = exp(``log_theta``), with every equation's residual (``_objective``).
+
+    Failures and a NaN G are raised as ``NumericError``: a NaN must not
+    compare as "not positive" and steer a bisection to a wrong root.
+    """
+    try:
+        values = _objective(eqs, targets, 1.0 / math.exp(log_theta))
+        value = float(values.max())
+    except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
+        raise NumericError(
+            f"objective for {_EQUATIONS_NAME} failed at log(theta)={log_theta!r}: {exc}"
+        ) from exc
+    if math.isnan(value):
+        raise NumericError(f"objective for {_EQUATIONS_NAME} is NaN at log(theta)={log_theta!r}")
+    return value, values
 
 
 def _log_residual(d: list, log_mass: list, target: float, a: float) -> tuple[float, float]:
@@ -363,13 +358,9 @@ def _newton_root(
 
 
 def _newton_window(
-    eqs: _MomentEquations,
-    targets: np.ndarray,
-    epsilon: float,
-    noise: float,
-    g: Callable[[float], tuple[float, np.ndarray]],
+    eqs: _MomentEquations, targets: np.ndarray, epsilon: float, noise: float
 ) -> tuple[float, float] | None:
-    """The log(theta) window outside which G, the first item of ``g``, has a known sign.
+    """The log(theta) window outside which G, of ``_checked_objective``, has a known sign.
 
     G is convex and increasing in the inverse-scale rate a = 1/theta, and
     the strict rate eps / max d lies at or left of every equation's root.
@@ -412,7 +403,7 @@ def _newton_window(
         # Past the limit, 1/theta or theta is not a float: G is inf x 0 there.
         if not (margin < 1.0 and abs(root) + margin <= _LOG_THETA_LIMIT):
             return None
-        value, values = g(root + margin)
+        value, values = _checked_objective(eqs, targets, root + margin)
         if value < -noise:
             break
         equation = None
@@ -525,10 +516,8 @@ def relaxed_theta(plan: TransportPlan, epsilon: float) -> float:
         )
     if epsilon / eqs.d_max == math.inf:
         _check_scale(0.0, eqs.d_max, epsilon)
-    context = "the row and column moment equations"
-    g = _checked(lambda log_theta: _objective(eqs, targets, 1.0 / math.exp(log_theta)), context)
-    window = _newton_window(eqs, targets, epsilon, noise, g)
-    return _bisect_log_theta(g, context, *(window or (-math.inf, math.inf)))
+    window = _newton_window(eqs, targets, epsilon, noise)
+    return _bisect_log_theta(eqs, targets, *(window or (-math.inf, math.inf)))
 
 
 def calibrate_pufferfish(

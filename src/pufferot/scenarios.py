@@ -15,6 +15,8 @@ and the memo goes with the system.
 
 from __future__ import annotations
 
+import math
+import sys
 import weakref
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -76,13 +78,25 @@ class UserSystem:
                     f"user {user} needs {prior.support.size} outputs, got shape {out.shape}"
                 )
             out.setflags(write=False)
+        sizes = np.array([out.size for out in outputs])
         flat = np.concatenate(outputs)
-        users = np.repeat(np.arange(len(priors)), [out.size for out in outputs])
+        users = np.repeat(np.arange(len(priors)), sizes)
         bad = np.flatnonzero(~np.isfinite(flat))
         if bad.size:
             k = int(bad[0])
             value = float(np.concatenate([prior.support for prior in priors])[k])
             raise ValidationError(f"query output for user {users[k]} at {value!r} is not finite")
+        # Up to rounding, these bound every sum of one output per user and every
+        # difference of two such sums, so the convolutions and pairs stay finite.
+        starts = sizes.cumsum() - sizes
+        with np.errstate(over="ignore"):
+            reach = np.maximum.reduceat(np.abs(flat), starts).sum()
+            spread = (np.maximum.reduceat(flat, starts) - np.minimum.reduceat(flat, starts)).sum()
+        if max(reach, spread) == math.inf:
+            raise ValidationError(
+                "query outputs can sum past the float range: the users' largest |output| "
+                f"values, or their output ranges, add up to more than {sys.float_info.max!r}"
+            )
         mass = np.concatenate([prior.mass for prior in priors])
         object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "outputs", outputs)

@@ -14,7 +14,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, islice, repeat
+from itertools import chain, combinations, islice, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -264,11 +264,7 @@ def enumerate_pairs(
         labels = sorted(conditionals)
         if len(labels) < 2:
             raise ValidationError("need at least two secrets to enumerate pairs")
-        listed = [
-            (labels[i], labels[j])
-            for i in range(len(labels))
-            for j in range(i + 1, len(labels))
-        ]
+        listed = combinations(labels, 2)
     else:
         listed = []
         for entry in pairs:

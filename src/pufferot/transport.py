@@ -32,7 +32,8 @@ class TransportPlan:
     ``rows[k]`` / ``cols[k]`` index into the supports of ``source`` /
     ``target``, the marginals the plan was built from, and every stored
     entry carries strictly positive mass, so the support of the plan is
-    exactly the stored entries.
+    exactly the stored entries. The plan keeps read-only copies of the
+    three arrays, so a later write to the caller's arrays does not reach it.
     """
 
     rows: np.ndarray
@@ -42,9 +43,9 @@ class TransportPlan:
     target: DiscreteDistribution
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=np.intp)
-        cols = np.asarray(self.cols, dtype=np.intp)
-        mass = np.asarray(self.mass, dtype=float)
+        rows = np.array(self.rows, dtype=np.intp)
+        cols = np.array(self.cols, dtype=np.intp)
+        mass = np.array(self.mass, dtype=float)
         if not (rows.size == cols.size == mass.size):
             raise ValidationError("rows, cols and mass must have equal lengths")
         if mass.size == 0:
@@ -60,8 +61,7 @@ class TransportPlan:
             raise ValidationError("row marginals do not reproduce the source distribution")
         if np.abs(col_marg - self.target.mass).max() > MARGINAL_TOL:
             raise ValidationError("column marginals do not reproduce the target distribution")
-        for name in ("rows", "cols", "mass"):
-            arr = {"rows": rows, "cols": cols, "mass": mass}[name]
+        for name, arr in (("rows", rows), ("cols", cols), ("mass", mass)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -130,13 +130,7 @@ def optimal_plan(p: DiscreteDistribution, q: DiscreteDistribution) -> TransportP
             cols.append(j)
             mass.append(b)
             a, b = a - b, 0.0
-    return TransportPlan(
-        rows=np.array(rows, dtype=np.intp),
-        cols=np.array(cols, dtype=np.intp),
-        mass=np.array(mass, dtype=float),
-        source=p,
-        target=q,
-    )
+    return TransportPlan(rows=rows, cols=cols, mass=mass, source=p, target=q)
 
 
 def plan_sensitivity(plan: TransportPlan) -> float:

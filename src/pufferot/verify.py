@@ -386,18 +386,20 @@ def _laplace_log_ratios(pairs: Sequence[DiscriminativePair], theta: float):
                 points[:] = np.union1d(*(d.support[keep] for d, keep in zip(dists, keeps)))
                 for row, d, keep in zip(weights, dists, keeps):
                     row[np.searchsorted(points, d.support[keep])] = np.log(d.mass[keep])
-            # left sweep on ys and right sweep on -ys reversed, in one call
-            sweeps = _decayed_prefix(
-                np.stack([ys, -ys[:, ::-1]], axis=1)[:, :, None, :],
-                np.stack([log_w, log_w[..., ::-1]], axis=1),
-                theta,
-            )
-            left, right = sweeps[:, 0], sweeps[:, 1, :, ::-1]
-            above = np.concatenate(
-                [right[..., 1:] - (np.diff(ys) / theta)[:, None, :],
-                 np.full((len(chunk), 2, 1), -np.inf)],
-                axis=-1,
-            )
+            # A decay that overflows is inf: the far atom then adds nothing.
+            with np.errstate(over="ignore"):
+                # left sweep on ys and right sweep on -ys reversed, in one call
+                sweeps = _decayed_prefix(
+                    np.stack([ys, -ys[:, ::-1]], axis=1)[:, :, None, :],
+                    np.stack([log_w, log_w[..., ::-1]], axis=1),
+                    theta,
+                )
+                left, right = sweeps[:, 0], sweeps[:, 1, :, ::-1]
+                above = np.concatenate(
+                    [right[..., 1:] - (np.diff(ys) / theta)[:, None, :],
+                     np.full((len(chunk), 2, 1), -np.inf)],
+                    axis=-1,
+                )
             log_density = np.logaddexp(left, above)  # up to the common -log(2 theta)
             ratios = np.abs(log_density[:, 0] - log_density[:, 1])
             for index, pair_points, pair_ratios in zip(chunk, ys, ratios):

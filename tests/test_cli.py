@@ -12,12 +12,13 @@ import sys
 import threading
 import tracemalloc
 import typing
+import warnings
 from pathlib import Path
 
 import pytest
 
 from pufferot import (
-    AttributeMapping, MechanismSpec, NumericError, ValidationError, cli, load_table,
+    AttributeMapping, MechanismSpec, NumericError, ValidationError, cli, load_table, tabular,
 )
 from pufferot.mechanisms import FAMILIES, METHODS
 
@@ -368,7 +369,7 @@ class TestRelease:
 
     def test_fifo_table_releases_the_file_bytes(self, tmp_path):
         text = 'id,note,v\n1,"a, b",3\n2, c ,7\n' + "".join(
-            f"{k},n{k},{k % 9}\n" for k in range(3, 3 * cli._BLOCK_ROWS))
+            f"{k},n{k},{k % 9}\n" for k in range(3, 3 * tabular._BLOCK_ROWS))
         table = tmp_path / "t.csv"
         table.write_text(text, encoding="utf-8")
         fifo = tmp_path / "t.fifo"
@@ -394,7 +395,7 @@ class TestRelease:
 
     def test_table_is_opened_once(self, tmp_path, monkeypatch):
         table = tmp_path / "t.csv"
-        table.write_text("id,v\n" + "".join(f"{k},{k}\n" for k in range(2 * cli._BLOCK_ROWS + 1)),
+        table.write_text("id,v\n" + "".join(f"{k},{k}\n" for k in range(2 * tabular._BLOCK_ROWS + 1)),
                          encoding="utf-8")
         opened = []
 
@@ -417,8 +418,8 @@ class TestRelease:
     )
     def test_bad_row_in_a_later_block_leaves_earlier_output(self, tmp_path, capsys, cell,
                                                             message):
-        bad = cli._BLOCK_ROWS + 5  # the header is row 1, so this row is in the second block
-        rows = [f"{k},{k % 7}" for k in range(2, 2 * cli._BLOCK_ROWS)]
+        bad = tabular._BLOCK_ROWS + 5  # the header is row 1, so this row is in the second block
+        rows = [f"{k},{k % 7}" for k in range(2, 2 * tabular._BLOCK_ROWS)]
         rows[bad - 2] = f"{bad}" if cell is None else f"{bad},{cell}"
         table = tmp_path / "t.csv"
         table.write_text("id,v\n" + "\n".join(rows) + "\n", encoding="utf-8")
@@ -1033,6 +1034,26 @@ class TestVerifyCommand:
         assert "needs up to 6.5e+172 points" in entries[0]["note"]
         assert all(len(entry["note"]) < 120 for entry in entries)
 
+    def test_overflowing_laplace_decays_warn_nothing(self, tmp_path, capsys):
+        # (1e10 - 0) / 1e-300 overflows to an infinite decay: the far atom adds nothing
+        pairs = write_json({
+            "prior": "far",
+            "conditionals": {"a": {"support": [0, 1e10], "mass": [0.5, 0.5]},
+                             "b": {"support": [0, 1e10], "mass": [0.25, 0.75]}},
+            "pairs": [["a", "b"]],
+        }, tmp_path / "far.json")
+        out = tmp_path / "verify.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["verify", "--pairs", pairs, "--family", "laplace",
+                             "--theta", "1e-300", "--epsilon", "1", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        payload = read_json(out)
+        assert payload["pass"] is True
+        entry = payload["pairs"][0]
+        assert (entry["worst_log_ratio"], entry["argmax_y"]) == (math.log(2), 0.0)
+
     def test_underflowing_delta_scale_fails_every_pair(self, tmp_path):
         # theta * eps / sensitivity underflows to 0: the whole noise mass violates
         out = tmp_path / "verify.json"
@@ -1150,6 +1171,24 @@ class TestScenarioCommand:
         assert cli.main(["scenario", "--scenario", scen, "--mode", "absence",
                          "--out", str(out)]) == 0
         assert out.read_bytes() == GOLDEN_SCENARIO.read_bytes()
+
+    @pytest.mark.parametrize("scenario", [
+        {"priors": [[1.0]] * 3, "query": [[1e308]] * 3},
+        {"priors": [[0.5, 0.5]] * 2, "query": [[0.5, 1.5e308]] * 2},
+    ])
+    def test_outputs_summing_past_the_float_range(self, tmp_path, capsys, scenario):
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["scenario", "--scenario", write_json(scenario, tmp_path / "s.json"),
+                             "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValidationError"
+        assert error["message"].startswith("query outputs can sum past the float range")
+        assert not out.exists()
 
     def test_inconsistent_user_count(self, tmp_path):
         scen = write_json({"V": 5, "priors": [[0.5, 0.5]], "query": "counting"},
@@ -1373,6 +1412,18 @@ class TestExitDiscipline:
                        "a distance past the float range",
         }
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag,payload,message", [
+        (["calibrate", "--epsilon", "1"], "--pairs", [], "expected a JSON object"),
+        (["scenario"], "--scenario", [], "scenario file must hold a JSON object"),
+        (["scenario"], "--scenario", {"priors": [[0.5, 0.5]], "query": "sum"},
+         "scenario 'query' must be \"counting\" or a list of output lists"),
+    ])
+    def test_input_file_shape_rejected(self, tmp_path, capsys, command, flag, payload, message):
+        path = write_json(payload, tmp_path / "in.json")
+        assert cli.main([*command, flag, path, "--out", str(tmp_path / "o.json")]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValidationError" and message in error["message"]
 
     def test_malformed_json_input(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -125,6 +125,10 @@ class TestConstructorInvariants:
         (lambda: DiscreteDistribution([2, 1], [0.5, 0.5]),
          "support must be strictly increasing; support[1]=1.0 does not exceed support[0]=2.0"),
         (lambda: DiscreteDistribution([1, 2], [-0.1, 1.1]), "mass[0] is negative: -0.1"),
+        (lambda: DiscreteDistribution([1, 2, 3], [0.5, 0.5]),
+         "support and mass lengths differ: 3 != 2"),
+        # two faults: the vector check, shared with from_weights, runs before the order check
+        (lambda: DiscreteDistribution([2, 1], [-0.1, 1.1]), "mass[0] is negative: -0.1"),
         (lambda: DiscreteDistribution.from_weights([1, 2], [1, -2]),
          "weights[1] is negative: -2.0"),
         (lambda: DiscreteDistribution.from_weights([3, 1, 3], [1, 1, 1]),

@@ -197,6 +197,10 @@ class TestCalibrateGaussian:
         with pytest.raises(ValidationError, match="delta"):
             calibrate_gaussian(1.0, 1.0, 0.0, variant="a")
 
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValidationError, match="variant must be 'a' or 'b', got 'c'"):
+            calibrate_gaussian(1.0, 0.5, 1e-5, variant="c")
+
     @settings(max_examples=20, deadline=None)
     @given(bad=NON_FINITE, variant=st.sampled_from(["a", "b"]))
     def test_non_finite_inputs_rejected(self, bad, variant):
@@ -629,6 +633,11 @@ class TestCalibratePufferfish:
         with pytest.raises(ValidationError, match="delta"):
             calibrate_pufferfish([example1_pair], epsilon=1.0, method="gaussian-a")
 
+    @pytest.mark.parametrize("method", ["theorem1", "theorem2"])
+    def test_laplace_method_rejects_delta(self, example1_pair, method):
+        with pytest.raises(ValidationError, match=f"method '{method}' does not accept delta"):
+            calibrate_pufferfish([example1_pair], epsilon=1.0, method=method, delta=1e-5)
+
     def test_gaussian_report(self, example1_pair):
         report = calibrate_pufferfish(
             [example1_pair], epsilon=1.0, method="gaussian-a", delta=1e-5
@@ -786,6 +795,11 @@ class TestSampling:
         draws = sample_noise(spec, 10**6, seed=42)
         assert np.var(draws) == pytest.approx(9.0, rel=0.01)
 
+    def test_negative_count_rejected(self):
+        spec = MechanismSpec(family="laplace", theta=1.0, epsilon=1.0)
+        with pytest.raises(ValidationError, match="n must be >= 0, got -1"):
+            sample_noise(spec, -1, seed=0)
+
     def test_seeded_determinism(self):
         spec = MechanismSpec(family="gaussian", theta=2.0, epsilon=1.0)
         a = sample_noise(spec, 1000, seed=7)
@@ -836,6 +850,11 @@ class TestRelease:
         rng = np.random.default_rng(11)
         blocks = [release(values[start:start + 7], spec, rng) for start in range(0, 50, 7)]
         assert np.concatenate(blocks).tobytes() == release(values, spec, seed=11).tobytes()
+
+    def test_values_must_be_one_dimensional(self):
+        spec = MechanismSpec(family="laplace", theta=1.0, epsilon=1.0)
+        with pytest.raises(ValidationError, match=r"one-dimensional, got shape \(2, 2\)"):
+            release([[1.0, 2.0], [3.0, 4.0]], spec, seed=0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, bad):

@@ -470,6 +470,23 @@ class TestBernoulliPriors:
 
 
 class TestSystemConstruction:
+    def test_needs_a_user(self):
+        with pytest.raises(ValidationError, match="needs at least one user"):
+            UserSystem(priors=(), outputs=())
+
+    @pytest.mark.parametrize("alphabet,outputs", [
+        # on the grid: the three outputs' sum does not convert to a float
+        (1, [[1e308]] * 3),
+        # merged: shifting the other user's law by 1.5e308 overflows
+        (2, [[0.5, 1.5e308]] * 2),
+        # every sum is finite, but two conditionals lie 2e308 apart
+        (2, [[0.0, 1.0], [-1e308, 1e308]]),
+    ])
+    def test_outputs_summing_past_the_float_range(self, alphabet, outputs):
+        prior = DiscreteDistribution.from_weights(range(alphabet), [1] * alphabet)
+        with pytest.raises(ValidationError, match="^query outputs can sum past the float range"):
+            UserSystem(priors=(prior,) * len(outputs), outputs=tuple(outputs))
+
     def test_one_output_array_per_user(self):
         prior = DiscreteDistribution.from_weights([0, 1], [1, 1])
         with pytest.raises(ValidationError, match="outputs holds 1 arrays for 2 users"):

@@ -18,6 +18,8 @@ from pufferot import (
     support_sensitivity,
 )
 
+from pufferot.tabular import load_conditionals_json
+
 from oracles import dictreader_load_table
 
 TOY_MAPPING = AttributeMapping(labels=("red", "green", "blue"))
@@ -37,6 +39,10 @@ class TestAttributeMapping:
     def test_unknown_label(self):
         with pytest.raises(ValidationError, match="'magenta'"):
             TOY_MAPPING.index("magenta")
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValidationError, match="needs at least one label"):
+            AttributeMapping(labels=())
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValidationError, match="duplicate label"):
@@ -242,6 +248,26 @@ class TestEnumeratePairs:
     def test_single_secret_rejected_in_all_mode(self):
         with pytest.raises(ValidationError, match="two secrets"):
             enumerate_pairs(self.make_conditionals(1))
+
+    def test_all_mode_keeps_sorted_pair_order(self):
+        pairs = enumerate_pairs(self.make_conditionals(4))
+        assert [pair.labels for pair in pairs] == [
+            ("s0", "s1"), ("s0", "s2"), ("s0", "s3"), ("s1", "s2"), ("s1", "s3"), ("s2", "s3"),
+        ]
+
+    @pytest.mark.parametrize("entry", [("s0",), ("s0", "s1", "s2")])
+    def test_listed_entry_must_hold_two_labels(self, entry):
+        with pytest.raises(ValidationError, match="must hold exactly two labels"):
+            enumerate_pairs(self.make_conditionals(3), pairs=[entry])
+
+    def test_listed_pair_of_one_label_rejected(self):
+        with pytest.raises(ValidationError, match="pair labels must be distinct, got 's0' twice"):
+            enumerate_pairs(self.make_conditionals(2), pairs=[("s0", "s0")])
+
+    @pytest.mark.parametrize("payload", [{}, {"_source": "metadata only"}])
+    def test_conditionals_object_without_distributions_rejected(self, payload):
+        with pytest.raises(ValidationError, match="no per-secret distributions found"):
+            load_conditionals_json(payload)
 
 
 class TestAdultFixture:

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from pufferot import (
     DiscreteDistribution,
+    ValidationError,
     joint_cdf_table,
     optimal_plan,
     plan_sensitivity,
@@ -24,7 +26,7 @@ from oracles import (
     per_equation_relaxed_theta,
 )
 from pufferot.scenarios import bernoulli_counting, discriminative_pairs
-from pufferot.transport import ENTRY_DROP_TOL
+from pufferot.transport import ENTRY_DROP_TOL, TransportPlan
 
 # Golden couplings for the two worked examples, as exact fractions.
 GOLDEN_PLAN_1 = {
@@ -224,6 +226,40 @@ class TestPlanProperties:
     def test_positive_entries_only(self, example2_pair):
         plan = optimal_plan(example2_pair.p, example2_pair.q)
         assert np.all(plan.mass > 0)
+
+
+class TestPlanConstruction:
+    """``TransportPlan``'s own checks, on example 1's plan with one part broken."""
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda r, c, m: (r[:-1], c, m), "rows, cols and mass must have equal lengths"),
+        (lambda r, c, m: (r[:0], c[:0], m[:0]), "a transport plan must carry at least one entry"),
+        (lambda r, c, m: (r, c, np.where(m == m[0], 0.0, m)),
+         "plan entries must carry strictly positive mass"),
+        (lambda r, c, m: (r, c, m * 1.1), "plan mass must total 1 within 1e-10, got"),
+        (lambda r, c, m: (r[::-1], c, m), "row marginals do not reproduce the source distribution"),
+        (lambda r, c, m: (r, c[::-1], m),
+         "column marginals do not reproduce the target distribution"),
+    ])
+    def test_rejects(self, example1_pair, change, message):
+        plan = optimal_plan(example1_pair.p, example1_pair.q)
+        rows, cols, mass = change(plan.rows, plan.cols, plan.mass)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            TransportPlan(rows, cols, mass, example1_pair.p, example1_pair.q)
+
+    def test_owns_its_arrays(self):
+        # rows and cols are views of one base array, written after the plan is built
+        p = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
+        base = np.array([0, 1, 0, 1], dtype=np.intp)
+        mass = np.array([0.5, 0.5])
+        plan = TransportPlan(rows=base[:2], cols=base[2:], mass=mass, source=p, target=p)
+        assert base.flags.writeable and mass.flags.writeable
+        base[:2] = [1, 0]
+        mass[:] = 0.25
+        assert plan.rows.tolist() == [0, 1] and plan.mass.tolist() == [0.5, 0.5]
+        assert plan_sensitivity(plan) == 0.0
+        with pytest.raises(ValueError):
+            plan.rows[0] = 1
 
 
 def dirichlet_dist(rng, support, empty):
