@@ -7,10 +7,11 @@ conditioning on absence marginalizes the user out, which equals the prior
 mixture of the value conditionals: the leave-one-out law convolved with
 the user's own term.
 
-A system weakly keeps the latest user's leave-one-out law, read-only, and
-the conditionals built from it. So a user's value pairs and absence pairs
-cost V convolution steps between them, each conditional is built once,
-and the memo goes with the system.
+A system keeps all users in flat read-only arrays cut by V + 1 offsets;
+no conditional reads a per-user object. It weakly keeps the latest
+user's leave-one-out law, read-only, and the conditionals built from it.
+So a user's value pairs and absence pairs cost V convolution steps
+between them, each conditional is built once, and the memo goes with it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 import sys
 import weakref
-from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -42,81 +43,91 @@ MODES = ("values", "absence")
 _LAWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-@dataclass(frozen=True, eq=False)
 class UserSystem:
     """V independent users: per-user priors and the query's per-user outputs.
 
     ``outputs[i][k]`` is user i's term of the query when the user reports
-    ``priors[i].support[k]``. The outputs are stored as read-only copies, one
-    per distinct array given, so users given one array share one copy.
+    ``priors[i].support[k]``. Both are stored flat, in user order: user i's
+    support points, prior masses and outputs are ``[_offsets[i],
+    _offsets[i + 1])`` of ``_support``, ``_mass`` and ``_output``, all
+    read-only copies. ``priors`` and ``outputs`` are tuples of views of
+    them, built on first read. A system is immutable and identity-hashed.
     """
 
-    priors: tuple[DiscreteDistribution, ...]
-    outputs: tuple[np.ndarray, ...]
-    #: Per user, f_i(S_i) as ``(offset, pmf)`` on the integers, or ``None``
-    #: when some output is not an integer; see :func:`_grid_terms`.
-    _grid_terms: tuple | None = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        priors = tuple(self.priors)
+    def __init__(self, priors: Sequence[DiscreteDistribution], outputs: Sequence) -> None:
+        priors = tuple(priors)
         if not priors:
             raise ValidationError("a user system needs at least one user")
-        given = tuple(self.outputs)
-        copies: dict[int, np.ndarray] = {}
         try:
-            for out in given:
-                if id(out) not in copies:
-                    copies[id(out)] = np.array(out, dtype=float)
+            given = [np.asarray(out, dtype=float) for out in outputs]
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"query outputs must be numbers: {exc}") from None
-        outputs = tuple(copies[id(out)] for out in given)
-        if len(outputs) != len(priors):
-            raise ValidationError(f"outputs holds {len(outputs)} arrays for {len(priors)} users")
-        for user, (prior, out) in enumerate(zip(priors, outputs)):
-            if out.shape != prior.support.shape:
-                raise ValidationError(
-                    f"user {user} needs {prior.support.size} outputs, got shape {out.shape}"
-                )
-            out.setflags(write=False)
-        sizes = np.array([out.size for out in outputs])
-        flat = np.concatenate(outputs)
-        users = np.repeat(np.arange(len(priors)), sizes)
-        bad = np.flatnonzero(~np.isfinite(flat))
+        if len(given) != len(priors):
+            raise ValidationError(f"outputs holds {len(given)} arrays for {len(priors)} users")
+        sizes = [prior.support.size for prior in priors]
+        bad = next((u for u, (n, out) in enumerate(zip(sizes, given)) if out.shape != (n,)), None)
+        if bad is not None:
+            raise ValidationError(
+                f"user {bad} needs {sizes[bad]} outputs, got shape {given[bad].shape}"
+            )
+        support = np.concatenate([prior.support for prior in priors])
+        mass = np.concatenate([prior.mass for prior in priors])
+        self._store(np.cumsum([0] + sizes), support, mass, np.concatenate(given))
+
+    def _store(self, offsets, support, mass, output) -> None:
+        """Check the flat arrays once, make them read-only and keep them; the caller owns them."""
+        bad = np.flatnonzero(~np.isfinite(output))
         if bad.size:
             k = int(bad[0])
-            value = float(np.concatenate([prior.support for prior in priors])[k])
-            raise ValidationError(f"query output for user {users[k]} at {value!r} is not finite")
+            value, user = support.item(k), np.searchsorted(offsets, k, side="right") - 1
+            raise ValidationError(f"query output for user {user} at {value!r} is not finite")
         # Up to rounding, these bound every sum of one output per user and every
         # difference of two such sums, so the convolutions and pairs stay finite.
-        starts = sizes.cumsum() - sizes
+        starts = offsets[:-1]
         with np.errstate(over="ignore"):
-            reach = np.maximum.reduceat(np.abs(flat), starts).sum()
-            spread = (np.maximum.reduceat(flat, starts) - np.minimum.reduceat(flat, starts)).sum()
+            top, low = np.maximum.reduceat(output, starts), np.minimum.reduceat(output, starts)
+            reach, spread = np.maximum(top, -low).sum(), (top - low).sum()
         if max(reach, spread) == math.inf:
             raise ValidationError(
                 "query outputs can sum past the float range: the users' largest |output| "
                 f"values, or their output ranges, add up to more than {sys.float_info.max!r}"
             )
-        mass = np.concatenate([prior.mass for prior in priors])
-        object.__setattr__(self, "priors", priors)
-        object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "_grid_terms", _grid_terms(users, flat, mass))
+        for array in (offsets, support, mass, output):
+            array.setflags(write=False)
+        users = np.repeat(np.arange(offsets.size - 1), np.diff(offsets))
+        vars(self).update(_offsets=offsets, _support=support, _mass=mass, _output=output,
+                          _grid_terms=_grid_terms(users, output, mass))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"a UserSystem is immutable: cannot set {name!r}")
+
+    @cached_property
+    def priors(self) -> tuple[DiscreteDistribution, ...]:
+        cut = self._offsets[1:-1]
+        pieces = np.split(self._support, cut), np.split(self._mass, cut)
+        return tuple(map(DiscreteDistribution._from_checked, *pieces))
+
+    @cached_property
+    def outputs(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.split(self._output, self._offsets[1:-1]))
 
     @property
     def user_count(self) -> int:
-        return len(self.priors)
+        return self._offsets.size - 1
 
-    def _check_user(self, user: int) -> None:
-        if not 0 <= user < len(self.priors):
-            raise ValidationError(f"user index {user} out of range for {len(self.priors)} users")
+    def _check_user(self, user: int) -> slice:
+        """``user``'s slice of the flat arrays, once the index is known to name a user."""
+        if not 0 <= user < self.user_count:
+            raise ValidationError(f"user index {user} out of range for {self.user_count} users")
+        return slice(*self._offsets[user:user + 2].tolist())
 
 
 def bernoulli_counting(p_values: Sequence[float]) -> UserSystem:
     """Counting query over users with {0, 1} alphabets and P(1) = p_i.
 
-    The p vector is validated once; each prior's support {0, 1} and masses
-    (1 - p_i, p_i) then meet every distribution invariant by construction.
-    Each user's outputs are its support: the query sums the raw values.
+    The p vector is validated once, and the flat arrays are built from it
+    directly: supports {0, 1} end to end, masses (1 - p_i, p_i), and
+    outputs equal to the supports, as the query sums the raw values.
     """
     ps = np.array(p_values, dtype=float)
     if ps.ndim != 1 or ps.size == 0:
@@ -125,21 +136,25 @@ def bernoulli_counting(p_values: Sequence[float]) -> UserSystem:
     if bad.size:
         i = int(bad[0])
         raise ValidationError(f"each p must lie in [0, 1], got p_values[{i}]={float(ps[i])!r}")
-    support = np.array([0.0, 1.0])
-    masses = np.stack([1.0 - ps, ps], axis=1)
-    priors = tuple(DiscreteDistribution._from_checked(support, mass) for mass in masses)
-    return UserSystem(priors=priors, outputs=(support,) * ps.size)
+    support = np.tile([0.0, 1.0], ps.size)
+    system = object.__new__(UserSystem)
+    system._store(
+        np.arange(0, 2 * ps.size + 1, 2), support, np.stack([1.0 - ps, ps], axis=1).ravel(), support
+    )
+    return system
 
 
 def _grid_terms(users: np.ndarray, outputs: np.ndarray, mass: np.ndarray):
-    """Each user's output law as ``(offset, pmf)`` on the integer grid.
+    """Every user's output law on the integer grid, as flat ``(lo, pmf, bounds, span)``.
 
     The arguments are aligned over every prior support point, users in
-    ascending order. Masses of equal outputs are added in support order.
-    Returns ``None`` unless every positive-mass output is an integer. A
-    user whose outputs span more than MAX_ATOMS integers gets
-    ``(offset, None)``: any convolution that includes that user exceeds
-    the cap.
+    ascending order. User i's law puts ``pmf[bounds[i]:bounds[i + 1]]`` on
+    the integers from ``lo[i]``; masses of equal outputs are added in
+    support order, and zero-mass outputs are dropped. ``span[i]`` is the
+    user's number of grid points past the first, capped at MAX_ATOMS: a
+    user whose outputs span more than MAX_ATOMS integers gets an empty
+    slice, and any convolution that includes that user exceeds the cap.
+    Returns ``None`` unless every positive-mass output is an integer.
     """
     keep = mass > 0
     out, mass, users = outputs[keep], mass[keep], users[keep]
@@ -149,19 +164,14 @@ def _grid_terms(users: np.ndarray, outputs: np.ndarray, mass: np.ndarray):
     lo = np.minimum.reduceat(out, starts)
     width = np.maximum.reduceat(out, starts) - lo + 1
     dense = width <= MAX_ATOMS
-    size = np.where(dense, width, 0).astype(np.intp)
-    ends = np.cumsum(size)
+    bounds = np.concatenate([[0], np.cumsum(np.where(dense, width, 0).astype(np.intp))])
     at = dense[users]
     # bincount adds in index order, as a sequential scatter does
-    flat = np.bincount(
-        (ends - size)[users[at]] + (out - lo[users])[at].astype(np.intp),
-        weights=mass[at], minlength=int(ends[-1]),
+    pmf = np.bincount(
+        bounds[users[at]] + (out - lo[users])[at].astype(np.intp),
+        weights=mass[at], minlength=int(bounds[-1]),
     )
-    # size is 0 only for the users past MAX_ATOMS.
-    return tuple(
-        (int(offset), flat[stop - n:stop] if n else None)
-        for offset, n, stop in zip(lo.tolist(), size.tolist(), ends.tolist())
-    )
+    return list(map(int, lo.tolist())), pmf, bounds.tolist(), np.minimum(width - 1, MAX_ATOMS)
 
 
 def _merge_close(values: np.ndarray, mass: np.ndarray):
@@ -201,7 +211,7 @@ def _conditional(system: UserSystem, user: int, index: int | None) -> DiscreteDi
         if index is None:
             vals, mass = _add_user(system, vals, mass, user)
         else:
-            vals = vals + system.outputs[user][index]
+            vals = vals + system._output[system._offsets[user] + index]
         built[index] = DiscreteDistribution.from_weights(vals, mass)
     return built[index]
 
@@ -216,7 +226,9 @@ def _convolve(system: UserSystem, left_out: int) -> tuple[np.ndarray, np.ndarray
     """
     users = [i for i in range(system.user_count) if i != left_out]
     if system._grid_terms is not None:
-        return _grid_atoms(*integer_convolution(_grid_factors(system, users)))
+        span = system._grid_terms[3]
+        factors = _grid_factors(system, users, span.sum() - span[left_out])
+        return _grid_atoms(*integer_convolution(factors))
     vals = np.array([0.0])
     mass = np.array([1.0])
     for i in users:
@@ -230,25 +242,23 @@ def _add_user(
     """``(vals, mass)`` convolved with ``user``'s output, one more step of :func:`_convolve`.
 
     On the grid, the atoms are scattered back onto their span first, and
-    the cap is checked on the grid of every user's terms, as for a law
+    the cap is checked on the span of every user's terms, as for a law
     convolved from scratch.
     """
     if system._grid_terms is None:
         return _merge_step(system, vals, mass, user)
-    term = _grid_factors(system, range(system.user_count))[user]
+    [term] = _grid_factors(system, [user], system._grid_terms[3].sum())
     start = np.zeros(int(vals[-1] - vals[0]) + 1)
     start[(vals - vals[0]).astype(np.intp)] = mass
     return _grid_atoms(*integer_convolution([(int(vals[0]), start), term]))
 
 
-def _grid_factors(system: UserSystem, users) -> list:
-    """The grid terms of ``users``, once their sum's grid is known to fit MAX_ATOMS."""
-    terms = [system._grid_terms[i] for i in users]
-    if any(pmf is None for _, pmf in terms) or (
-        1 + sum(pmf.size - 1 for _, pmf in terms) > MAX_ATOMS
-    ):
+def _grid_factors(system: UserSystem, users, span) -> list:
+    """The grid terms of ``users``, once their sum's ``span`` past its least atom fits MAX_ATOMS."""
+    if 1 + span > MAX_ATOMS:
         raise ValidationError(f"convolution grid would hold more than {MAX_ATOMS} atoms")
-    return terms
+    lo, pmf, bounds, _ = system._grid_terms
+    return [(lo[i], pmf[bounds[i]:bounds[i + 1]]) for i in users]
 
 
 def _grid_atoms(offset: int, pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -260,13 +270,18 @@ def _grid_atoms(offset: int, pmf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _merge_step(
     system: UserSystem, vals: np.ndarray, mass: np.ndarray, user: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Atoms ``(vals, mass)`` summed pairwise with ``user``'s outputs, near-equal sums merged."""
-    keep = system.priors[user].mass > 0
-    out, inverse = np.unique(system.outputs[user][keep], return_inverse=True)
-    out_mass = np.bincount(inverse, weights=system.priors[user].mass[keep])
-    vals, mass = _merge_close(
-        np.add.outer(vals, out).ravel(), np.multiply.outer(mass, out_mass).ravel()
-    )
+    """Atoms ``(vals, mass)`` summed pairwise with ``user``'s outputs, near-equal sums merged.
+
+    Sums whose mass underflows to 0 are dropped first, as :func:`_grid_atoms`
+    drops empty grid points, so no run of atoms carries zero mass.
+    """
+    at = system._check_user(user)
+    prior = system._mass[at]
+    keep = prior > 0
+    out, inverse = np.unique(system._output[at][keep], return_inverse=True)
+    sums = np.multiply.outer(mass, np.bincount(inverse, weights=prior[keep])).ravel()
+    live = sums > 0
+    vals, mass = _merge_close(np.add.outer(vals, out).ravel()[live], sums[live])
     if vals.size > MAX_ATOMS:
         raise ValidationError(f"convolution support grew to {vals.size} atoms (cap {MAX_ATOMS})")
     return vals, mass
@@ -282,11 +297,11 @@ def conditional_output_dist(
     with the user's output law, which equals the prior mixture over the
     user's values.
     """
-    system._check_user(user)
+    at = system._check_user(user)
     if value is None:
         return _conditional(system, user, None)
     value = float(value)
-    hit = np.flatnonzero(system.priors[user].support == value)
+    hit = np.flatnonzero(system._support[at] == value)
     if not hit.size:
         raise ValidationError(f"value {value!r} is not in the alphabet of user {user}")
     return _conditional(system, user, int(hit[0]))
@@ -307,11 +322,11 @@ def discriminative_pairs(
     returns, so ``values`` then ``absence`` convolve the other users once,
     extend their law by the user once, and build each conditional once.
     """
-    system._check_user(user)
+    at = system._check_user(user)
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    conditionals = [_conditional(system, user, k) for k in range(system.outputs[user].size)]
-    labels = [_label(user, a) for a in system.priors[user].support.tolist()]
+    labels = [_label(user, a) for a in system._support[at].tolist()]
+    conditionals = [_conditional(system, user, k) for k in range(len(labels))]
     if mode == "values":
         return [
             DiscriminativePair((labels[i], labels[j]), conditionals[i], conditionals[j], "scenario")
@@ -331,5 +346,4 @@ def query_sensitivity(system: UserSystem, user: int) -> float:
     The value is independent of the priors, and it bounds absence pairs
     too: the absent conditional is a mixture of the value conditionals.
     """
-    system._check_user(user)
-    return float(np.ptp(system.outputs[user]))
+    return float(np.ptp(system._output[system._check_user(user)]))

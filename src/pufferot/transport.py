@@ -43,20 +43,26 @@ class TransportPlan:
     target: DiscreteDistribution
 
     def __post_init__(self) -> None:
-        rows = np.array(self.rows, dtype=np.intp)
-        cols = np.array(self.cols, dtype=np.intp)
+        rows = np.array(self.rows)
+        cols = np.array(self.cols)
         mass = np.array(self.mass, dtype=float)
         if not (rows.size == cols.size == mass.size):
             raise ValidationError("rows, cols and mass must have equal lengths")
         if mass.size == 0:
             raise ValidationError("a transport plan must carry at least one entry")
+        for name, index in (("rows", rows), ("cols", cols)):
+            # checked before the conversion below, which would truncate a float index
+            if index.dtype.kind not in "iu":
+                raise ValidationError(f"{name} must hold integer indices, got dtype {index.dtype}")
+        rows = rows.astype(np.intp, copy=False)
+        cols = cols.astype(np.intp, copy=False)
         if np.any(mass <= 0):
             raise ValidationError("plan entries must carry strictly positive mass")
         total = float(mass.sum())
         if abs(total - 1.0) > MARGINAL_TOL:
             raise ValidationError(f"plan mass must total 1 within {MARGINAL_TOL}, got {total!r}")
-        row_marg = np.bincount(rows, weights=mass, minlength=self.source.mass.size)
-        col_marg = np.bincount(cols, weights=mass, minlength=self.target.mass.size)
+        row_marg = _marginal(rows, mass, self.source, "rows")
+        col_marg = _marginal(cols, mass, self.target, "cols")
         if np.abs(row_marg - self.source.mass).max() > MARGINAL_TOL:
             raise ValidationError("row marginals do not reproduce the source distribution")
         if np.abs(col_marg - self.target.mass).max() > MARGINAL_TOL:
@@ -91,6 +97,27 @@ class TransportPlan:
                 for i, j, m in zip(self.rows, self.cols, self.mass)
             ],
         }
+
+
+def _marginal(
+    index: np.ndarray, mass: np.ndarray, dist: DiscreteDistribution, name: str
+) -> np.ndarray:
+    """The plan's mass on each atom of ``dist``, summed by ``index``, the plan's ``name``.
+
+    An index out of range shows in the one ``bincount`` pass: numpy rejects
+    a negative one, and one past the support lengthens the result.
+    """
+    try:
+        marginal = np.bincount(index, weights=mass, minlength=dist.mass.size)
+    except ValueError:
+        raise ValidationError(
+            f"{name} must be a vector of indices into a support of {dist.mass.size} points"
+        ) from None
+    if marginal.size > dist.mass.size:
+        raise ValidationError(
+            f"{name} holds index {marginal.size - 1}, past a support of {dist.mass.size} points"
+        )
+    return marginal
 
 
 def optimal_plan(p: DiscreteDistribution, q: DiscreteDistribution) -> TransportPlan:

@@ -10,7 +10,8 @@ certificate's bits, from the sweep kernel run one pair at a time), the
 Gaussian-noised output density from one unblocked (y, atom) matrix and
 from a per-atom sum, the Gaussian grid's maximum from the density at
 every grid point, scenario conditionals from one dict-merged pushforward
-and one freshly scattered grid (or one pairwise merge scan) per user,
+and one freshly scattered grid (or one pairwise merge scan) per user and
+from every joint outcome, user systems one user at a time,
 CSV tallies from ``csv.DictReader`` rows, released tables from
 whole-table ``csv.reader`` rows stripped cell by cell and one
 ``csv.writer``, and the comonotone plan from a sweep on numpy scalars
@@ -24,13 +25,14 @@ import io
 import itertools
 import math
 from collections import defaultdict
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.stats import norm
 
-from pufferot import ValidationError, release
-from pufferot.scenarios import ATOM_MERGE_TOL
+from pufferot import DiscreteDistribution, ValidationError, release
+from pufferot.scenarios import ATOM_MERGE_TOL, MAX_ATOMS
 from pufferot.transport import ENTRY_DROP_TOL
 from pufferot.verify import _decayed_prefix, log_output_density
 
@@ -181,6 +183,73 @@ def per_step_conditional(system, user, value=None):
             )
     if value is not None:
         vals = vals + tables[user][float(value)]
+    return vals, mass / mass.sum()
+
+
+def per_user_system(priors, outputs):
+    """A user system built one user at a time, as the library stored it before its flat arrays.
+
+    Returns the priors as given, one read-only float copy per distinct
+    output object (users given one object share one copy), and per user
+    the output law on the integer grid as ``(offset, pmf)``, scattered one
+    positive-mass atom at a time in support order; ``pmf`` is None for a
+    user whose outputs span more than ``MAX_ATOMS`` integers, and the
+    terms are None unless every positive-mass output is an integer.
+    """
+    copies = {}
+    for out in outputs:
+        if id(out) not in copies:
+            copies[id(out)] = np.array(out, dtype=float)
+            copies[id(out)].setflags(write=False)
+    outputs = tuple(copies[id(out)] for out in outputs)
+    laws = [
+        [(o, m) for o, m in zip(out.tolist(), prior.mass.tolist()) if m > 0]
+        for prior, out in zip(priors, outputs)
+    ]
+    terms = None
+    if all(o == round(o) for law in laws for o, _ in law):
+        terms = []
+        for law in laws:
+            lo = min(o for o, _ in law)
+            width = int(max(o for o, _ in law) - lo) + 1
+            pmf = None
+            if width <= MAX_ATOMS:
+                pmf = np.zeros(width)
+                for o, m in law:
+                    pmf[int(o - lo)] += m
+            terms.append((int(lo), pmf))
+    return SimpleNamespace(priors=tuple(priors), outputs=outputs, grid_terms=terms)
+
+
+def per_user_bernoulli(ps):
+    """:func:`per_user_system` of a Bernoulli counting query: one prior object per p."""
+    support = np.array([0.0, 1.0])
+    priors = [DiscreteDistribution(support, np.array([1.0 - p, p])) for p in ps]
+    return per_user_system(priors, (support,) * len(priors))
+
+
+def enumerated_conditional(system, user, value=None):
+    """Scenario conditional as (support, mass) from every joint outcome of the users.
+
+    Given a value, the user's outcome is that value, with mass 1; given
+    absence (``value=None``), every outcome of the user counts. Outcomes
+    whose product of prior masses is 0 (an empty atom, or a product that
+    underflows) are dropped; the others' output sums are sorted and merged
+    by :func:`_merge_close_scan`.
+    """
+    choices = []
+    for i, (prior, outputs) in enumerate(zip(system.priors, system.outputs)):
+        atoms = zip(prior.support.tolist(), outputs.tolist(), prior.mass.tolist())
+        if i == user and value is not None:
+            atoms = [(a, o, 1.0) for a, o, _ in atoms if a == value]
+        choices.append([(o, m) for _, o, m in atoms])
+    sums, masses = [], []
+    for outcome in itertools.product(*choices):
+        prob = math.prod(m for _, m in outcome)
+        if prob > 0:
+            sums.append(math.fsum(o for o, _ in outcome))
+            masses.append(prob)
+    vals, mass = _merge_close_scan(np.array(sums), np.array(masses))
     return vals, mass / mass.sum()
 
 

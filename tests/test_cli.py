@@ -22,7 +22,7 @@ from pufferot import (
 )
 from pufferot.mechanisms import FAMILIES, METHODS
 
-from oracles import dictreader_load_table, stripping_release
+from oracles import dictreader_load_table, enumerated_conditional, stripping_release
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_TABLES = DATA / "tables_golden.json"
@@ -1189,6 +1189,27 @@ class TestScenarioCommand:
         assert error["type"] == "ValidationError"
         assert error["message"].startswith("query outputs can sum past the float range")
         assert not out.exists()
+
+    def test_merged_products_that_underflow_are_dropped(self, tmp_path, capsys):
+        # products of masses 1e-200 underflow to 0; merged, a run of them would divide 0 by 0
+        payload = {"priors": [[1e-200, 1, 1e-200]] * 2,
+                   "query": [[0, 0.5, 1.25], [0.1, 0.2, 0.3]]}
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["scenario", "--scenario", write_json(payload, tmp_path / "s.json"),
+                             "--mode", "absence", "--out", str(out)])
+        assert code == 0 and capsys.readouterr().err == ""
+        system = cli._system_from_json(payload)
+        for pair in read_json(out)["pairs"]:
+            value = float(pair["labels"][0].removeprefix("S0="))
+            for side, event in ((pair["p"], value), (pair["q"], None)):
+                law = enumerated_conditional(system, 0, event)
+                for key, expected in zip(("support", "mass"), law):
+                    assert len(side[key]) == expected.size
+                    assert all(map(math.isclose, side[key], expected.tolist()))
+        # absent: the five sums whose mass is a product with at most one factor 1e-200
+        assert len(pair["q"]["support"]) == 5
 
     def test_inconsistent_user_count(self, tmp_path):
         scen = write_json({"V": 5, "priors": [[0.5, 0.5]], "query": "counting"},

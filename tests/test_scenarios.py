@@ -19,7 +19,13 @@ from pufferot import (
 from pufferot import scenarios
 from pufferot.scenarios import ATOM_MERGE_TOL, _merge_close
 
-from oracles import _merge_close_scan, brute_force_counting_conditional, per_step_conditional
+from oracles import (
+    _merge_close_scan,
+    brute_force_counting_conditional,
+    per_step_conditional,
+    per_user_bernoulli,
+    per_user_system,
+)
 
 HETERO_PS = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.35]
 
@@ -515,3 +521,86 @@ class TestSystemConstruction:
     def test_bernoulli_probability_range(self):
         with pytest.raises(ValidationError, match="p must lie"):
             bernoulli_counting([0.5, 1.2])
+
+
+def seeded_system(seed):
+    """A seeded system and its :func:`per_user_system` reference, built from one input.
+
+    By ``seed % 4``: a Bernoulli counting query with p = 0 and p = 1 among
+    its p's; integer outputs, one array per user; integer outputs, one
+    array shared by every user; non-integer outputs, whose sums merge.
+    Priors carry zero-mass atoms.
+    """
+    rng = np.random.default_rng([30, seed])
+    kind = seed % 4
+    if kind == 0:
+        ps = rng.random(int(rng.integers(1, 51)))
+        ps[rng.random(ps.size) < 0.15] = 0.0
+        ps[rng.random(ps.size) < 0.15] = 1.0
+        return bernoulli_counting(ps), per_user_bernoulli(ps.tolist())
+    users = int(rng.integers(1, 13 if kind == 3 else 51))
+    sizes = [int(rng.integers(1, 5))] * users if kind == 2 else rng.integers(1, 5, users).tolist()
+    priors = []
+    for size in sizes:
+        weights = rng.random(size) * (rng.random(size) > 0.3)
+        weights[rng.integers(size)] += 0.1
+        support = np.sort(rng.choice(8, size=size, replace=False))
+        priors.append(DiscreteDistribution.from_weights(support, weights))
+    if kind == 3:
+        outputs = [rng.choice([0.1, 0.25, 0.3, 0.7, 1.5], size).tolist() for size in sizes]
+    elif kind == 2:
+        outputs = [rng.integers(-3, 6, sizes[0]).astype(float)] * users
+    else:
+        outputs = [rng.integers(-3, 6, size).astype(float) for size in sizes]
+    return UserSystem(priors, outputs), per_user_system(priors, outputs)
+
+
+def assert_same_grid_terms(system, reference):
+    assert (system._grid_terms is None) == (reference.grid_terms is None)
+    if reference.grid_terms is None:
+        return
+    lo, pmf, bounds, span = system._grid_terms
+    for user, (offset, expected) in enumerate(reference.grid_terms):
+        got = pmf[bounds[user]:bounds[user + 1]]
+        assert lo[user] == offset
+        if expected is None:
+            # past MAX_ATOMS: no pmf, and a span that alone reaches the cap
+            assert got.size == 0 and span[user] == scenarios.MAX_ATOMS
+        else:
+            assert np.array_equal(got, expected) and span[user] == expected.size - 1
+
+
+class TestFlatStorage:
+    """The flat system against the per-user construction it replaced."""
+
+    def test_grid_terms_of_a_user_wider_than_the_cap(self):
+        wide = DiscreteDistribution.from_weights([0.0, 1.0], [1, 1])
+        coin = DiscreteDistribution.from_weights([0.0, 1.0], [1, 3])
+        priors, outputs = (wide,) + (coin,) * 3, ([0.0, 20000.0],) + ([0.0, 1.0],) * 3
+        assert_same_grid_terms(UserSystem(priors, outputs), per_user_system(priors, outputs))
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_matches_the_per_user_construction(self, seed):
+        system, reference = seeded_system(seed)
+        assert system.priors is system.priors and system.outputs is system.outputs
+        assert system.user_count == len(system.priors) == len(reference.priors)
+        for mine, theirs in zip(system.priors, reference.priors):
+            for array, expected in ((mine.support, theirs.support), (mine.mass, theirs.mass)):
+                assert np.array_equal(array, expected) and not array.flags.writeable
+        for mine, theirs in zip(system.outputs, reference.outputs, strict=True):
+            assert np.array_equal(mine, theirs) and not mine.flags.writeable
+        assert_same_grid_terms(system, reference)
+        for user in sorted({0, seed % system.user_count, system.user_count - 1}):
+            alphabet = system.priors[user].support.tolist()
+            expected = {f"S{user}={a:g}": per_step_conditional(reference, user, a) for a in alphabet}
+            expected[f"S{user}=absent"] = per_step_conditional(reference, user)
+            for value, label in zip(alphabet + [None], expected):
+                dist = conditional_output_dist(system, user, value)
+                assert np.array_equal(dist.support, expected[label][0]), label
+                assert np.array_equal(dist.mass, expected[label][1]), label
+            for mode in ("values", "absence"):
+                for pair in discriminative_pairs(system, user, mode):
+                    for label, dist in zip(pair.labels, (pair.p, pair.q)):
+                        assert np.array_equal(dist.support, expected[label][0]), label
+                        assert np.array_equal(dist.mass, expected[label][1]), label
+                        assert not (dist.support.flags.writeable or dist.mass.flags.writeable)

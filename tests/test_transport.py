@@ -247,6 +247,31 @@ class TestPlanConstruction:
         with pytest.raises(ValidationError, match=re.escape(message)):
             TransportPlan(rows, cols, mass, example1_pair.p, example1_pair.q)
 
+    @pytest.mark.parametrize("field", ["rows", "cols"])
+    @pytest.mark.parametrize("indices,message", [
+        # rejected before the intp conversion, which would truncate them
+        ([0.9, 1.7], "{field} must hold integer indices, got dtype float64"),
+        ([True, False], "{field} must hold integer indices, got dtype bool"),
+        ([-1, 1], "{field} must be a vector of indices into a support of 2 points"),
+        ([0, 2], "{field} holds index 2, past a support of 2 points"),
+        # numpy refuses a count array this long before allocating it
+        ([0, 2**62], "{field} must be a vector of indices into a support of 2 points"),
+        ([[0, 1]], "{field} must be a vector of indices into a support of 2 points"),
+    ])
+    def test_rejects_bad_indices(self, field, indices, message):
+        p = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
+        parts = {"rows": [0, 1], "cols": [0, 1], field: indices}
+        with pytest.raises(ValidationError, match=re.escape(message.format(field=field))):
+            TransportPlan(**parts, mass=[0.5, 0.5], source=p, target=p)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint16, np.int64])
+    def test_accepts_any_integer_dtype(self, example1_pair, dtype):
+        plan = optimal_plan(example1_pair.p, example1_pair.q)
+        copy = TransportPlan(plan.rows.astype(dtype), plan.cols.astype(dtype), plan.mass,
+                             example1_pair.p, example1_pair.q)
+        assert copy.rows.dtype == copy.cols.dtype == np.intp
+        assert np.array_equal(copy.rows, plan.rows) and np.array_equal(copy.cols, plan.cols)
+
     def test_owns_its_arrays(self):
         # rows and cols are views of one base array, written after the plan is built
         p = DiscreteDistribution([0.0, 1.0], [0.5, 0.5])
