@@ -177,9 +177,10 @@ def _grid_terms(users: np.ndarray, outputs: np.ndarray, mass: np.ndarray):
 def _merge_close(values: np.ndarray, mass: np.ndarray):
     """Merge runs of atoms each within ATOM_MERGE_TOL of the one before.
 
-    A merged atom sits at the mass-weighted mean of its run. Each run is
-    reduced behind a leading 0.0, so ``reduceat`` adds as ``ndarray.sum``
-    does: 0 + pairwise(run), not run[0] + pairwise(run[1:]).
+    A merged atom sits at the mass-weighted mean of its run; a run of one
+    atom keeps its value, which (v m) / m need not round back to. Each run
+    is reduced behind a leading 0.0, so ``reduceat`` adds as
+    ``ndarray.sum`` does: 0 + pairwise(run), not run[0] + pairwise(run[1:]).
     """
     order = np.argsort(values, kind="stable")
     values = values[order]
@@ -188,7 +189,10 @@ def _merge_close(values: np.ndarray, mass: np.ndarray):
     at = starts + np.arange(starts.size)
     run_mass = np.add.reduceat(np.insert(mass, starts, 0.0), at)
     run_moment = np.add.reduceat(np.insert(values * mass, starts, 0.0), at)
-    return run_moment / run_mass, run_mass
+    merged = run_moment / run_mass
+    lone = np.diff(starts, append=values.size) == 1
+    merged[lone] = values[starts[lone]]
+    return merged, run_mass
 
 
 def _conditional(system: UserSystem, user: int, index: int | None) -> DiscreteDistribution:

@@ -20,13 +20,15 @@ hull at a step h = theta / 50. Its slope is (E_p[X|y] - E_q[X|y]) /
 theta^2 by Tweedie's formula, so between grid points it can exceed the
 grid by at most span h / (2 theta^2), and its limits as y -> +-inf are
 exact. The maximum is found without evaluating every grid point: a coarse
-pass evaluates the densities and both posterior means at every 16th
+pass evaluates the densities and both posterior means at every 32nd
 point; the posterior means are nondecreasing, which bounds the ratio on
-each cell between coarse points from its two ends; and only the cells
-whose bound, plus a rounding margin, reaches the coarse maximum are
-evaluated in full. The maximum and its first grid index are those of an
-all-points pass. One gap is open: beyond the grid the ratio may overshoot
-its limit before it settles, and nothing bounds that overshoot.
+each cell between coarse points from its two ends (more tightly where the
+bounds on its slope share a sign, so that it is monotone on the cell);
+and only the cells whose bound, plus a rounding margin, reaches the
+coarse maximum are evaluated in full. The maximum and its first grid
+index are those of an all-points pass. One gap is open: beyond the grid
+the ratio may overshoot its limit before it settles, and nothing bounds
+that overshoot.
 
 Reports are strict JSON: an infinite figure is written as "inf" or "-inf",
 and a figure that was not evaluated (a grid over its cap) as null.
@@ -56,8 +58,9 @@ _BLOCK_ELEMENTS = 1 << 15
 _GRID_PAD_SCALES = 10.0
 #: with this many points per theta.
 _GRID_POINTS_PER_SCALE = 50
-#: The grid's maximum is searched from every this-many-th point.
-_COARSE_STRIDE = 16
+#: The grid's maximum is searched from every this-many-th point; 32 evaluated
+#: the fewest rows in the least time on seeded counting pairs (16 to 128 tried).
+_COARSE_STRIDE = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,40 +123,76 @@ def log_output_density(
 ) -> np.ndarray:
     """log of the Gaussian-noised output density at each y, via log-sum-exp.
 
-    The (y, atom) terms are evaluated in blocks of rows holding about
+    ``ys`` must be a one-dimensional sequence of finite numbers. The (y,
+    atom) terms are evaluated in blocks of rows holding about
     _BLOCK_ELEMENTS terms, so memory is O(len(ys) + block) whatever the
     atom count. Each row's max and sum do not depend on the rows beside
-    it, so the result is the same as one pass over the whole grid.
-    Laplace noise needs no density here: its certificate is exact at the
-    support points (:func:`_laplace_log_ratios`).
-    """
-    return _log_density_and_mean(dist, spec, ys)[0]
-
-
-def _log_density_and_mean(
-    dist: DiscreteDistribution, spec: MechanismSpec, ys: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`log_output_density`'s blocked loop, with E[X | y] at each y.
-
-    The posterior mean is the block's weights summed against the atoms,
-    over the same sum the log density takes its log of.
+    it, so the result is the same as one pass over the whole grid. A y so
+    far from every atom that each squared offset overflows, so that every
+    term is -inf, has density 0 and log density -inf. Laplace noise needs
+    no density here: its certificate is exact at the support points
+    (:func:`_laplace_log_ratios`).
     """
     if spec.family != "gaussian" or spec.theta <= 0:
         raise ValidationError(f"the output density is Gaussian-only with theta > 0, got {spec!r}")
-    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    try:
+        ys = np.asarray(ys, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"ys must be a list of numbers: {exc}") from None
+    if ys.ndim != 1:
+        raise ValidationError(f"ys must be one-dimensional, got shape {ys.shape}")
+    finite = np.isfinite(ys)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValidationError(f"ys[{i}] is not finite: {float(ys[i])!r}")
+    xs, log_mass = _positive(dist)
+    # a row of -inf terms gives -inf - -inf = NaN where its log density is -inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _density_rows(xs, log_mass, spec.theta, ys)[0]
+    out[np.isnan(out)] = -np.inf
+    return out
+
+
+def _positive(dist: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """``dist``'s positive-mass atoms, in increasing order, and their log masses."""
     keep = dist.mass > 0
-    xs = dist.support[keep]
-    log_mass = np.log(dist.mass[keep])
-    log_normaliser = -0.5 * math.log(2.0 * math.pi) - math.log(spec.theta)
+    return dist.support[keep], np.log(dist.mass[keep])
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct values of ``values``, sorted in place, in increasing order.
+
+    ``np.unique``'s result without the cost of its wrapper. The sort is
+    stable, so of equal values (0.0 and -0.0) the first in ``values`` is
+    kept.
+    """
+    values.sort(kind="stable")
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _density_rows(
+    xs: np.ndarray, log_mass: np.ndarray, theta: float, ys: np.ndarray, with_mean: bool = False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The blocked loop every density row passes through, with E[X | y] if ``with_mean``.
+
+    ``xs`` and ``log_mass`` are the positive-mass atoms and their log
+    masses, as :func:`_positive` gives them. The posterior mean is the
+    block's weights summed against the atoms, over the same sum the log
+    density takes its log of.
+    """
+    log_normaliser = -0.5 * math.log(2.0 * math.pi) - math.log(theta)
     rows = max(1, _BLOCK_ELEMENTS // xs.size)
     buf = np.empty((min(rows, ys.size), xs.size))
     out = np.empty(ys.size)
-    mean = np.empty(ys.size)
+    mean = np.empty(ys.size) if with_mean else None
     for start in range(0, ys.size, rows):
         block = ys[start : start + rows]
         stop = start + block.size
         terms = np.subtract(block[:, None], xs[None, :], out=buf[: block.size])
-        terms /= spec.theta
+        terms /= theta
         np.square(terms, out=terms)
         terms *= 0.5
         np.subtract(log_normaliser, terms, out=terms)
@@ -163,7 +202,8 @@ def _log_density_and_mean(
         np.exp(terms, out=terms)
         total = terms.sum(axis=1)
         out[start:stop] = peak + np.log(total)
-        mean[start:stop] = terms @ xs / total
+        if with_mean:
+            mean[start:stop] = terms @ xs / total
     return out, mean
 
 
@@ -219,20 +259,20 @@ def _gaussian_grid(pair: DiscriminativePair, spec: MechanismSpec) -> _GaussianGr
             f"{MAX_GRID_POINTS:,}; the log-ratio was not evaluated"
         )
         return _GaussianGrid(grid, math.inf, 0.0, None, None, note)
-    ys = np.unique(np.concatenate([np.arange(lo, hi + 0.5 * step, step), points]))
+    ys = _sorted_unique(np.concatenate([np.arange(lo, hi + 0.5 * step, step), points]))
     grid_max, k = _grid_maximum(pair, spec, ys)
     worst = grid_max
     argmax_y = float(ys[k])
-    # the extreme positive-mass points, low and high, and their log masses
-    (x_p, m_p), (x_q, m_q) = (
-        (d.support[d.mass > 0][[0, -1]], np.log(d.mass[d.mass > 0][[0, -1]]))
-        for d in (pair.p, pair.q)
-    )
-    limits = np.where(x_p == x_q, np.abs(m_p - m_q), np.inf).tolist()
+    (xs_p, log_p), (xs_q, log_q) = _positive(pair.p), _positive(pair.q)
+    # as y -> -inf, then inf: the log mass ratio of a shared extreme atom, else inf
+    limits = [
+        float(abs(log_p[end] - log_q[end])) if xs_p[end] == xs_q[end] else math.inf
+        for end in (0, -1)
+    ]
     for limit, end in zip(limits, (-math.inf, math.inf)):
         if limit > worst:
             worst, argmax_y = limit, end
-    span = float(max(x_p[1], x_q[1]) - min(x_p[0], x_q[0]))
+    span = float(max(xs_p[-1], xs_q[-1]) - min(xs_p[0], xs_q[0]))
     slack = 0.0 if _identical(pair.p, pair.q) else span * step / (2.0 * spec.theta**2)
     note = (
         f"gaussian: grid maximum {grid_max:.6g} plus a Lipschitz slack of {slack:.3g} "
@@ -248,21 +288,30 @@ def _grid_maximum(
     """max |log P(y|s_i) - log P(y|s_j)| over the grid ``ys``, and its first index.
 
     Both are the same as ``np.argmax`` over every point gives, from a
-    fraction of the density evaluations. Every _COARSE_STRIDE-th point and
-    the last are evaluated first, with both posterior means. On the cell
-    [y0, y1] between two such points the log-ratio r has slope
-    (m_p(y) - m_q(y)) / theta^2 (Tweedie's formula), and each posterior
-    mean m is nondecreasing in y, so the slope lies in
-    [(m_p(y0) - m_q(y1)) / theta^2, (m_p(y1) - m_q(y0)) / theta^2]. Rising
-    at most ``up`` and falling at most ``down`` across the cell, r stays
-    under the tent a + lam (b - a) + lam down from its ends a = r(y0) and
-    b = r(y1), with lam = up / (up + down); -r likewise. Only the cells
-    whose tent, plus a bound on the rounding of every figure in it,
-    reaches the coarse maximum have their interior evaluated. A skipped
-    cell holds no point whose computed ratio is at or above that maximum,
-    so the maximum and its first index are the all-points ones. Each row
-    of the blocked loop is independent of the rows beside it, so every
-    evaluated point has the bits the all-points pass gives it.
+    fraction of the density evaluations. Each conditional's positive atoms
+    and log masses are taken once, for the coarse pass and the rounding
+    margin. Every _COARSE_STRIDE-th point and the last are evaluated
+    first, with both posterior means. On the cell [y0, y1] between two
+    such points the log-ratio r has slope (m_p(y) - m_q(y)) / theta^2
+    (Tweedie's formula), and each posterior mean m is nondecreasing in y.
+    So across the cell r rises by at most ``rise`` = (m_p(y1) - m_q(y0))
+    (y1 - y0) / theta^2 and falls by at most ``fall`` = (m_q(y1) -
+    m_p(y0)) (y1 - y0) / theta^2. With ``up`` and ``down`` those clipped at
+    0, r stays under the tent a + lam (b - a + down) from its ends
+    a = r(y0) and b = r(y1), with lam = up / (up + down), and -r under
+    -b + lam (b - a + down). Where one of ``rise`` and ``fall`` is
+    negative (call it ``steep``), r is strictly monotone on the cell, and
+    at the share t of the cell past y0, |r| is at most the larger of
+    |a| + steep t and |b| + steep (1 - t). The cell's inner points lie at
+    least shares t0 and t1 of it from y0 and y1, so none exceeds the
+    larger of |a| + steep t0 and |b| + steep t1. Only the cells whose
+    bound, plus a bound on the rounding of every figure in it, reaches
+    the coarse maximum have their interior evaluated, through
+    :func:`log_output_density`. A skipped cell holds no point whose
+    computed ratio is at or above that maximum, so the maximum and its
+    first index are the all-points ones. Each row of the blocked loop is
+    independent of the rows beside it, so every evaluated point has the
+    bits the all-points pass gives it.
 
     Rounding, to first order in the unit roundoff u: a computed log density
     l is within 12u (|l| + K) of the exact one, where K = |log normaliser|
@@ -270,50 +319,62 @@ def _grid_maximum(
     each term, weighted by the posterior (whose entropy is at most log n),
     and of the n-term sum; 16u leaves room for the second order. On a cell
     |l| is at most A: its largest value at the ends, plus the cell width
-    times max(|m(y0) - y1|, |m(y1) - y0|) / theta^2, which bounds the slope
-    (m(y) - y) / theta^2 of l. A computed mean is within
-    32u S (A + K) + (2n + 1) u X, for the span S and largest magnitude X
-    of the positive atoms. The tent moves by at most the error of a or b
-    plus the errors of ``up`` and ``down``, and its own arithmetic adds
-    8u (|a| + |b| + tent height) and 5u (up + down). The margin sums
+    times max(H - y0, y1 - L) / theta^2, which bounds the slope
+    |m(y) - y| / theta^2 of l, since every posterior mean lies in the hull
+    [L, H] of both positive supports. A computed mean is within
+    32u S (A + K) + (2n + 1) u X, for the span S = H - L and the largest
+    magnitude X of the positive atoms. Either bound moves by at most the
+    error of a or b plus the errors of ``rise`` and ``fall``. The tent's
+    own arithmetic adds 8u (|a| + |b| + tent height) + 5u (up + down), with
+    the height at most (up + down) / 4; the monotone bound's adds
+    u (|a| + |b|) + 5u |steep|, with |steep| at most up + down, because
+    rise + fall >= 0. As |a| and |b| are at most the coarse maximum, 16u
+    times that maximum plus 12u (up + down) covers both. The margin sums
     these for r at the cell's ends and at any point inside it.
     """
     theta = spec.theta
+    (xs_p, log_p), (xs_q, log_q) = _positive(pair.p), _positive(pair.q)
     coarse = np.minimum(np.arange(0, ys.size + _COARSE_STRIDE - 1, _COARSE_STRIDE), ys.size - 1)
-    (l_p, mean_p), (l_q, mean_q) = (
-        _log_density_and_mean(d, spec, ys[coarse]) for d in (pair.p, pair.q)
-    )
+    y = ys[coarse]
+    l_p, mean_p = _density_rows(xs_p, log_p, theta, y, with_mean=True)
+    l_q, mean_q = _density_rows(xs_q, log_q, theta, y, with_mean=True)
     r = l_p - l_q
     ratio = np.abs(r)
     top = ratio.max()
-    y0, y1 = ys[coarse[:-1]], ys[coarse[1:]]
-    width = (y1 - y0) / theta  # in units of theta
+    y0, y1 = y[:-1], y[1:]
+    dy = y1 - y0
+    width = dy / theta  # in units of theta
     a, b = r[:-1], r[1:]
-    up = np.maximum(mean_p[1:] - mean_q[:-1], 0.0) / theta * width
-    down = np.maximum(mean_q[1:] - mean_p[:-1], 0.0) / theta * width
-    lam = np.divide(up, up + down, out=np.zeros_like(up), where=up + down > 0)
-    height = lam * down  # the tent's peak above its chord
-    tent = np.maximum(lam * b + (1.0 - lam) * a, -(lam * a + (1.0 - lam) * b)) + height
+    # the most r can rise, and fall, across each cell
+    rise = (mean_p[1:] - mean_q[:-1]) / theta * width
+    fall = (mean_q[1:] - mean_p[:-1]) / theta * width
+    up, down = np.maximum(rise, 0.0), np.maximum(fall, 0.0)
+    slopes = up + down
+    # 0 where the cell is flat: 0 / the least subnormal, where any positive sum is unchanged
+    lam = up / np.maximum(slopes, 5e-324)
+    tent = np.maximum(a, -b) + lam * (b - a + down)
+    steep = np.minimum(np.minimum(rise, fall), 0.0)
+    inner = (ys[coarse[:-1] + 1] - y0) / dy, (y1 - ys[coarse[1:] - 1]) / dy
+    bound = np.where(
+        steep < 0, np.maximum(ratio[:-1] + steep * inner[0], ratio[1:] + steep * inner[1]), tent
+    )
     # the rounding margin derived above
     u = np.finfo(float).eps / 2.0
-    keeps = [d.mass > 0 for d in (pair.p, pair.q)]
-    atoms = np.concatenate([d.support[keep] for d, keep in zip((pair.p, pair.q), keeps)])
-    log_mass = np.log(np.concatenate([d.mass[keep] for d, keep in zip((pair.p, pair.q), keeps)]))
-    n = max(np.count_nonzero(keep) for keep in keeps)
-    k = abs(0.5 * math.log(2.0 * math.pi) + math.log(theta)) + np.abs(log_mass).max() + n
+    low, high = min(xs_p[0], xs_q[0]), max(xs_p[-1], xs_q[-1])
+    n = max(xs_p.size, xs_q.size)
+    k = (abs(0.5 * math.log(2.0 * math.pi) + math.log(theta))
+         + max(np.abs(log_p).max(), np.abs(log_q).max()) + n)
     logs = np.maximum(np.abs(l_p), np.abs(l_q))
-    means = np.stack([mean_p, mean_q])
-    drift = np.maximum(np.abs(means[:, :-1] - y1), np.abs(means[:, 1:] - y0)).max(axis=0)
-    magnitude = np.maximum(logs[:-1], logs[1:]) + drift / theta * width + k
-    span, size = atoms.max() - atoms.min(), np.abs(atoms).max()
+    cell = width / theta
+    magnitude = np.maximum(logs[:-1], logs[1:]) + np.maximum(high - y0, y1 - low) * cell + k
     margin = u * (
-        64.0 * magnitude
-        + (128.0 * span * magnitude + (8.0 * n + 12.0) * size) / theta * width
-        + 5.0 * (up + down)
-        + 8.0 * (np.abs(a) + np.abs(b) + height)
+        magnitude * (64.0 + 128.0 * (high - low) * cell)
+        + (8.0 * n + 12.0) * max(-low, high) * cell
+        + 12.0 * slopes
+        + 16.0 * top
     )
     # NaN bounds (or a NaN maximum) refine their cells
-    refine = ~(tent + margin < top)
+    refine = ~(bound + margin < top)
     fine = coarse[:-1][refine, None] + np.arange(1, _COARSE_STRIDE)
     fine = fine[fine < coarse[1:][refine, None]]
     fine_p, fine_q = (log_output_density(d, spec, ys[fine]) for d in (pair.p, pair.q))
@@ -333,7 +394,10 @@ def _decayed_prefix(y: np.ndarray, log_w: np.ndarray, theta: float) -> np.ndarra
     grows against theta. The N points are laid out in rows of about
     sqrt(N): one sweep runs along all rows at once, a second carries each
     row's last prefix into the next row, so the Python loops take
-    O(sqrt(N)) steps and the work is O(N).
+    O(sqrt(N)) steps and the work is O(N). The decays between neighbouring
+    columns, and between the points before neighbouring rows, are computed
+    once before their loop, by the same subtraction and division a step
+    would make, and each step writes its column or carry in place.
     """
     n = log_w.shape[-1]
     width = math.isqrt(n - 1) + 1
@@ -343,15 +407,15 @@ def _decayed_prefix(y: np.ndarray, log_w: np.ndarray, theta: float) -> np.ndarra
     y = y.reshape(y.shape[:-1] + (rows, width))
     v = np.concatenate([log_w, np.full(log_w.shape[:-1] + (pad,), -np.inf)], axis=-1)
     v = v.reshape(v.shape[:-1] + (rows, width))
+    decay = np.diff(y, axis=-1) / theta
     for c in range(1, width):
-        v[..., c] = np.logaddexp(v[..., c], v[..., c - 1] - (y[..., c] - y[..., c - 1]) / theta)
+        np.logaddexp(v[..., c], v[..., c - 1] - decay[..., c - 1], out=v[..., c])
     # prev[r]: the point before row r (row 0: its own first point, carrying nothing)
     prev = np.concatenate([y[..., :1, 0], y[..., :-1, -1]], axis=-1)
+    decay = np.diff(prev, axis=-1) / theta
     carry = np.full(v.shape[:-1], -np.inf)
     for r in range(1, rows):
-        carry[..., r] = np.logaddexp(
-            v[..., r - 1, -1], carry[..., r - 1] - (prev[..., r] - prev[..., r - 1]) / theta
-        )
+        np.logaddexp(v[..., r - 1, -1], carry[..., r - 1] - decay[..., r - 1], out=carry[..., r])
     v = np.logaddexp(v, carry[..., None] - (y - prev[..., None]) / theta)
     return v.reshape(v.shape[:-2] + (rows * width,))[..., :n]
 
@@ -372,7 +436,7 @@ def _laplace_log_ratios(pairs: Sequence[DiscriminativePair], theta: float):
     """
     groups: dict[int, list[int]] = {}
     for index, pair in enumerate(pairs):
-        n = np.union1d(pair.p.support[pair.p.mass > 0], pair.q.support[pair.q.mass > 0]).size
+        n = _sorted_unique(np.concatenate([d.support[d.mass > 0] for d in (pair.p, pair.q)])).size
         groups.setdefault(n, []).append(index)
     for n, indices in groups.items():
         size = max(1, _BLOCK_ELEMENTS // (4 * n))
@@ -381,11 +445,10 @@ def _laplace_log_ratios(pairs: Sequence[DiscriminativePair], theta: float):
             ys = np.empty((len(chunk), n))
             log_w = np.full((len(chunk), 2, n), -np.inf)
             for points, weights, index in zip(ys, log_w, chunk):
-                dists = (pairs[index].p, pairs[index].q)
-                keeps = [d.mass > 0 for d in dists]
-                points[:] = np.union1d(*(d.support[keep] for d, keep in zip(dists, keeps)))
-                for row, d, keep in zip(weights, dists, keeps):
-                    row[np.searchsorted(points, d.support[keep])] = np.log(d.mass[keep])
+                views = _positive(pairs[index].p), _positive(pairs[index].q)
+                points[:] = _sorted_unique(np.concatenate([xs for xs, _ in views]))
+                for row, (xs, log_mass) in zip(weights, views):
+                    row[np.searchsorted(points, xs)] = log_mass
             # A decay that overflows is inf: the far atom then adds nothing.
             with np.errstate(over="ignore"):
                 # left sweep on ys and right sweep on -ys reversed, in one call

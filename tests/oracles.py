@@ -6,7 +6,8 @@ enumeration, W1 from the CDF-difference identity (each CDF its own
 cumulative sum), tail masses from scipy's normal distribution, the
 Theorem-2 scale from one bracket and bisection per moment equation, the
 Laplace log-ratio from an O(n m) log-sum-exp (and, to pin the batched
-certificate's bits, from the sweep kernel run one pair at a time), the
+certificate's bits, from a copy of the sweep kernel that computes each
+decay inside its loops, run one pair at a time), the
 Gaussian-noised output density from one unblocked (y, atom) matrix and
 from a per-atom sum, the Gaussian grid's maximum from the density at
 every grid point, scenario conditionals from one dict-merged pushforward
@@ -34,7 +35,7 @@ from scipy.stats import norm
 from pufferot import DiscreteDistribution, ValidationError, release
 from pufferot.scenarios import ATOM_MERGE_TOL, MAX_ATOMS
 from pufferot.transport import ENTRY_DROP_TOL
-from pufferot.verify import _decayed_prefix, log_output_density
+from pufferot.verify import log_output_density
 
 
 def lp_transport_cost(p, q) -> float:
@@ -116,9 +117,9 @@ def direct_laplace_log_ratio(p, q, theta: float, ys) -> np.ndarray:
 def per_pair_laplace_log_ratio(pair, theta: float):
     """The Laplace log-ratio at one pair's positive-mass support points, as (points, ratios).
 
-    The library's own sweep kernel, ``verify._decayed_prefix``, run on this
-    pair alone: the per-pair form that the batched certificate replaced,
-    against which its stacked chunks must agree bit for bit.
+    The sweep kernel, :func:`decayed_prefix`, run on this pair alone: the
+    per-pair form that the batched certificate replaced, against which its
+    stacked chunks must agree bit for bit.
     """
     dists = (pair.p, pair.q)
     ys = np.union1d(*(d.support[d.mass > 0] for d in dists))
@@ -127,7 +128,7 @@ def per_pair_laplace_log_ratio(pair, theta: float):
         keep = d.mass > 0
         log_w[row, np.searchsorted(ys, d.support[keep])] = np.log(d.mass[keep])
     # left sweep on ys and right sweep on -ys reversed, in one call
-    sweeps = _decayed_prefix(
+    sweeps = decayed_prefix(
         np.stack([ys, -ys[::-1]])[:, None, :], np.stack([log_w, log_w[:, ::-1]]), theta
     )
     left, right = sweeps[0], sweeps[1][:, ::-1]
@@ -136,6 +137,35 @@ def per_pair_laplace_log_ratio(pair, theta: float):
     )
     log_density = np.logaddexp(left, above)
     return ys, np.abs(log_density[0] - log_density[1])
+
+
+def decayed_prefix(y, log_w, theta):
+    """log sum_{j <= k} w_j exp(-(y_k - y_j) / theta) at every k of the last axis.
+
+    The library's sweep kernel as it computed each decay inside its loops:
+    rows of about sqrt(N) points, one sweep along all rows at once, a
+    second carrying each row's last prefix into the next row. Its bits pin
+    those of the library's kernel, whose decays are computed once.
+    """
+    n = log_w.shape[-1]
+    width = math.isqrt(n - 1) + 1
+    rows = -(-n // width)
+    pad = rows * width - n
+    y = np.concatenate([y, np.repeat(y[..., -1:], pad, axis=-1)], axis=-1)
+    y = y.reshape(y.shape[:-1] + (rows, width))
+    v = np.concatenate([log_w, np.full(log_w.shape[:-1] + (pad,), -np.inf)], axis=-1)
+    v = v.reshape(v.shape[:-1] + (rows, width))
+    for c in range(1, width):
+        v[..., c] = np.logaddexp(v[..., c], v[..., c - 1] - (y[..., c] - y[..., c - 1]) / theta)
+    # prev[r]: the point before row r (row 0: its own first point, carrying nothing)
+    prev = np.concatenate([y[..., :1, 0], y[..., :-1, -1]], axis=-1)
+    carry = np.full(v.shape[:-1], -np.inf)
+    for r in range(1, rows):
+        carry[..., r] = np.logaddexp(
+            v[..., r - 1, -1], carry[..., r - 1] - (prev[..., r] - prev[..., r - 1]) / theta
+        )
+    v = np.logaddexp(v, carry[..., None] - (y - prev[..., None]) / theta)
+    return v.reshape(v.shape[:-2] + (rows * width,))[..., :n]
 
 
 def per_step_conditional(system, user, value=None):
@@ -256,7 +286,8 @@ def enumerated_conditional(system, user, value=None):
 def _merge_close_scan(values, mass):
     """Sort, then merge runs of atoms within ATOM_MERGE_TOL of their neighbour.
 
-    A merged atom sits at the mass-weighted mean of its run.
+    A merged atom sits at the mass-weighted mean of its run; a lone atom
+    keeps its value.
     """
     order = np.argsort(values, kind="stable")
     values, mass = values[order], mass[order]
@@ -267,7 +298,10 @@ def _merge_close_scan(values, mass):
         while end < values.size and values[end] - values[end - 1] <= ATOM_MERGE_TOL:
             end += 1
         run_mass = mass[k:end].sum()
-        out_vals.append(float((values[k:end] * mass[k:end]).sum() / run_mass))
+        if end - k == 1:
+            out_vals.append(float(values[k]))
+        else:
+            out_vals.append(float((values[k:end] * mass[k:end]).sum() / run_mass))
         out_mass.append(float(run_mass))
         k = end
     return np.array(out_vals), np.array(out_mass)

@@ -74,6 +74,41 @@ class TestOutputDensity:
         with pytest.raises(ValidationError, match="Gaussian-only"):
             verify.log_output_density(dirac(0), laplace_spec(1.0), [0.0])
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_y_rejected(self, example1_pair, bad):
+        # RuntimeWarnings are errors under this suite, so a NaN row would fail here too
+        with pytest.raises(ValidationError, match=r"ys\[1\] is not finite"):
+            verify.log_output_density(example1_pair.p, gaussian_spec(1.0), [0.0, bad, 1.0])
+
+    @pytest.mark.parametrize(
+        "ys, match",
+        [
+            ([[0.0, 1.0]], "one-dimensional"),
+            (0.0, "one-dimensional"),
+            (["a"], "list of numbers"),
+            ([[0.0], [1.0, 2.0]], "list of numbers"),
+        ],
+    )
+    def test_ys_that_are_not_a_vector_of_numbers_rejected(self, ys, match):
+        with pytest.raises(ValidationError, match=match):
+            verify.log_output_density(dirac(0), gaussian_spec(1.0), ys)
+
+    def test_y_where_every_term_underflows_has_log_density_minus_inf(self, example1_pair):
+        spec = gaussian_spec(1.0)
+        ys = [-2.0, 1e308, 0.5, -1e308, 1e200, 9.0]
+        got = verify.log_output_density(example1_pair.p, spec, ys)
+        assert got[[1, 3, 4]].tolist() == [-math.inf] * 3
+        # every other row keeps the bits it has on its own
+        for k in (0, 2, 5):
+            alone = verify.log_output_density(example1_pair.p, spec, ys[k : k + 1])
+            assert np.array_equal(got[k], alone[0])
+            assert np.array_equal(
+                alone, unblocked_log_output_density(example1_pair.p, spec, ys[k : k + 1])
+            )
+
+    def test_empty_ys_give_an_empty_result(self):
+        assert verify.log_output_density(dirac(0), gaussian_spec(1.0), []).shape == (0,)
+
 
 class TestVerifyPufferfish:
     def test_calibrated_first_example_passes(self, example1_pair):
@@ -671,26 +706,51 @@ class TestCoarseGridMaximum:
     def test_the_families_hold_over_a_thousand_cases(self):
         assert sum(len(grid_cases(family)) for family in GRID_FAMILIES) >= 1000
 
-    def test_counting_value_pair_evaluates_a_tenth_of_its_grid(self, monkeypatch):
+    def test_counting_value_pair_evaluates_a_twentieth_of_its_grid(self, monkeypatch):
         evaluated, grids = [], []
-        density, maximum = verify._log_density_and_mean, verify._grid_maximum
+        rows, maximum = verify._density_rows, verify._grid_maximum
 
-        def counted_density(dist, spec, ys):
-            evaluated.append(np.atleast_1d(ys).size)
-            return density(dist, spec, ys)
+        def counted_rows(xs, log_mass, theta, ys, with_mean=False):
+            evaluated.append(ys.size)
+            return rows(xs, log_mass, theta, ys, with_mean)
 
         def counted_maximum(pair, spec, ys):
             grids.append(ys.size)
             return maximum(pair, spec, ys)
 
-        monkeypatch.setattr(verify, "_log_density_and_mean", counted_density)
+        monkeypatch.setattr(verify, "_density_rows", counted_rows)
         monkeypatch.setattr(verify, "_grid_maximum", counted_maximum)
         for seed in range(5):
             pair = counting_pairs(seed)[0]
             evaluated.clear()
             verify._gaussian_grid(pair, gaussian_spec(gaussian_a_theta(pair)))
+            # every density row, coarse or refined, passes through _density_rows;
             # both conditionals are evaluated at each chosen point
-            assert sum(evaluated) <= 0.1 * 2 * grids[-1], (sum(evaluated), grids[-1])
+            assert sum(evaluated) <= 0.05 * 2 * grids[-1], (sum(evaluated), grids[-1])
+
+    def test_monotone_end_cell_is_not_refined(self, monkeypatch):
+        # seed 0's maximum is the last grid point, at the end of a cell on which the
+        # log-ratio is strictly monotone, so no point inside that cell can reach it
+        refined, maximum = [], verify._grid_maximum
+        density = verify.log_output_density
+
+        def counted_density(dist, spec, ys):
+            refined.append(len(ys))
+            return density(dist, spec, ys)
+
+        def checked_maximum(pair, spec, ys):
+            found = maximum(pair, spec, ys)
+            assert found == all_points_grid_maximum(pair, spec, ys)
+            assert found[1] == ys.size - 1
+            return found
+
+        monkeypatch.setattr(verify, "_grid_maximum", checked_maximum)
+        pair = counting_pairs(0)[0]
+        spec = gaussian_spec(gaussian_a_theta(pair))
+        monkeypatch.setattr(verify, "log_output_density", counted_density)
+        verify._gaussian_grid(pair, spec)
+        # the refinement still calls log_output_density for both sides, with no rows
+        assert refined == [0, 0]
 
     def test_memory_stays_under_the_blocked_density_bound(self):
         rng = np.random.default_rng(4)
@@ -707,6 +767,22 @@ class TestCoarseGridMaximum:
         lo, hi, step = ev.grid
         assert (hi - lo) / step >= 200_000 and math.isfinite(ev.grid_max)
         assert peak < 8_000_000
+
+
+class TestSortedUnique:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_numpy_unique_bit_for_bit(self, seed):
+        # sorted runs, as the grid and the supports are, with repeats and both signed zeros
+        rng = np.random.default_rng([32, seed])
+        runs = [np.sort(rng.choice(np.arange(-5.0, 6.0), int(rng.integers(1, 12))))
+                for _ in range(int(rng.integers(1, 4)))]
+        values = np.concatenate(runs)
+        zeros = values == 0
+        values[zeros] = np.where(rng.random(int(zeros.sum())) < 0.5, -0.0, 0.0)
+        want = np.unique(values)
+        got = verify._sorted_unique(values.copy())
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestGaussianGridCap:
