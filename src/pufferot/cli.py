@@ -71,10 +71,6 @@ def _write_json(payload, path: str) -> None:
         fh.write("\n")
 
 
-def _is_list_of_lists(value) -> bool:
-    return isinstance(value, list) and all(isinstance(entry, list) for entry in value)
-
-
 def _read_pairs_file(path: str) -> list[DiscriminativePair]:
     """Pairs file: {"prior": tag, "conditionals": {label: dist}, "pairs": "all" | [[a, b], ...]}."""
     payload = _read_json(path)
@@ -85,7 +81,7 @@ def _read_pairs_file(path: str) -> list[DiscriminativePair]:
     listed = payload.get("pairs", "all")
     if listed == "all":
         return enumerate_pairs(conditionals, prior=prior)
-    if not _is_list_of_lists(listed):
+    if not isinstance(listed, list):
         raise ValidationError(f'{path}: "pairs" must be "all" or a list of [a, b] lists')
     return enumerate_pairs(conditionals, pairs=listed, prior=prior)
 
@@ -179,14 +175,9 @@ def _rows(cells: list, width: int):
     return zip(*[iter(cells)] * width) if width else cells
 
 
-def _released_blocks(table: str, blocks, delimiter: str, col: int, column: str,
+def _released_blocks(table: str, blocks, col: int, column: str,
                      mapping: AttributeMapping | None, spec: MechanismSpec, rng):
-    """The ``table_blocks`` blocks with cell ``col`` noised, each as ``(rows, plain)``.
-
-    ``plain`` says that the block is plain and that ``csv.writer`` would
-    quote no cell either, so each row joined with the delimiter gives the
-    same bytes; it is false whatever the lines when the delimiter is a quote
-    or can occur in a noised value's ``repr``.
+    """The ``table_blocks`` blocks, as ``(cells, width)``, with cell ``col`` noised.
 
     Mapped labels become their indices. A block's cells are parsed straight
     into an array; only when that fails, or a value is not finite, is the
@@ -194,13 +185,9 @@ def _released_blocks(table: str, blocks, delimiter: str, col: int, column: str,
     its noise from ``rng``, so the draws are those of one call over the
     whole column.
     """
-    if mapping is None:
-        parse = float
-    else:
-        parse = {label: k for k, label in enumerate(mapping.labels, start=1)}.__getitem__
-    joinable = delimiter not in '"+-.0123456789aefin'  # a quote, or a character of a float's repr
+    parse = float if mapping is None else mapping.indices.__getitem__
     rownum = 2
-    for cells, width, plain in blocks:
+    for cells, width in blocks:
         count = len(cells) // width if width else len(cells)
         try:  # rows without cell ``col`` raise IndexError: all of a narrower flat block, or some
             texts = cells[col::width] if col < width else map(itemgetter(col), _rows(cells, width))
@@ -216,7 +203,7 @@ def _released_blocks(table: str, blocks, delimiter: str, col: int, column: str,
             for row, text in zip(cells, texts):
                 row[col] = text
         rownum += count
-        yield _rows(cells, width), plain and joinable
+        yield cells, width
         del cells  # so that no more than one block is held while the next is read
 
 
@@ -247,6 +234,9 @@ def cmd_release(args: argparse.Namespace) -> int:
     if args.mapping:
         mapping = AttributeMapping.from_json_file(args.mapping)
     rng = np.random.default_rng(args.seed)
+    # A flat block's cells hold no quote, padding or line end, so csv.writer quotes none of
+    # them unless the delimiter is a quote or can occur in a noised value's repr.
+    joinable = delimiter not in '"+-.0123456789aefin'
     out = Path(args.out)
     with open(table, newline="", encoding="utf-8") as src:
         blocks = table_blocks(table, src, delimiter)
@@ -263,13 +253,13 @@ def cmd_release(args: argparse.Namespace) -> int:
             with dst:
                 writer = csv.writer(dst, delimiter=delimiter)
                 writer.writerow([name.strip() for name in header])
-                for rows, plain in _released_blocks(table, blocks, delimiter, col, column,
-                                                    mapping, spec, rng):
-                    if plain:
-                        dst.write("\r\n".join(map(delimiter.join, rows)) + "\r\n")
+                for cells, width in _released_blocks(table, blocks, col, column, mapping,
+                                                     spec, rng):
+                    if width and joinable:  # the same bytes as csv.writer's
+                        dst.write("\r\n".join(map(delimiter.join, _rows(cells, width))) + "\r\n")
                     else:
-                        writer.writerows(rows)
-                    del rows  # so that no more than one block is held while the next is read
+                        writer.writerows(_rows(cells, width))
+                    del cells  # so that no more than one block is held while the next is read
             os.replace(partial, out)
         except BaseException:
             if dst is not None:  # a partial file of this name that we did not make stays

@@ -19,10 +19,11 @@ so another rate reparameterises the scale: its theta is eta^{-1}(1/theta).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -413,22 +414,12 @@ def _newton_window(
     return None
 
 
-#: Pair -> its plan, and plan -> its sensitivity or moment equations. The
-#: keys are weak references compared by identity, so an entry goes with its
-#: pair or plan and no sweep grows these. No value refers to its own key: a
-#: plan holds the pair's distributions, not the pair.
-_PLANS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_SENSITIVITIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+#: Pair -> (its plan, the plan's sensitivity), and plan -> its moment
+#: equations. The keys are weak references compared by identity, so an
+#: entry goes with its pair or plan and no sweep grows these. No value
+#: refers to its own key: a plan holds the pair's distributions, not the pair.
+_CALIBRATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _EQUATIONS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _memoized(memo: weakref.WeakKeyDictionary, key, compute: Callable):
-    """``compute(key)``, computed once per ``key`` object."""
-    try:
-        return memo[key]
-    except KeyError:
-        value = memo[key] = compute(key)
-        return value
 
 
 def _moment_equations(plan: TransportPlan) -> _MomentEquations | None:
@@ -500,7 +491,10 @@ def relaxed_theta(plan: TransportPlan, epsilon: float) -> float:
     edge fails.
     """
     _check_epsilon(epsilon)
-    eqs = _memoized(_EQUATIONS, plan, _moment_equations)
+    try:
+        eqs = _EQUATIONS[plan]
+    except KeyError:
+        eqs = _EQUATIONS[plan] = _moment_equations(plan)
     if eqs is None:
         return 0.0
     targets = epsilon + eqs.log_marginals
@@ -547,8 +541,12 @@ def calibrate_pufferfish(
 
     records = []
     for pair in pairs:
-        plan = _memoized(_PLANS, pair, lambda pair: optimal_plan(pair.p, pair.q))
-        sens = _memoized(_SENSITIVITIES, plan, plan_sensitivity)
+        try:
+            plan, sens = _CALIBRATIONS[pair]
+        except KeyError:
+            plan = optimal_plan(pair.p, pair.q)
+            sens = plan_sensitivity(plan)
+            _CALIBRATIONS[pair] = plan, sens
         if gaussian:
             theta = calibrate_gaussian(sens, epsilon, delta, variant=method[-1])
         elif method == "theorem2":
@@ -577,16 +575,20 @@ def sample_noise(
 
     ``seed`` may be a ``np.random.Generator``, which is drawn from and left
     advanced; draws of n1 then n2 values from one generator equal one draw
-    of n1 + n2.
+    of n1 + n2. ``n`` is an integer >= 0: anything ``operator.index`` takes.
     """
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValidationError(f"n must be an integer, got {n!r}") from None
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n!r}")
     if spec.theta == 0:
-        return np.zeros(int(n))
+        return np.zeros(n)
     rng = np.random.default_rng(seed)
     if spec.family == "laplace":
-        return rng.laplace(0.0, spec.theta, int(n))
-    return rng.normal(0.0, spec.theta, int(n))
+        return rng.laplace(0.0, spec.theta, n)
+    return rng.normal(0.0, spec.theta, n)
 
 
 def release(

@@ -17,6 +17,7 @@ between them, each conditional is built once, and the memo goes with it.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 import weakref
 from functools import cached_property
@@ -115,11 +116,18 @@ class UserSystem:
     def user_count(self) -> int:
         return self._offsets.size - 1
 
-    def _check_user(self, user: int) -> slice:
-        """``user``'s slice of the flat arrays, once the index is known to name a user."""
+    def _check_user(self, user: int) -> tuple[int, slice]:
+        """``user`` as an int, and its slice of the flat arrays, once it is known to name a user.
+
+        The index is anything ``operator.index`` takes.
+        """
+        try:
+            user = operator.index(user)
+        except TypeError:
+            raise ValidationError(f"user index must be an integer, got {user!r}") from None
         if not 0 <= user < self.user_count:
             raise ValidationError(f"user index {user} out of range for {self.user_count} users")
-        return slice(*self._offsets[user:user + 2].tolist())
+        return user, slice(*self._offsets[user:user + 2].tolist())
 
 
 def bernoulli_counting(p_values: Sequence[float]) -> UserSystem:
@@ -279,7 +287,7 @@ def _merge_step(
     Sums whose mass underflows to 0 are dropped first, as :func:`_grid_atoms`
     drops empty grid points, so no run of atoms carries zero mass.
     """
-    at = system._check_user(user)
+    _, at = system._check_user(user)
     prior = system._mass[at]
     keep = prior > 0
     out, inverse = np.unique(system._output[at][keep], return_inverse=True)
@@ -301,7 +309,7 @@ def conditional_output_dist(
     with the user's output law, which equals the prior mixture over the
     user's values.
     """
-    at = system._check_user(user)
+    user, at = system._check_user(user)
     if value is None:
         return _conditional(system, user, None)
     value = float(value)
@@ -326,7 +334,7 @@ def discriminative_pairs(
     returns, so ``values`` then ``absence`` convolve the other users once,
     extend their law by the user once, and build each conditional once.
     """
-    at = system._check_user(user)
+    user, at = system._check_user(user)
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     labels = [_label(user, a) for a in system._support[at].tolist()]
@@ -350,4 +358,4 @@ def query_sensitivity(system: UserSystem, user: int) -> float:
     The value is independent of the priors, and it bounds absence pairs
     too: the absent conditional is a mixture of the value conditionals.
     """
-    return float(np.ptp(system._output[system._check_user(user)]))
+    return float(np.ptp(system._output[system._check_user(user)[1]]))

@@ -29,7 +29,7 @@ _ADULT_PAIR = ("White", "Asian-Pac-Islander")
 
 @dataclass(frozen=True, eq=False)
 class AttributeMapping:
-    """Ordered category labels mapped to indices 1..n."""
+    """Ordered category labels mapped to indices 1..n, as the dict ``indices``."""
 
     labels: tuple[str, ...]
 
@@ -37,15 +37,15 @@ class AttributeMapping:
         labels = tuple(str(label) for label in self.labels)
         if not labels:
             raise ValidationError("an attribute mapping needs at least one label")
-        seen: dict[str, int] = {}
+        indices: dict[str, int] = {}
         for i, label in enumerate(labels):
-            if label in seen:
+            if label in indices:
                 raise ValidationError(
-                    f"duplicate label {label!r} at positions {seen[label]} and {i}"
+                    f"duplicate label {label!r} at positions {indices[label] - 1} and {i}"
                 )
-            seen[label] = i
+            indices[label] = i + 1
         object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "_positions", seen)
+        object.__setattr__(self, "indices", indices)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -53,7 +53,7 @@ class AttributeMapping:
     def index(self, label: str) -> int:
         """1-based index of a label."""
         try:
-            return self._positions[label] + 1
+            return self.indices[label]
         except KeyError:
             raise ValidationError(f"label {label!r} is not in the attribute mapping") from None
 
@@ -98,20 +98,20 @@ _PADDING = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
 def table_blocks(path: str, fh, delimiter: str):
     """The header row of the table ``fh``, then its data rows as blocks of ``_BLOCK_ROWS`` csv rows.
 
-    Each block is ``(cells, width, plain)``. A block is plain when its raw
-    lines are ASCII with no quote, NUL or ``_PADDING`` other than the
-    delimiter: ``csv.reader`` then splits each line at the delimiter alone
-    and no cell needs stripping. A carriage return can only end a line
-    there, as ``fh`` is opened with ``newline=""``, which splits lines at
-    every one. When the lines of a plain block are also regular (none blank,
-    all with the same number of cells, none longer than
-    ``csv.field_size_limit()``), they are split without ``csv.reader``:
-    ``cells`` is one flat list of their cells, row k being
-    ``cells[k * width:(k + 1) * width]``. Every other block has ``width`` 0
-    and ``cells`` holds ``csv.reader``'s rows, stripped unless the block is
-    plain; a quoted record takes the block past its first ``_BLOCK_ROWS``
-    lines. The header is read as a block of one row, and never stripped. A
-    ``csv.Error`` is a ``ValidationError`` naming ``path`` and the line.
+    Each block is ``(cells, width)``. When a block's raw lines are ASCII
+    with no quote, NUL or ``_PADDING`` other than the delimiter,
+    ``csv.reader`` would split each line at the delimiter alone and no cell
+    would need stripping. A carriage return can only end a line there, as
+    ``fh`` is opened with ``newline=""``, which splits lines at every one.
+    When those lines are also regular (none blank, all with the same number
+    of cells, none longer than ``csv.field_size_limit()``), they are split
+    without ``csv.reader``: ``width`` > 0 and ``cells`` is one flat list of
+    their cells, row k being ``cells[k * width:(k + 1) * width]``. Every
+    other block has ``width`` 0 and ``cells`` holds ``csv.reader``'s rows,
+    every cell stripped; a quoted record takes the block past its first
+    ``_BLOCK_ROWS`` lines. The header is read as a block of one row, and
+    never stripped. A ``csv.Error`` is a ``ValidationError`` naming
+    ``path`` and the line.
     """
     unplain = ['"', "\0", *_PADDING.replace(delimiter, "")]
     # deleting every byte but the delimiter and the line feed leaves the shape of each line
@@ -119,16 +119,16 @@ def table_blocks(path: str, fh, delimiter: str):
     line = 0  # lines read before the block
 
     def block(count: int):
-        """The next ``count`` csv rows as ``(cells, width, plain)``; None at the end of ``fh``."""
+        """The next ``count`` csv rows as ``(cells, width)``; None at the end of ``fh``."""
         nonlocal line
         lines = list(islice(fh, count))
         if not lines:
             return None
         raw = "".join(lines)
-        plain = raw.isascii() and not any(map(raw.__contains__, unplain))
-        if plain and (split := _split_regular(raw, lines, delimiter, not_shape)):
+        if (raw.isascii() and not any(map(raw.__contains__, unplain))
+                and (split := _split_regular(raw, lines, delimiter, not_shape))):
             line += len(lines)
-            return *split, True
+            return split
         del raw
         reader = csv.reader(chain(lines, fh), delimiter=delimiter)
         try:
@@ -136,20 +136,20 @@ def table_blocks(path: str, fh, delimiter: str):
         except csv.Error as exc:
             raise ValidationError(f"{path}: line {line + reader.line_num}: {exc}") from None
         line += reader.line_num
-        return rows, 0, plain
+        return rows, 0
 
     header = block(1)
     if header is None:
         raise ValidationError(f"{path}: empty file (no header row)")
-    cells, width, _ = header
+    cells, width = header
     del header
     yield cells if width else cells[0]
     while (data := block(_BLOCK_ROWS)) is not None:
-        cells, width, plain = data
+        cells, width = data
         del data
-        if not plain:
+        if not width:
             cells = [list(map(str.strip, row)) for row in cells]
-        yield cells, width, plain
+        yield cells, width
         del cells  # so that no more than one block is held while the next is read
 
 
@@ -198,7 +198,7 @@ def load_table(
     is read and tallied one ``table_blocks`` block at a time, so memory is
     bounded by one block and the tally, whatever the table's length.
     """
-    labels = mapping._positions
+    indices = mapping.indices
     n_labels = len(mapping)
     # a new secret is numbered by its first appearance, as the count of secrets before it
     secrets: defaultdict[str, int] = defaultdict()
@@ -211,12 +211,12 @@ def load_table(
         blocks = table_blocks(path, fh, delimiter)
         header = next(blocks)
         s_col, d_col = (header_column(path, header, c) for c in (secret_column, data_column))
-        for cells, width, _ in blocks:
+        for cells, width in blocks:
             if not width:
                 cells = [row for row in cells if row]
             count = len(cells) // width if width else len(cells)
             data = _column(cells, width, d_col)
-            codes = np.fromiter(map(labels.get, data, repeat(-1)), np.int64, count)
+            codes = np.fromiter(map(indices.get, data, repeat(0)), np.int64, count) - 1
             bad = np.flatnonzero(codes < 0)
             if bad.size and first_rejected is None:
                 first_rejected = (rows + int(bad[0]) + 2, data[bad[0]])
@@ -259,7 +259,10 @@ def enumerate_pairs(
     pairs: Sequence[Sequence[str]] | None = None,
     prior: str = "empirical",
 ) -> list[DiscriminativePair]:
-    """Build discriminative pairs: all unordered secret pairs, or a listed subset."""
+    """Build discriminative pairs: all unordered secret pairs, or the listed pairs.
+
+    Each listed pair is a list or tuple of two secret labels.
+    """
     if pairs is None:
         labels = sorted(conditionals)
         if len(labels) < 2:
@@ -268,7 +271,7 @@ def enumerate_pairs(
     else:
         listed = []
         for entry in pairs:
-            if len(entry) != 2:
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise ValidationError(f"pair {entry!r} must hold exactly two labels")
             a, b = str(entry[0]), str(entry[1])
             for label in (a, b):

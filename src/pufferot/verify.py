@@ -288,30 +288,52 @@ def _grid_maximum(
     """max |log P(y|s_i) - log P(y|s_j)| over the grid ``ys``, and its first index.
 
     Both are the same as ``np.argmax`` over every point gives, from a
-    fraction of the density evaluations. Each conditional's positive atoms
-    and log masses are taken once, for the coarse pass and the rounding
-    margin. Every _COARSE_STRIDE-th point and the last are evaluated
-    first, with both posterior means. On the cell [y0, y1] between two
-    such points the log-ratio r has slope (m_p(y) - m_q(y)) / theta^2
-    (Tweedie's formula), and each posterior mean m is nondecreasing in y.
-    So across the cell r rises by at most ``rise`` = (m_p(y1) - m_q(y0))
-    (y1 - y0) / theta^2 and falls by at most ``fall`` = (m_q(y1) -
-    m_p(y0)) (y1 - y0) / theta^2. With ``up`` and ``down`` those clipped at
-    0, r stays under the tent a + lam (b - a + down) from its ends
-    a = r(y0) and b = r(y1), with lam = up / (up + down), and -r under
-    -b + lam (b - a + down). Where one of ``rise`` and ``fall`` is
-    negative (call it ``steep``), r is strictly monotone on the cell, and
-    at the share t of the cell past y0, |r| is at most the larger of
-    |a| + steep t and |b| + steep (1 - t). The cell's inner points lie at
-    least shares t0 and t1 of it from y0 and y1, so none exceeds the
-    larger of |a| + steep t0 and |b| + steep t1. Only the cells whose
-    bound, plus a bound on the rounding of every figure in it, reaches
-    the coarse maximum have their interior evaluated, through
-    :func:`log_output_density`. A skipped cell holds no point whose
-    computed ratio is at or above that maximum, so the maximum and its
-    first index are the all-points ones. Each row of the blocked loop is
-    independent of the rows beside it, so every evaluated point has the
-    bits the all-points pass gives it.
+    fraction of the density evaluations. Every _COARSE_STRIDE-th point and
+    the last are evaluated first, and each cell between two of them gets a
+    bound on every computed ratio inside it (:func:`_cell_limits`). Only
+    the cells whose bound reaches the coarse maximum have their interior
+    evaluated, through :func:`log_output_density`. A skipped cell holds no
+    point whose computed ratio is at or above that maximum, so the maximum
+    and its first index are the all-points ones. Each row of the blocked
+    loop is independent of the rows beside it, so every evaluated point has
+    the bits the all-points pass gives it.
+    """
+    coarse, ratio, limit = _cell_limits(pair, spec, ys)
+    # NaN bounds (or a NaN maximum) refine their cells
+    refine = ~(limit < ratio.max())
+    fine = coarse[:-1][refine, None] + np.arange(1, _COARSE_STRIDE)
+    fine = fine[fine < coarse[1:][refine, None]]
+    fine_p, fine_q = (log_output_density(d, spec, ys[fine]) for d in (pair.p, pair.q))
+    index = np.concatenate([coarse, fine])
+    ratio = np.concatenate([ratio, np.abs(fine_p - fine_q)])
+    order = np.argsort(index)
+    best = order[np.argmax(ratio[order])]
+    return float(ratio[best]), int(index[best])
+
+
+def _cell_limits(
+    pair: DiscriminativePair, spec: MechanismSpec, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coarse indices into ``ys``, |log-ratio| at them, and a bound on it inside each cell.
+
+    Each conditional's positive atoms and log masses are taken once, for
+    the coarse pass and the rounding margin. Every _COARSE_STRIDE-th point
+    and the last are evaluated, with both posterior means. On the cell
+    [y0, y1] between two such points the log-ratio r has slope
+    (m_p(y) - m_q(y)) / theta^2 (Tweedie's formula), and each posterior
+    mean m is nondecreasing in y. So across the cell r rises by at most
+    ``rise`` = (m_p(y1) - m_q(y0)) (y1 - y0) / theta^2 and falls by at most
+    ``fall`` = (m_q(y1) - m_p(y0)) (y1 - y0) / theta^2. With ``up`` and
+    ``down`` those clipped at 0, r stays under the tent a + lam (b - a +
+    down) from its ends a = r(y0) and b = r(y1), with lam = up / (up +
+    down), and -r under -b + lam (b - a + down). Where one of ``rise`` and
+    ``fall`` is negative (call it ``steep``), r is strictly monotone on the
+    cell, and at the share t of the cell past y0, |r| is at most the larger
+    of |a| + steep t and |b| + steep (1 - t). The cell's inner points lie
+    at least shares t0 and t1 of it from y0 and y1, so none exceeds the
+    larger of |a| + steep t0 and |b| + steep t1. A cell's bound is that
+    bound plus a bound on the rounding of every figure in it, so no ratio
+    computed at an inner point exceeds it; it is NaN where a figure is.
 
     Rounding, to first order in the unit roundoff u: a computed log density
     l is within 12u (|l| + K) of the exact one, where K = |log normaliser|
@@ -373,16 +395,7 @@ def _grid_maximum(
         + 12.0 * slopes
         + 16.0 * top
     )
-    # NaN bounds (or a NaN maximum) refine their cells
-    refine = ~(bound + margin < top)
-    fine = coarse[:-1][refine, None] + np.arange(1, _COARSE_STRIDE)
-    fine = fine[fine < coarse[1:][refine, None]]
-    fine_p, fine_q = (log_output_density(d, spec, ys[fine]) for d in (pair.p, pair.q))
-    index = np.concatenate([coarse, fine])
-    ratio = np.concatenate([ratio, np.abs(fine_p - fine_q)])
-    order = np.argsort(index)
-    best = order[np.argmax(ratio[order])]
-    return float(ratio[best]), int(index[best])
+    return coarse, ratio, bound + margin
 
 
 def _decayed_prefix(y: np.ndarray, log_w: np.ndarray, theta: float) -> np.ndarray:

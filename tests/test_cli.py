@@ -613,20 +613,23 @@ def write_rows(path, rows, delimiter=",", newline="\n", final_newline=True):
 class TestPlainBlocks:
     """``release`` writes the bytes of stripping every cell and one ``csv.writer``.
 
-    Blocks of unpadded, unquoted ASCII skip the strip and ``csv.writer``; the
-    tables here mix such blocks with blocks that need both.
+    Regular blocks of unpadded, unquoted ASCII are split, and skip the strip
+    and ``csv.writer``; the tables here mix such blocks with blocks that
+    need both.
     """
 
     # sha256 of ``plain_rows()`` released, as recorded before plain blocks
-    # skipped csv.writer: every block of it is plain. Its CRLF table, recorded
+    # skipped csv.writer: every block of it is split. Its CRLF table, recorded
     # while CRLF blocks still went through csv.writer, gives the same bytes:
     # the release ends every line as csv.writer does, with "\r\n".
     PLAIN_SHA256 = "ca6f2dc8a9c397d6a09b7224c2bee71136544a6f593d59d353fd27975e4bcde7"
 
-    #: Cells (data row, column, text) that each make a block or two not plain.
+    #: Cells (data row, column, text) that each make a block or two not split; a
+    #: column past the row's end appends the cell.
     EDITS = {
         "plain": [],
         "padded-in-block-2": [(1500, 4, " n1 "), (1600, 2, " 4 ")],
+        "ragged-in-block-3": [(2100, 5, "extra"), (2300, 5, "more")],
         "multiline-at-1024": [(1024, 4, '"x\ny"'), (1025, 4, '"z\n\nw"')],
         "non-ascii": [(2100, 4, "caf\u00e9"), (2200, 4, "\u00a0n2\u3000")],
         "vt-and-fs": [(2500, 4, "\x0b"), (3100, 2, "\x1c3\x1c")],
@@ -638,7 +641,7 @@ class TestPlainBlocks:
     def table(cls, tmp_path, edits="plain", delimiter=",", newline="\n"):
         rows = plain_rows()
         for k, cell, text in cls.EDITS[edits]:
-            rows[k][cell] = text
+            rows[k][cell:cell + 1] = [text]
         return write_rows(tmp_path / "t.csv", rows, delimiter, newline,
                           final_newline=edits != "no-final-newline")
 
@@ -682,13 +685,15 @@ class TestPlainBlocks:
         # a carriage return only ever ends a line, so CRLF blocks are plain too
         ("plain", ",", "\r\n", []),
         ("padded-in-block-2", ",", "\n", [1024]),
+        # a ragged block is read by csv.reader, even when plain, and written by csv.writer
+        ("ragged-in-block-3", ";", "\n", [1024]),
         ("multiline-at-1024", ";", "\n", [1024, 1024]),
         ("vt-and-fs", "\t", "\n", [1024, 428]),
         ("padded-header", ",", "\n", []),
-        # a noised value's repr holds a "." and is quoted, so no block is plain
+        # a noised value's repr holds a "." and is quoted, so no block is joined
         ("plain", ".", "\n", [1024, 1024, 1024, 428]),
     ])
-    def test_only_blocks_that_are_not_plain_go_through_csv_writer(
+    def test_only_blocks_that_are_not_split_go_through_csv_writer(
             self, tmp_path, monkeypatch, edits, delimiter, newline, blocks):
         table = self.table(tmp_path, edits, delimiter, newline)
         written = []
@@ -1304,6 +1309,39 @@ class TestExitDiscipline:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "NumericError"
         assert message in error["message"]
+        assert not out.exists()
+
+    def test_root_past_the_float_range_exits_three(self, tmp_path, capsys):
+        # supports 1e300 apart at eps = 1e-10: G stays positive up to theta = the largest float
+        dist = {"support": [0, 1e300], "mass": [0.5, 0.5]}
+        pairs = write_json({"conditionals": {"a": dist, "b": {**dist, "mass": [0.25, 0.75]}},
+                            "pairs": [["a", "b"]]}, tmp_path / "far.json")
+        out = tmp_path / "report.json"
+        code = cli.main(["calibrate", "--pairs", pairs, "--method", "theorem2",
+                         "--epsilon", "1e-10", "--out", str(out)])
+        assert code == 3
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "NumericError"
+        assert "no upper bracket" in error["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(("listed", "message"), [
+        # a value that is not a list is the file's fault; a bad entry is the pair's
+        ({"a": "b"}, '{path}: "pairs" must be "all" or a list of [a, b] lists'),
+        ("some", '{path}: "pairs" must be "all" or a list of [a, b] lists'),
+        (["ab"], "pair 'ab' must hold exactly two labels"),
+        ([{"a": 1, "b": 2}], "pair {{'a': 1, 'b': 2}} must hold exactly two labels"),
+    ])
+    def test_malformed_pair_list_exits_two(self, tmp_path, capsys, listed, message):
+        dist = {"support": [0, 1], "mass": [0.5, 0.5]}
+        pairs = write_json({"conditionals": {"a": dist, "b": dist}, "pairs": listed},
+                           tmp_path / "pairs.json")
+        out = tmp_path / "report.json"
+        code = cli.main(["calibrate", "--pairs", pairs, "--epsilon", "1", "--out", str(out)])
+        assert code == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValidationError"
+        assert error["message"] == message.format(path=pairs)
         assert not out.exists()
 
     def test_argparse_usage_error(self):

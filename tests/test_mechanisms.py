@@ -1,5 +1,6 @@
 import gc
 import math
+import operator
 import re
 import sys
 import threading
@@ -738,7 +739,7 @@ class TestPairMemo:
         assert len(built) == len(pairs)
         for pair in pairs:
             figure4_sweep(lambda: pair)  # warm
-            assert relaxed_theta(mechanisms._PLANS[pair], 1.0) == (
+            assert relaxed_theta(mechanisms._CALIBRATIONS[pair][0], 1.0) == (
                 calibrate_pufferfish([pair], 1.0, "theorem2").theta
             )
         assert len(built) == len(pairs)
@@ -766,13 +767,13 @@ class TestPairMemo:
 
     def test_memo_does_not_keep_the_pair_alive(self, adult_pair):
         gc.collect()
-        memos = (mechanisms._SENSITIVITIES, mechanisms._EQUATIONS)
+        memos = (mechanisms._CALIBRATIONS, mechanisms._EQUATIONS)
         sizes = [len(memo) for memo in memos]
         pair = fresh_copy(adult_pair)
         for method in ("theorem1", "theorem2"):
             calibrate_pufferfish([pair], 0.8, method)
         assert [len(memo) for memo in memos] == [size + 1 for size in sizes]
-        pair_ref, plan_ref = weakref.ref(pair), weakref.ref(mechanisms._PLANS[pair])
+        pair_ref, plan_ref = weakref.ref(pair), weakref.ref(mechanisms._CALIBRATIONS[pair][0])
         del pair
         gc.collect()
         assert pair_ref() is None
@@ -794,6 +795,22 @@ class TestSampling:
         spec = MechanismSpec(family="gaussian", theta=3.0, epsilon=1.0)
         draws = sample_noise(spec, 10**6, seed=42)
         assert np.var(draws) == pytest.approx(9.0, rel=0.01)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, math.nan, math.inf, "3", None, np.float64(3.0)])
+    def test_count_that_is_not_an_integer_rejected(self, n):
+        for family in ("laplace", "gaussian"):
+            for theta in (0.0, 1.0):
+                spec = MechanismSpec(family=family, theta=theta, epsilon=1.0)
+                with pytest.raises(ValidationError) as exc:
+                    sample_noise(spec, n, seed=0)
+                assert str(exc.value) == f"n must be an integer, got {n!r}"
+
+    @pytest.mark.parametrize("n", [np.int64(3), np.uint8(3), True])
+    def test_count_is_what_operator_index_takes(self, n):
+        spec = MechanismSpec(family="laplace", theta=1.0, epsilon=1.0)
+        want = sample_noise(spec, operator.index(n), seed=4)
+        assert sample_noise(spec, n, seed=4).tobytes() == want.tobytes()
+        assert want.size == int(n)
 
     def test_negative_count_rejected(self):
         spec = MechanismSpec(family="laplace", theta=1.0, epsilon=1.0)

@@ -114,6 +114,26 @@ class TestConditionalOutputDist:
         with pytest.raises(ValidationError, match="user index"):
             conditional_output_dist(system, 3, 0.0)
 
+    @pytest.mark.parametrize("user", [1.5, 1.0, "1", None])
+    def test_user_index_that_is_not_an_integer_rejected(self, user):
+        system = bernoulli_counting([0.5, 0.25])
+        for call in (lambda: conditional_output_dist(system, user, 0.0),
+                     lambda: discriminative_pairs(system, user),
+                     lambda: query_sensitivity(system, user)):
+            with pytest.raises(ValidationError) as exc:
+                call()
+            assert str(exc.value) == f"user index must be an integer, got {user!r}"
+
+    @pytest.mark.parametrize("user", [np.int64(1), True])
+    def test_user_index_is_what_operator_index_takes(self, user):
+        system = bernoulli_counting([0.5, 0.25])
+        pairs = discriminative_pairs(system, user, "absence")
+        assert [pair.labels for pair in pairs] == [("S1=0", "S1=absent"), ("S1=1", "S1=absent")]
+        want = discriminative_pairs(system, 1, "absence")
+        assert all(mine.p is theirs.p for mine, theirs in zip(pairs, want, strict=True))
+        assert conditional_output_dist(system, user, 1.0) is conditional_output_dist(system, 1, 1.0)
+        assert query_sensitivity(system, user) == 1.0
+
     def test_convolution_atom_cap(self):
         support = np.arange(101, dtype=float)
         prior = DiscreteDistribution.from_weights(support, np.ones(101))
@@ -568,6 +588,17 @@ def assert_same_grid_terms(system, reference):
             assert got.size == 0 and span[user] == scenarios.MAX_ATOMS
         else:
             assert np.array_equal(got, expected) and span[user] == expected.size - 1
+
+
+class TestImmutableSystem:
+    @pytest.mark.parametrize("name", ["priors", "outputs", "user_count", "_mass", "_offsets",
+                                      "_grid_terms", "anything"])
+    def test_no_attribute_can_be_set(self, name):
+        system = bernoulli_counting([0.5, 0.25])
+        system.priors  # a cached property, once read, is set in the instance dict
+        with pytest.raises(AttributeError, match=f"a UserSystem is immutable: cannot set '{name}'"):
+            setattr(system, name, None)
+        assert system.user_count == 2 and system.priors[1].mass.tolist() == [0.75, 0.25]
 
 
 class TestFlatStorage:

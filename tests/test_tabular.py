@@ -1,3 +1,4 @@
+import csv
 import math
 import random
 
@@ -18,7 +19,7 @@ from pufferot import (
     support_sensitivity,
 )
 
-from pufferot.tabular import load_conditionals_json
+from pufferot.tabular import load_conditionals_json, table_blocks
 
 from oracles import dictreader_load_table
 
@@ -35,6 +36,7 @@ class TestAttributeMapping:
         assert TOY_MAPPING.index("red") == 1
         assert TOY_MAPPING.index("blue") == 3
         assert TOY_MAPPING.support.tolist() == [1.0, 2.0, 3.0]
+        assert TOY_MAPPING.indices == {"red": 1, "green": 2, "blue": 3}
 
     def test_unknown_label(self):
         with pytest.raises(ValidationError, match="'magenta'"):
@@ -45,7 +47,7 @@ class TestAttributeMapping:
             AttributeMapping(labels=())
 
     def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValidationError, match="duplicate label"):
+        with pytest.raises(ValidationError, match="^duplicate label 'a' at positions 0 and 2$"):
             AttributeMapping(labels=("a", "b", "a"))
 
     def test_from_json_file(self, tmp_path):
@@ -194,6 +196,33 @@ class TestLoadTableMatchesDictReader:
         assert len(new[0]) == 5
 
 
+class TestTableBlocks:
+    """Each block is ``(cells, width)``: split flat when ``width`` > 0, else stripped rows."""
+
+    @pytest.mark.parametrize("delimiter", [",", ";", "\t", " ", "|"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_split_and_ragged_plain_blocks_hold_csv_readers_rows(self, tmp_path, delimiter,
+                                                                   newline):
+        rng = random.Random(5)
+        rows = [["id", "group", "v"]] + [[str(k), f"g{k % 5}", str(rng.randint(0, 9))]
+                                         for k in range(3000)]
+        for k in (1500, 1600):  # block 2 is ragged, and plain
+            rows[k].append("x")
+        rows[2500] = rows[2500][:2]  # and so is block 3
+        path = tmp_path / "t.csv"
+        path.write_bytes(newline.join(map(delimiter.join, rows)).encode() + newline.encode())
+        with open(path, newline="", encoding="utf-8") as fh:
+            want = list(csv.reader(fh, delimiter=delimiter))
+        with open(path, newline="", encoding="utf-8") as fh:
+            blocks = table_blocks(str(path), fh, delimiter)
+            header = next(blocks)
+            got = [(list(zip(*[iter(cells)] * width)) if width else cells, width)
+                   for cells, width in blocks]
+        assert header == want[0]
+        assert [width for _, width in got] == [3, 0, 0]
+        assert [list(row) for block, _ in got for row in block] == want[1:]
+
+
 class TestEmpiricalConditionals:
     def test_uniform_counts(self):
         dists = empirical_conditionals({"A": [3, 3, 3]})
@@ -259,6 +288,13 @@ class TestEnumeratePairs:
     def test_listed_entry_must_hold_two_labels(self, entry):
         with pytest.raises(ValidationError, match="must hold exactly two labels"):
             enumerate_pairs(self.make_conditionals(3), pairs=[entry])
+
+    @pytest.mark.parametrize("entry", ["ab", {"a": 0, "b": 1}, {0: "a", 1: "b"}, None, 12])
+    def test_listed_entry_must_be_a_list_or_tuple(self, entry):
+        # a two-character string would name secrets "a" and "b"; a dict would be read by key
+        conditionals = empirical_conditionals({"a": [1.0, 2.0], "b": [2.0, 1.0]})
+        with pytest.raises(ValidationError, match="must hold exactly two labels"):
+            enumerate_pairs(conditionals, pairs=[entry])
 
     def test_listed_pair_of_one_label_rejected(self):
         with pytest.raises(ValidationError, match="pair labels must be distinct, got 's0' twice"):

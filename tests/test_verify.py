@@ -769,6 +769,50 @@ class TestCoarseGridMaximum:
         assert peak < 8_000_000
 
 
+class TestCellLimits:
+    """Each coarse cell's bound is at or above the computed |log-ratio| at its inner points.
+
+    The all-points comparison cannot see a cell bound that is too small
+    while no inner point of the cell comes near the coarse maximum, so each
+    cell is checked on its own here, against every point inside it.
+    """
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(33)
+        cases = []
+        for seed in range(10):  # value pairs at 1/3, 1 and 3 times the gaussian-a scale
+            pair = counting_pairs(seed)[0]
+            theta = gaussian_a_theta(pair)
+            cases += [(pair, gaussian_spec(theta * f)) for f in (1 / 3, 1.0, 3.0)]
+        for _ in range(60):  # scales from a hundredth of the span to three spans
+            pair, span = random_pair(rng)
+            cases.append((pair, gaussian_spec(span * 10.0 ** rng.uniform(-2, 0.5))))
+        return cases
+
+    def test_every_inner_point_is_under_its_cell_bound(self, monkeypatch):
+        inner_points = []
+
+        def checked_maximum(pair, spec, ys):
+            coarse, ratio, limit = verify._cell_limits(pair, spec, ys)
+            ratios = np.abs(verify.log_output_density(pair.p, spec, ys)
+                            - verify.log_output_density(pair.q, spec, ys))
+            assert np.array_equal(ratios[coarse], ratio)
+            assert not np.isnan(limit).any()
+            inner = np.ones(ys.size, dtype=bool)
+            inner[coarse] = False
+            cell = np.searchsorted(coarse, np.flatnonzero(inner)) - 1
+            assert (ratios[inner] <= limit[cell]).all()
+            inner_points.append(inner.sum())
+            return all_points_grid_maximum(pair, spec, ys)
+
+        monkeypatch.setattr(verify, "_grid_maximum", checked_maximum)
+        cases = self.cases()
+        for pair, spec in cases:
+            verify._gaussian_grid(pair, spec)
+        assert len(inner_points) == len(cases) and min(inner_points) > 0
+
+
 class TestSortedUnique:
     @pytest.mark.parametrize("seed", range(20))
     def test_equals_numpy_unique_bit_for_bit(self, seed):
