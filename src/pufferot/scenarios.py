@@ -8,10 +8,10 @@ mixture of the value conditionals: the leave-one-out law convolved with
 the user's own term.
 
 A system keeps all users in flat read-only arrays cut by V + 1 offsets;
-no conditional reads a per-user object. It weakly keeps the latest
-user's leave-one-out law, read-only, and the conditionals built from it.
-So a user's value pairs and absence pairs cost V convolution steps
-between them, each conditional is built once, and the memo goes with it.
+no conditional reads a per-user object. It keeps in its own dict the
+latest user's leave-one-out law, read-only, and the conditionals built
+from it. So a user's value pairs and absence pairs cost V convolution
+steps between them, and each conditional is built once.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import operator
 import sys
-import weakref
 from functools import cached_property
 from itertools import combinations
 from typing import Sequence
@@ -36,13 +35,6 @@ ATOM_MERGE_TOL = 1e-9
 MAX_ATOMS = 10_000
 
 MODES = ("values", "absence")
-
-#: Per system, ``(user, law, built)`` for the latest user: the other users'
-#: law as read-only ``(atoms, weights)``, and the conditionals built from it
-#: so far, keyed by alphabet index or None for absence; see
-#: :func:`_conditional`.
-_LAWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
 
 class UserSystem:
     """V independent users: per-user priors and the query's per-user outputs.
@@ -208,16 +200,18 @@ def _conditional(system: UserSystem, user: int, index: int | None) -> DiscreteDi
 
     A value conditional is the other users' law shifted by the user's
     output; the absence conditional is that law convolved with the user's
-    term. A new user's entry replaces the system's old one in one
-    assignment.
+    term. The system's own ``_law`` entry is ``(user, law, built)`` for
+    the latest user: the other users' law as read-only ``(atoms,
+    weights)``, and the conditionals built from it so far, keyed by
+    alphabet index or None for absence. A new user's entry replaces the
+    old one in one assignment, written as :meth:`UserSystem._store` writes.
     """
-    entry = _LAWS.get(system)
+    entry = vars(system).get("_law")
     if entry is None or entry[0] != user:
         law = _convolve(system, user)
         for array in law:
             array.setflags(write=False)
-        entry = (user, law, {})
-        _LAWS[system] = entry
+        entry = vars(system)["_law"] = (user, law, {})
     _, (vals, mass), built = entry
     if index not in built:
         if index is None:

@@ -2,10 +2,10 @@
 
 The output density under each secret is the noise density convolved with
 the conditional data distribution; verification bounds the absolute
-log-ratio of the two output densities. Both certificates take each pair's
-figures (worst log-ratio, its argmax, the grid and a note) from one
-per-pair evaluation: the log-ratio check passes a pair on them, and the
-Gaussian delta check reports them and decides on the noise tail mass.
+log-ratio of the two output densities. The log-ratio check gives each
+pair's figures (worst log-ratio, its argmax, the grid and a note) and
+passes it on them. The Gaussian delta check runs the log-ratio check,
+keeps those figures, and decides each pair on its noise tail mass.
 
 For Laplace noise the check is exact: between neighbouring positive-mass
 support points the ratio is a Moebius function of exp(2y/theta), hence
@@ -37,7 +37,7 @@ and a figure that was not evaluated (a grid over its cap) as null.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -482,46 +482,6 @@ def _laplace_log_ratios(pairs: Sequence[DiscriminativePair], theta: float):
                 yield index, pair_points, pair_ratios
 
 
-def _pair_log_ratio(
-    pair: DiscriminativePair, spec: MechanismSpec, exact: tuple[float, float, int] | None = None
-) -> tuple[float | None, float | None, tuple[float, float, float] | None, str, float]:
-    """One pair's figures (worst, argmax_y, grid, note) and the bound its log-ratio check tests.
-
-    ``exact`` is a Laplace pair's (worst, argmax_y, point count) from the
-    :func:`_laplace_log_ratios` sweep. At theta = 0 the release is the
-    data: the worst is 0 for identical conditionals and inf otherwise. A
-    Gaussian pair's bound is the largest of both limits and its grid
-    maximum plus the Lipschitz slack; over the cap it is inf.
-    """
-    if spec.theta == 0:
-        worst = 0.0 if _identical(pair.p, pair.q) else math.inf
-        note = (
-            "theta = 0: identical conditionals compared exactly"
-            if worst == 0
-            else "theta = 0 releases the data unchanged while the conditionals differ"
-        )
-        return worst, None, None, note, worst
-    if spec.family == "laplace":
-        worst, argmax_y, points = exact
-        note = (
-            f"laplace: exact, evaluated at the {points} positive-mass support "
-            "points, where the log-ratio attains its supremum"
-        )
-        return worst, argmax_y, None, note, worst
-    ev = _gaussian_grid(pair, spec)
-    bound = ev.grid_max + ev.slack if ev.worst is None else max(ev.worst, ev.grid_max + ev.slack)
-    return ev.worst, ev.argmax_y, ev.grid, ev.note, bound
-
-
-def _report(
-    kind: str, spec: MechanismSpec, epsilon: float, checks: list, delta: float | None = None
-) -> VerificationReport:
-    passed = all(check.passed for check in checks)
-    return VerificationReport(
-        kind, spec.family, spec.theta, epsilon, VERIFY_TOL, passed, tuple(checks), delta
-    )
-
-
 def verify_pufferfish(
     pairs: Sequence[DiscriminativePair],
     spec: MechanismSpec,
@@ -529,25 +489,53 @@ def verify_pufferfish(
 ) -> VerificationReport:
     """Check |log P(y|s_i) - log P(y|s_j)| <= epsilon for every pair.
 
-    Laplace pairs are checked exactly, at the union of the positive-mass
-    support points. A Gaussian pair passes only if both limits of its
-    log-ratio as y -> +-inf, and its grid maximum plus the Lipschitz slack
-    span h / (2 theta^2), are within epsilon; the note gives the slack.
-    That bounds the ratio everywhere but beyond the grid, +-10 theta past
-    the support hull, where it may overshoot its limit unchecked. A pair
-    whose grid would exceed MAX_GRID_POINTS fails without being evaluated.
+    At theta = 0 the release is the data: the worst is 0 for identical
+    conditionals and inf otherwise. Laplace pairs are checked exactly, at
+    the union of the positive-mass support points. A Gaussian pair passes
+    only if both limits of its log-ratio as y -> +-inf, and its grid
+    maximum plus the Lipschitz slack span h / (2 theta^2), are within
+    epsilon; the note gives the slack. That bounds the ratio everywhere but
+    beyond the grid, +-10 theta past the support hull, where it may
+    overshoot its limit unchecked. A pair whose grid would exceed
+    MAX_GRID_POINTS fails without being evaluated.
     """
     pairs = _pairs_and_epsilon(pairs, epsilon)
-    laplace = [None] * len(pairs)
-    if spec.theta > 0 and spec.family == "laplace":
+    bar = epsilon + VERIFY_TOL
+    checks = [None] * len(pairs)
+    if spec.theta == 0:
+        for index, pair in enumerate(pairs):
+            # epsilon > 0, so a pair passes exactly when its worst, 0 or inf, is 0
+            same = _identical(pair.p, pair.q)
+            note = (
+                "theta = 0: identical conditionals compared exactly"
+                if same
+                else "theta = 0 releases the data unchanged while the conditionals differ"
+            )
+            checks[index] = PairCheck(
+                pair.labels, same, 0.0 if same else math.inf, None, None, note
+            )
+    elif spec.family == "laplace":
         for index, ys, ratios in _laplace_log_ratios(pairs, spec.theta):
             k = int(np.argmax(ratios))
-            laplace[index] = (float(ratios[k]), float(ys[k]), ys.size)
-    checks = []
-    for pair, exact in zip(pairs, laplace):
-        *figures, bound = _pair_log_ratio(pair, spec, exact)
-        checks.append(PairCheck(pair.labels, bound <= epsilon + VERIFY_TOL, *figures))
-    return _report("log-ratio", spec, epsilon, checks)
+            worst = float(ratios[k])
+            note = (
+                f"laplace: exact, evaluated at the {ys.size} positive-mass support "
+                "points, where the log-ratio attains its supremum"
+            )
+            checks[index] = PairCheck(
+                pairs[index].labels, worst <= bar, worst, float(ys[k]), None, note
+            )
+    else:
+        for index, pair in enumerate(pairs):
+            ev = _gaussian_grid(pair, spec)
+            # both limits and the grid maximum plus the slack; over the cap, inf
+            bound = ev.grid_max + ev.slack
+            passed = bound <= bar and (ev.worst is None or ev.worst <= bar)
+            checks[index] = PairCheck(pair.labels, passed, ev.worst, ev.argmax_y, ev.grid, ev.note)
+    return VerificationReport(
+        "log-ratio", spec.family, spec.theta, epsilon, VERIFY_TOL,
+        all(check.passed for check in checks), tuple(checks),
+    )
 
 
 def gaussian_violation_mass(theta: float, epsilon: float, sensitivity: float) -> float:
@@ -576,22 +564,24 @@ def verify_delta_approx(
 ) -> VerificationReport:
     """Check the Gaussian delta-approximate guarantee on every pair.
 
-    A pair passes when the probability that the noise lands where the
-    log-ratio bound can fail is at most delta, and on nothing else. Its
-    other figures and its note are those of :func:`verify_pufferfish`,
-    behind a note that names the pass criterion; over MAX_GRID_POINTS the
-    grid is not evaluated, and the note says so.
+    The check runs :func:`verify_pufferfish` on the same pairs and decides
+    each pair on its noise tail mass: it passes when the probability that
+    the noise lands where the log-ratio bound can fail is at most delta,
+    and on nothing else. Its other figures and its note are the log-ratio
+    check's, behind a note that names the pass criterion; over
+    MAX_GRID_POINTS the grid is not evaluated, and the note says so.
     """
     pairs = _pairs_and_epsilon(pairs, epsilon)
     if spec.family != "gaussian":
         raise ValidationError(f"the delta-approximation check is Gaussian-only, got {spec.family!r}")
     _check_delta(delta)
     checks = []
-    for pair in pairs:
-        mass = gaussian_violation_mass(
-            spec.theta, epsilon, plan_sensitivity(optimal_plan(pair.p, pair.q))
-        )
-        worst, argmax_y, grid, note, _ = _pair_log_ratio(pair, spec)
-        note = f"pass criterion is the noise tail mass; {note}"
-        checks.append(PairCheck(pair.labels, mass <= delta, worst, argmax_y, grid, note, mass))
-    return _report("delta-tail", spec, epsilon, checks, delta)
+    for pair, check in zip(pairs, verify_pufferfish(pairs, spec, epsilon).checks):
+        sensitivity = plan_sensitivity(optimal_plan(pair.p, pair.q))
+        mass = gaussian_violation_mass(spec.theta, epsilon, sensitivity)
+        note = f"pass criterion is the noise tail mass; {check.note}"
+        checks.append(replace(check, passed=mass <= delta, note=note, violation_mass=mass))
+    return VerificationReport(
+        "delta-tail", spec.family, spec.theta, epsilon, VERIFY_TOL,
+        all(check.passed for check in checks), tuple(checks), delta,
+    )

@@ -32,6 +32,7 @@ GOLDEN_VERIFY = DATA / "verify_golden.json"
 GOLDEN_VERIFY_DELTA = DATA / "verify_delta_golden.json"
 GOLDEN_VERIFY_GAUSSIAN = DATA / "verify_gaussian_golden.json"
 GOLDEN_SCENARIO_COUNTING = DATA / "scenario_counting_golden.json"
+GOLDEN_CALIBRATE = DATA / "calibrate_golden.json"
 README = Path(__file__).parent.parent / "README.md"
 
 
@@ -142,6 +143,16 @@ class TestCalibrate:
         payload = read_json(out)
         assert payload["theta"] <= 2.0
         assert payload["method"] == "theorem-2"
+
+    def test_relaxed_report_matches_golden(self, tmp_path):
+        # the 21 verify pairs, each with its plan sensitivity and its Theorem-2 root
+        out = tmp_path / "report.json"
+        code = cli.main([
+            "calibrate", "--pairs", str(DATA / "verify_pairs.json"), "--epsilon", "1",
+            "--method", "theorem2", "--out", str(out),
+        ])
+        assert code == 0
+        assert out.read_bytes() == GOLDEN_CALIBRATE.read_bytes()
 
     def test_gaussian_method_requires_delta(self, pairs_file, tmp_path, capsys):
         code = cli.main([
@@ -1323,6 +1334,21 @@ class TestExitDiscipline:
         error = json.loads(capsys.readouterr().err)["error"]
         assert error["type"] == "NumericError"
         assert "no upper bracket" in error["message"]
+        assert not out.exists()
+
+    def test_root_below_the_float_range_exits_three(self, tmp_path, capsys):
+        # supports 1e-308 apart at eps = 1.5: the root lies below theta = exp(-709.78)
+        dist = {"support": [0, 1e-308], "mass": [0.5, 0.5]}
+        pairs = write_json({"conditionals": {"a": dist, "b": {**dist, "mass": [0.25, 0.75]}},
+                            "pairs": [["a", "b"]]}, tmp_path / "tiny.json")
+        out = tmp_path / "report.json"
+        code = cli.main(["calibrate", "--pairs", pairs, "--method", "theorem2",
+                         "--epsilon", "1.5", "--out", str(out)])
+        assert code == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        error = json.loads(line)["error"]
+        assert error["type"] == "NumericError"
+        assert "no lower bracket" in error["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize(("listed", "message"), [

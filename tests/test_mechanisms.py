@@ -564,6 +564,39 @@ class TestRelaxedTheta:
         assert errors[0] == errors[1]
         assert calls == []
 
+    def test_root_below_the_float_range_has_no_lower_bracket(self):
+        # theorem1's scale is 1e-308 / 1.5, a subnormal, and theorem2's root lies
+        # further down, below theta = exp(-_LOG_THETA_LIMIT), where 1/theta overflows
+        pair = DiscriminativePair(
+            labels=("a", "b"),
+            p=DiscreteDistribution.from_weights([0, 1e-308], [0.5, 0.5]),
+            q=DiscreteDistribution.from_weights([0, 1e-308], [0.25, 0.75]),
+        )
+        assert calibrate_pufferfish([pair], 1.5, "theorem1").theta == 1e-308 / 1.5
+        with pytest.raises(NumericError, match="no lower bracket for the row and column moment"):
+            calibrate_pufferfish([pair], 1.5, "theorem2")
+
+    def test_floating_point_error_from_the_objective_is_a_numeric_error(self):
+        # under a caller's np.errstate(all="raise") the exp of a far entry's term
+        # underflows at the first probe; the default state lets it round to 0
+        pair = DiscriminativePair(
+            labels=("a", "b"),
+            p=DiscreteDistribution.from_weights([0, 1e300], [0.5, 0.5]),
+            q=DiscreteDistribution.from_weights([0, 1e300], [0.25, 0.75]),
+        )
+        with np.errstate(all="raise"):
+            with pytest.raises(NumericError, match=r"failed at log\(theta\)=0\.0: underflow"):
+                calibrate_pufferfish([pair], 1e-10, "theorem2")
+
+    def test_newton_gives_up_on_a_nan_residual(self):
+        assert mechanisms._newton_root([1.0], [0.0], math.nan, 1.0, 1e-9, 10) is None
+
+    def test_newton_gives_up_on_a_step_that_overflows(self):
+        # residual -1e10 over slope 1e-300: the step to the next rate is inf
+        value, slope = mechanisms._log_residual([1e-300], [0.0], 1e10, 1.0)
+        assert (value, slope) == (-1e10, 1e-300)
+        assert mechanisms._newton_root([1e-300], [0.0], 1e10, 1.0, 1e-9, 10) is None
+
     @settings(max_examples=20, deadline=None)
     @given(bad=NON_FINITE)
     def test_non_finite_epsilon_rejected(self, bad):
