@@ -528,7 +528,7 @@ def verify_pufferfish(
     else:
         for index, pair in enumerate(pairs):
             ev = _gaussian_grid(pair, spec)
-            # both limits and the grid maximum plus the slack; over the cap, inf
+            # ev.worst holds both limits; over the cap, grid_max is inf and ev.worst None
             bound = ev.grid_max + ev.slack
             passed = bound <= bar and (ev.worst is None or ev.worst <= bar)
             checks[index] = PairCheck(pair.labels, passed, ev.worst, ev.argmax_y, ev.grid, ev.note)
